@@ -1,14 +1,13 @@
 // Ablation: what each optimizer pass contributes.
 //
-// The pass framework makes this sweep self-maintaining: instead of
-// bespoke enable_* flag combinations, the bench asks
+// The pass framework makes this sweep self-maintaining: the schedule
+// string is the optimizer's only knob, so the bench asks
 // PassRegistry::Global() for the canonical pass order and measures the
 // end-to-end rate of resnet18 and multibox_ssd under cumulative
 // schedules — naive, then each registered pass added in turn (the cache
 // step also appends the default trailing re-parallelism so the LP can
-// redistribute the cores a cache frees), plus the LP-enumerated cache
-// placement variant. A pass registered tomorrow joins the ablation
-// without touching this file.
+// redistribute the cores a cache frees). A pass registered tomorrow
+// joins the ablation without touching this file.
 //
 // Emits BENCH_METRIC lines for the CI regression gate: absolute mb/s
 // per schedule plus speedup-vs-naive ratios (the `_rel` metrics, which
@@ -35,7 +34,6 @@ struct AblationConfig {
   std::string label;     // table row label
   std::string key;       // BENCH_METRIC key component
   std::string schedule;  // "" = no optimization (naive)
-  bool enumerate_caches = false;
 };
 
 std::vector<AblationConfig> RegistrySchedules() {
@@ -52,8 +50,6 @@ std::vector<AblationConfig> RegistrySchedules() {
     }
     configs.push_back({"+" + name, "cum_" + name, JoinPassNames(cumulative)});
   }
-  configs.push_back({"+cache (LP enumeration)", "cache_enum",
-                     kDefaultPassSchedule, /*enumerate_caches=*/true});
   return configs;
 }
 
@@ -65,7 +61,6 @@ double MeasureConfig(const Workload& workload, const MachineSpec& machine,
     OptimizeOptions options;
     options.trace_seconds = 0.25;
     options.evaluate_warmup_seconds = 0.8;
-    options.enumerate_caches = config.enumerate_caches;
     options.lp_options.disk_bandwidth = workload.storage.max_bandwidth;
     auto result = session.FromGraph(graph).OptimizeWith(config.schedule,
                                                         options);
@@ -185,9 +180,8 @@ int main() {
       "\nExpected shape: LP parallelism provides the bulk of the win over\n"
       "naive; prefetch adds overlap; caching lifts the pipeline past the\n"
       "I/O bound (paper Fig. 10); engine-batch autotuning only moves\n"
-      "pipelines whose parallel stages are engine-overhead-bound. Greedy\n"
-      "and LP-enumerated cache placement agree on these linear pipelines\n"
-      "(paper 4.3 'greedy yet optimal'). Sharding lifts a source-bound\n"
-      "pipeline by reading against multiple modeled disks.\n");
+      "pipelines whose parallel stages are engine-overhead-bound.\n"
+      "Sharding lifts a source-bound pipeline by reading against\n"
+      "multiple modeled disks.\n");
   return shard_ok ? 0 : 1;
 }

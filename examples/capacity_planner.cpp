@@ -90,19 +90,18 @@ int main(int argc, char** argv) {
   // 5. Cache-tier dispatch on two machine shapes.
   struct Shape {
     const char* label;
-    TieredCachePlanOptions options;
+    CachePlanOptions options;
   };
-  TieredCachePlanOptions big_ram;
+  CachePlanOptions big_ram;
   big_ram.memory_bytes = 64ull << 20;
   big_ram.disk_free_bytes = 256ull << 20;
   big_ram.disk_read_bandwidth = 100e6;
-  TieredCachePlanOptions small_ram = big_ram;
+  CachePlanOptions small_ram = big_ram;
   small_ram.memory_bytes = 1 << 20;
   for (const Shape& shape :
        {Shape{"64MB RAM + scratch SSD", big_ram},
         Shape{"1MB RAM + scratch SSD", small_ram}}) {
-    const TieredCacheDecision decision =
-        PlanCacheTiered(model, shape.options);
+    const CacheDecision decision = PlanCache(model, shape.options);
     std::printf("cache tier on %-24s -> %s%s%s\n", shape.label,
                 CacheTierName(decision.tier),
                 decision.feasible ? " at " : "",

@@ -309,10 +309,7 @@ StatusOr<OptimizedFlow> Flow::Optimize(OptimizeOptions options) const {
 
 StatusOr<OptimizedFlow> Flow::OptimizeWith(const std::string& schedule,
                                            OptimizeOptions options) const {
-  // An explicitly passed empty schedule means "run no passes" (trace
-  // only), not "fall back to the legacy-knob derivation" — callers
-  // sweeping schedule strings expect "" to be the no-op baseline.
-  options.schedule = schedule.empty() ? "none" : schedule;
+  options.schedule = schedule;
   return Optimize(std::move(options));
 }
 

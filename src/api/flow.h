@@ -131,7 +131,7 @@ class Flow {
   // Hands the pipeline to the Plumber optimizer. The Session is the
   // source of truth for the environment: machine, fs, udfs, seed, and
   // work model in `options` are overwritten from it; pass only tuning
-  // knobs (trace windows, schedule, lp_options, enable_* switches).
+  // knobs (trace windows, schedule, lp_options).
   StatusOr<OptimizedFlow> Optimize(OptimizeOptions options = {}) const;
 
   // Optimize with an explicit pass schedule, e.g.

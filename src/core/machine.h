@@ -25,7 +25,7 @@ struct MachineSpec {
   // Local scratch tier (SSD) for disk-tier cache materialization
   // (paper §4.1 extensions). Disabled until both a bandwidth and a
   // capacity are set: scratch_bytes = 0 or scratch.max_bandwidth = 0
-  // means there is no disk tier and CachePlacementPass only considers
+  // means there is no disk tier and the cache pass only considers
   // DRAM.
   DeviceSpec scratch = DeviceSpec::Unlimited();
   uint64_t scratch_bytes = 0;

@@ -228,9 +228,10 @@ JobDemand DemandFromGraph(std::string job_id, const GraphDef& graph,
   // split. A graph the optimizer stamped (kAttrTracedRate anywhere)
   // contributes only its stamped nodes as stages; anything unstamped
   // was off the traced critical path and costs ~nothing — but an
-  // unstamped TUNABLE node then keeps its configured parallelism
-  // unarbitrated, which callers deserve to hear about (see the header
-  // contract); `warning` reports that partial coverage.
+  // unstamped TUNABLE node above parallelism 1 then keeps its
+  // configured workers unarbitrated, which callers deserve to hear
+  // about (see the header contract); `warning` reports that partial
+  // coverage.
   bool traced = false;
   for (const NodeDef& node : graph.nodes()) {
     if (node.GetDouble(kAttrTracedRate, 0.0) > 0) {
@@ -258,7 +259,10 @@ JobDemand DemandFromGraph(std::string job_id, const GraphDef& graph,
       std::vector<std::string> unstamped;
       for (const std::string& node : rewriter::TunableNodes(graph)) {
         const NodeDef* def = graph.FindNode(node);
-        if (def->GetDouble(kAttrTracedRate, 0.0) <= 0) {
+        // At parallelism 1 the node already sits at the arbiter's
+        // min-1 floor, so skipping it grants nothing extra.
+        if (def->GetDouble(kAttrTracedRate, 0.0) <= 0 &&
+            def->GetInt(kAttrParallelism, 1) > 1) {
           unstamped.push_back(node);
         }
       }

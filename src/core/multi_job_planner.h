@@ -99,14 +99,17 @@ MultiJobPlan PlanMultiJobAllocation(const std::vector<JobDemand>& demands,
 // tunable node is then excluded from the demand entirely — the
 // arbiter neither grants it cores nor rewrites its knob, so it keeps
 // its configured parallelism unarbitrated (a silent over-grant under
-// contention). Mixing measured rates with the uniform-1.0 guess would
-// be worse (a fictitious unit-rate stage dwarfs stages measured in
-// the thousands/sec), so partial coverage is tolerated but flagged:
-// when `warning` is non-null and the graph has tunable nodes both
-// with and without stamps, it is filled with a one-line description
-// (callers log it; the optimizer warns at stamping time through its
-// result log). Full coverage or the untraced fallback leave `warning`
-// untouched.
+// contention when that parallelism is above 1). Mixing measured rates
+// with the uniform-1.0 guess would be worse (a fictitious unit-rate
+// stage dwarfs stages measured in the thousands/sec), so partial
+// coverage is tolerated but flagged: when `warning` is non-null and a
+// traced graph has an unstamped tunable node at parallelism > 1, it is
+// filled with a one-line description (callers log it; the optimizer
+// warns at stamping time through its result log). Unstamped nodes at
+// parallelism 1 — e.g. stages behind a cache, which the final trace
+// never rates — already sit at the arbiter's min-1 floor and escape
+// nothing, so they do not warn. Full coverage, or the untraced
+// fallback, leave `warning` untouched.
 JobDemand DemandFromGraph(std::string job_id, const GraphDef& graph,
                           std::string* warning = nullptr);
 

@@ -1,6 +1,5 @@
 #include "src/core/optimizer.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "src/core/multi_job_planner.h"
@@ -24,25 +23,6 @@ PipelineOptions OptimizeOptions::MakePipelineOptions() const {
   return popts;
 }
 
-std::string OptimizeOptions::EffectiveSchedule() const {
-  if (schedule == "none") return "";  // explicitly empty: trace only
-  if (!schedule.empty()) return schedule;
-  // Legacy derivation: `passes` iterations of the original inline loop
-  // (parallelism every iteration; prefetch and cache on the first
-  // only). All knobs at their defaults yield kDefaultPassSchedule.
-  // Known deviation: with parallelism disabled and passes >= 2, the
-  // old loop's later iterations re-traced the rewritten graph (its
-  // only effect), so traced_rate reflected the rewrite; the derived
-  // schedule runs no trailing pass and reports the input's rate.
-  std::vector<std::string> derived;
-  for (int pass = 0; pass < std::max(1, passes); ++pass) {
-    if (enable_parallelism) derived.push_back("parallelism");
-    if (pass == 0 && enable_prefetch) derived.push_back("prefetch");
-    if (pass == 0 && enable_cache) derived.push_back("cache");
-  }
-  return JoinPassNames(derived);
-}
-
 PlumberOptimizer::PlumberOptimizer(OptimizeOptions options)
     : options_(std::move(options)) {}
 
@@ -54,7 +34,7 @@ StatusOr<std::unique_ptr<Pipeline>> PlumberOptimizer::MakePipeline(
 StatusOr<OptimizeResult> PlumberOptimizer::Optimize(
     const GraphDef& input) const {
   ASSIGN_OR_RETURN(PassSchedule schedule,
-                   PassSchedule::Parse(options_.EffectiveSchedule()));
+                   PassSchedule::Parse(options_.schedule));
   OptimizationContext ctx(input, options_);
   OptimizeResult result;
   result.pass_reports.reserve(schedule.passes().size());
@@ -71,10 +51,6 @@ StatusOr<OptimizeResult> PlumberOptimizer::Optimize(
         (report.cache.feasible || !report.cache.candidates.empty())) {
       result.cache = report.cache;
     }
-    if (name == "cache_tiers" && (report.tiered_cache.feasible ||
-                                  !report.tiered_cache.candidates.empty())) {
-      result.tiered_cache = report.tiered_cache;
-    }
     if (name == "shard_sources" && report.shard_count > 0) {
       result.shard_count = report.shard_count;
     }
@@ -82,17 +58,16 @@ StatusOr<OptimizeResult> PlumberOptimizer::Optimize(
     result.pass_reports.push_back(std::move(report));
   }
   if (!ctx.has_model()) {
-    // Nothing in the schedule consulted a model (e.g. empty schedule /
-    // all legacy knobs disabled): still trace once so traced_rate
-    // reports the input's observed rate, as the pre-framework
-    // optimizer did with every pass disabled.
+    // Nothing in the schedule consulted a model (e.g. the empty
+    // schedule): still trace once so traced_rate reports the input's
+    // observed rate.
     RETURN_IF_ERROR(ctx.LatestModel().status());
   } else {
     // Record the measured per-core stage rates in the graph so the
     // multi-job arbiter can water-fill from real demand instead of its
     // uniform fallback when this program is later Submit()ed alongside
-    // others. Only after a real schedule: the empty ("none") schedule
-    // contracts to return the input byte-for-byte unchanged.
+    // others. Only after a real schedule: the empty schedule contracts
+    // to return the input byte-for-byte unchanged.
     ASSIGN_OR_RETURN(const PipelineModel* model, ctx.LatestModel());
     for (const MaxMinStage& stage : model->LpStages()) {
       if (ctx.graph().FindNode(stage.name) != nullptr &&

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/core/passes/pass.h"
+#include "src/core/passes/pass_registry.h"
 #include "src/core/planner.h"
 #include "src/core/rewriter.h"
 #include "src/core/tracer.h"
@@ -45,21 +46,9 @@ struct OptimizeOptions {
   int engine_batch_size = 0;
   double trace_seconds = 0.3;
   // Pass schedule, e.g. "parallelism,prefetch,cache,parallelism,batch"
-  // (names resolved through PassRegistry::Global()). When empty, the
-  // schedule is derived from the legacy knobs below — `passes`
-  // iterations of [parallelism, prefetch (first iteration), cache
-  // (first iteration)], which with the defaults is exactly
-  // kDefaultPassSchedule. When set, it wins and the legacy knobs are
-  // ignored; the sentinel "none" means the explicitly empty schedule
-  // (run no passes: trace the input once and return it unchanged).
-  // See EffectiveSchedule().
-  std::string schedule;
-  int passes = 2;
-  bool enable_parallelism = true;
-  bool enable_prefetch = true;
-  bool enable_cache = true;
-  // Use PlanCacheByEnumeration instead of the greedy chain rule.
-  bool enumerate_caches = false;
+  // (names resolved through PassRegistry::Global()). "" runs no passes:
+  // the input is traced once and returned unchanged.
+  std::string schedule = kDefaultPassSchedule;
   LpPlanOptions lp_options;
   // Evaluation window used by PickBest to compare variants.
   double evaluate_seconds = 0.3;
@@ -75,10 +64,6 @@ struct OptimizeOptions {
   // The single place instantiation options are derived from the
   // machine + environment (tracing on, cache budget = machine memory).
   PipelineOptions MakePipelineOptions() const;
-
-  // The schedule Optimize will run: `schedule` if set, otherwise the
-  // derivation from the legacy enable_*/passes knobs described above.
-  std::string EffectiveSchedule() const;
 };
 
 struct OptimizeResult {
@@ -86,7 +71,6 @@ struct OptimizeResult {
   LpPlan plan;                 // last parallelism pass's LP plan
   CacheDecision cache;         // last cache pass's decision
   PrefetchDecision prefetch;   // last prefetch pass's decision
-  TieredCacheDecision tiered_cache;  // last cache_tiers pass's decision
   int shard_count = 0;         // shard_sources pass (0 = unsharded)
   double traced_rate = 0;      // observed rate in the final trace
   // One report per scheduled pass, in execution order: what each pass

@@ -52,31 +52,33 @@ StatusOr<PassReport> PrefetchPass::Run(OptimizationContext& ctx) const {
 StatusOr<PassReport> CachePass::Run(OptimizationContext& ctx) const {
   PassReport report;
   report.pass = name();
-  // HasCacheOp matches caches of any tier, so "cache,cache_tiers" (in
-  // either order) can never double-insert.
-  if (rewriter::HasCacheOp(ctx.graph())) {
+  if (rewriter::HasOp(ctx.graph(), "cache")) {
     report.summary = "cache already present; skipped";
     return report;
   }
   ASSIGN_OR_RETURN(const PipelineModel* model, ctx.LatestModel());
   report.traced_rate = model->observed_rate();
+  const MachineSpec& machine = ctx.options().machine;
   CachePlanOptions copts;
-  copts.memory_bytes = ctx.options().machine.memory_bytes;
-  report.cache = ctx.options().enumerate_caches
-                     ? PlanCacheByEnumeration(*model, copts,
-                                              ctx.options().lp_options)
-                     : PlanCache(*model, copts);
+  copts.memory_bytes = machine.memory_bytes;
+  copts.disk_free_bytes = machine.scratch_bytes;
+  copts.disk_read_bandwidth = machine.scratch.max_bandwidth;
+  report.cache = PlanCache(*model, copts, ctx.options().lp_options);
   if (!report.cache.feasible) {
-    report.summary = "no cacheable materialization fits in memory";
+    report.summary = "no cacheable materialization fits a storage tier";
     return report;
   }
-  RETURN_IF_ERROR(
-      rewriter::InjectCache(&ctx.graph(), report.cache.node).status());
+  RETURN_IF_ERROR(rewriter::InjectCache(&ctx.graph(), report.cache.node,
+                                        report.cache.tier)
+                      .status());
   ctx.MarkGraphChanged();
   report.changed = true;
   std::ostringstream os;
   os << "cache after " << report.cache.node << " ("
      << static_cast<uint64_t>(report.cache.materialized_bytes) << " bytes)";
+  if (report.cache.tier == CacheTier::kDisk) {
+    os << " on disk, serve_rate=" << report.cache.disk_serve_rate;
+  }
   report.summary = os.str();
   return report;
 }
@@ -166,48 +168,6 @@ StatusOr<PassReport> BatchSizePass::Run(OptimizationContext& ctx) const {
   report.engine_batch_size = batch;
   report.summary =
       "engine batch " + std::to_string(batch) + " (" + stage.str() + ")";
-  return report;
-}
-
-StatusOr<PassReport> CachePlacementPass::Run(OptimizationContext& ctx) const {
-  PassReport report;
-  report.pass = name();
-  if (rewriter::HasCacheOp(ctx.graph())) {
-    report.summary = "cache already present; skipped";
-    return report;
-  }
-  ASSIGN_OR_RETURN(const PipelineModel* model, ctx.LatestModel());
-  report.traced_rate = model->observed_rate();
-  const MachineSpec& machine = ctx.options().machine;
-  TieredCachePlanOptions topts;
-  topts.memory_bytes = machine.memory_bytes;
-  topts.disk_free_bytes = machine.scratch_bytes;
-  topts.disk_read_bandwidth = machine.scratch.max_bandwidth;
-  report.tiered_cache =
-      PlanCacheTiered(*model, topts, ctx.options().lp_options);
-  if (!report.tiered_cache.feasible) {
-    report.summary = machine.scratch_bytes > 0
-                         ? "no materialization fits memory, and the scratch "
-                           "tier cannot hold or serve one; skipped"
-                         : "no cacheable materialization fits in memory "
-                           "(no scratch tier configured); skipped";
-    return report;
-  }
-  RETURN_IF_ERROR(rewriter::InjectCache(&ctx.graph(),
-                                        report.tiered_cache.node,
-                                        report.tiered_cache.tier)
-                      .status());
-  ctx.MarkGraphChanged();
-  report.changed = true;
-  std::ostringstream os;
-  os << "cache (" << CacheTierName(report.tiered_cache.tier) << ") after "
-     << report.tiered_cache.node << " ("
-     << static_cast<uint64_t>(report.tiered_cache.materialized_bytes)
-     << " bytes)";
-  if (report.tiered_cache.tier == CacheTier::kDisk) {
-    os << " serve_rate=" << report.tiered_cache.disk_serve_rate;
-  }
-  report.summary = os.str();
   return report;
 }
 

@@ -27,9 +27,13 @@ class PrefetchPass : public OptimizerPass {
   StatusOr<PassReport> Run(OptimizationContext& ctx) const override;
 };
 
-// "cache": inserts a cache after the best cacheable node that fits the
-// machine's memory budget (paper §4.3 "Memory"); skips graphs that
-// already contain one. Honors OptimizeOptions::enumerate_caches.
+// "cache": inserts a cache after the cacheable node closest to the
+// root whose materialization fits a storage tier (paper §4.3 "Memory",
+// §4.1 "Extensions"): DRAM first, then the machine's scratch tier when
+// one is configured (MachineSpec::scratch_bytes > 0 and
+// scratch.max_bandwidth > 0) and can serve the cache at least as fast
+// as the uncached pipeline runs. Skips graphs that already contain a
+// cache of either tier.
 class CachePass : public OptimizerPass {
  public:
   const char* name() const override { return "cache"; }
@@ -59,25 +63,6 @@ class BatchSizePass : public OptimizerPass {
   static constexpr int kMaxEngineBatch = 64;
 
   const char* name() const override { return "batch"; }
-  StatusOr<PassReport> Run(OptimizationContext& ctx) const override;
-};
-
-// "cache_tiers": tier-aware cache placement (paper §4.1 "Extensions").
-// Dispatches the CachePass decision across storage tiers via
-// PlanCacheTiered: in-memory placement when the materialization fits
-// the machine's memory budget (then the rewrite is bit-identical to
-// CachePass), disk placement onto the machine's modeled scratch device
-// when memory is too small but the scratch tier has the capacity AND
-// the bandwidth to serve the materialization at least as fast as the
-// uncached pipeline would run. Skips graphs that already contain a
-// cache of either tier. Not in the default schedule; opt in via
-// "...,cache_tiers".
-class CachePlacementPass : public OptimizerPass {
- public:
-  const char* name() const override { return "cache_tiers"; }
-  // Same reason as CachePass: a cache frees the cached-away subtree's
-  // cores; a re-solve redistributes them.
-  const char* followup() const override { return "parallelism"; }
   StatusOr<PassReport> Run(OptimizationContext& ctx) const override;
 };
 

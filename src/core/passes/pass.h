@@ -5,9 +5,9 @@
 // OptimizerPass with a registry name and a Run method that mutates the
 // graph held by an OptimizationContext and returns a typed PassReport.
 // PlumberOptimizer::Optimize is now just "parse a PassSchedule, run its
-// passes in order" — new rewrites (batch autotuning, sharded sources,
-// multi-tier cache placement) plug in without touching the driver, and
-// ablations are schedule strings instead of bespoke flag combinations.
+// passes in order" — new rewrites (batch autotuning, sharded sources)
+// plug in without touching Optimize itself, and ablations are schedule
+// strings instead of bespoke flag combinations.
 #pragma once
 
 #include <functional>
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/cache_tiers.h"
 #include "src/core/model.h"
 #include "src/core/planner.h"
 #include "src/core/tracer.h"
@@ -42,7 +41,6 @@ struct PassReport {
   PrefetchDecision prefetch;   // PrefetchPass
   CacheDecision cache;         // CachePass
   int engine_batch_size = 0;   // BatchSizePass (0 = left untouched)
-  TieredCacheDecision tiered_cache;  // CachePlacementPass
   int shard_count = 0;         // ShardSourcesPass (0 = not sharded)
 };
 

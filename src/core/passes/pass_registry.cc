@@ -14,8 +14,6 @@ PassRegistry& PassRegistry::Global() {
     (void)r->Register("cache", [] { return std::make_unique<CachePass>(); });
     (void)r->Register("batch",
                       [] { return std::make_unique<BatchSizePass>(); });
-    (void)r->Register("cache_tiers",
-                      [] { return std::make_unique<CachePlacementPass>(); });
     (void)r->Register("shard_sources",
                       [] { return std::make_unique<ShardSourcesPass>(); });
     return r;

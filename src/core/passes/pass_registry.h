@@ -25,7 +25,8 @@ class PassRegistry {
   using Factory = std::function<std::unique_ptr<OptimizerPass>()>;
 
   // The process-wide registry, pre-populated with the built-in passes
-  // in their canonical order: parallelism, prefetch, cache, batch.
+  // in their canonical order: parallelism, prefetch, cache, batch,
+  // shard_sources.
   static PassRegistry& Global();
 
   Status Register(const std::string& name, Factory factory);

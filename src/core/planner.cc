@@ -172,82 +172,56 @@ void ForEachCacheCandidate(const PipelineModel& model,
   }
 }
 
+const char* CacheTierName(CacheTier tier) {
+  switch (tier) {
+    case CacheTier::kNone:
+      return "none";
+    case CacheTier::kMemory:
+      return "memory";
+    case CacheTier::kDisk:
+      return "disk";
+  }
+  return "none";
+}
+
 CacheDecision PlanCache(const PipelineModel& model,
-                        const CachePlanOptions& options) {
+                        const CachePlanOptions& options,
+                        const LpPlanOptions& lp_options) {
   CacheDecision decision;
-  const double budget = options.memory_bytes * options.safety_factor;
+  const double memory_budget = options.memory_bytes * options.safety_factor;
+  const double disk_budget = options.disk_free_bytes * options.safety_factor;
+  const bool has_disk =
+      options.disk_free_bytes > 0 && options.disk_read_bandwidth > 0;
+  // The disk guard's reference: the LP's prediction for the current,
+  // uncached configuration.
+  const double uncached_rate =
+      has_disk ? PlanAllocation(model, lp_options).predicted_rate : 0;
+
   // Candidates come root-first, so the first fitting one is closest to
   // the root (greedy-optimal on chains).
   ForEachCacheCandidate(model, [&](const NodeModel& node) {
     CacheCandidate candidate;
     candidate.node = node.name;
     candidate.materialized_bytes = node.materialized_bytes;
-    candidate.fits = node.materialized_bytes <= budget;
+    const bool fits_memory = options.memory_bytes > 0 &&
+                             node.materialized_bytes <= memory_budget;
+    double serve_rate = 0;
+    if (!fits_memory && has_disk && node.materialized_bytes <= disk_budget &&
+        node.visit_ratio > 0 && node.bytes_per_element > 0) {
+      // Serving the materialization re-reads visit_ratio elements of
+      // bytes_per_element for every root minibatch.
+      serve_rate = options.disk_read_bandwidth /
+                   (node.visit_ratio * node.bytes_per_element);
+    }
+    const bool fits_disk = serve_rate > 0 && serve_rate >= uncached_rate;
+    candidate.fits = fits_memory || fits_disk;
     decision.candidates.push_back(candidate);
-    if (candidate.fits && !decision.feasible) {
-      decision.feasible = true;
-      decision.node = node.name;
-      decision.materialized_bytes = node.materialized_bytes;
-    }
-  });
-  return decision;
-}
-
-double PredictedRateWithCacheAt(const PipelineModel& model,
-                                const std::string& node,
-                                const LpPlanOptions& lp_options) {
-  // Free every stage at or upstream of `node`: breadth-first over the
-  // input edges from the cache point.
-  std::vector<std::string> frontier{node};
-  std::vector<std::string> freed;
-  while (!frontier.empty()) {
-    const std::string current = frontier.back();
-    frontier.pop_back();
-    freed.push_back(current);
-    const NodeModel* nm = model.Find(current);
-    if (nm == nullptr) continue;
-    for (const auto& input : nm->inputs) frontier.push_back(input);
-  }
-  std::vector<MaxMinStage> stages;
-  for (MaxMinStage stage : model.LpStages()) {
-    if (std::find(freed.begin(), freed.end(), stage.name) != freed.end()) {
-      continue;
-    }
-    stages.push_back(std::move(stage));
-  }
-  LpPlanOptions opts = lp_options;
-  // A cached pipeline no longer reads from storage or the network.
-  opts.disk_bandwidth = 0;
-  opts.network_bandwidth = 0;
-  if (stages.empty()) {
-    // Everything is free: rate is bounded elsewhere (consumer).
-    return std::numeric_limits<double>::infinity();
-  }
-  return PlanFromStages(stages, model, opts).predicted_rate;
-}
-
-CacheDecision PlanCacheByEnumeration(const PipelineModel& model,
-                                     const CachePlanOptions& cache_options,
-                                     const LpPlanOptions& lp_options) {
-  CacheDecision decision;
-  const double budget =
-      cache_options.memory_bytes * cache_options.safety_factor;
-  double best_rate = -1;
-  ForEachCacheCandidate(model, [&](const NodeModel& node) {
-    CacheCandidate candidate;
-    candidate.node = node.name;
-    candidate.materialized_bytes = node.materialized_bytes;
-    candidate.fits = node.materialized_bytes <= budget;
-    decision.candidates.push_back(candidate);
-    if (!candidate.fits) return;
-    const double rate =
-        PredictedRateWithCacheAt(model, node.name, lp_options);
-    if (rate > best_rate) {
-      best_rate = rate;
-      decision.feasible = true;
-      decision.node = node.name;
-      decision.materialized_bytes = node.materialized_bytes;
-    }
+    if (decision.feasible || !candidate.fits) return;
+    decision.feasible = true;
+    decision.tier = fits_memory ? CacheTier::kMemory : CacheTier::kDisk;
+    decision.node = node.name;
+    decision.materialized_bytes = node.materialized_bytes;
+    decision.disk_serve_rate = serve_rate;
   });
   return decision;
 }

@@ -57,50 +57,58 @@ LpPlan PlanAllocation(const PipelineModel& model,
                       const LpPlanOptions& options = {});
 
 // ---------------------------------------------------------------- cache
+// Where a cache materializes (paper §4.1 "Extensions": memory first,
+// disk when space and bandwidth allow).
+enum class CacheTier { kNone, kMemory, kDisk };
+
+const char* CacheTierName(CacheTier tier);
+
 struct CachePlanOptions {
+  // DRAM budget, bytes; 0 means there is no memory tier.
   uint64_t memory_bytes = 0;
-  // Shrinks the usable budget to leave headroom (1.0 = use it all).
+  // Scratch (disk) tier: free capacity and sustained read bandwidth of
+  // the scratch device. The tier is tried only when both are > 0.
+  uint64_t disk_free_bytes = 0;
+  double disk_read_bandwidth = 0;  // bytes/sec
+  // Shrinks both budgets to leave headroom (1.0 = use them all).
   double safety_factor = 1.0;
 };
 
 struct CacheCandidate {
   std::string node;
   double materialized_bytes = 0;
-  bool fits = false;
+  bool fits = false;  // fits some tier
 };
 
 struct CacheDecision {
   bool feasible = false;
+  CacheTier tier = CacheTier::kNone;
   std::string node;  // insert cache after this node
   double materialized_bytes = 0;
+  // Disk-tier decisions: the rate at which the scratch device serves
+  // the materialization (minibatches/sec); 0 for the memory tier.
+  double disk_serve_rate = 0;
   std::vector<CacheCandidate> candidates;  // root-first, for reporting
 };
 
 // Invokes `fn` for every cache candidate — a cacheable node with a
 // traced materialized size — in model order (root-first, so the first
-// fitting candidate is the one closest to the root). The single
-// enumeration shared by PlanCache, PlanCacheByEnumeration, and
-// PlanCacheTiered: what counts as a candidate is decided once, here.
+// fitting candidate is the one closest to the root). What counts as a
+// candidate is decided once, here, for the cache planner and the
+// provisioner alike.
 void ForEachCacheCandidate(const PipelineModel& model,
                            const std::function<void(const NodeModel&)>& fn);
 
-// Greedy-optimal for linear pipelines: pick the cacheable node closest
-// to the root whose materialization fits in memory (§4.3 "Memory").
+// Picks the candidate closest to the root that fits a tier (§4.3
+// "Memory"; greedy-optimal on chains), trying DRAM first and then the
+// scratch tier. A disk placement must pass a serve-rate guard: the
+// scratch device has to serve the materialization at least as fast as
+// the LP predicts the uncached pipeline runs, otherwise the "cache"
+// would become the bottleneck. That LP is solved only when a disk tier
+// exists.
 CacheDecision PlanCache(const PipelineModel& model,
-                        const CachePlanOptions& options);
-
-// General-topology variant (§4.3: boolean decision variables layered on
-// the LP): enumerates cache candidates, re-solves the allocation with
-// the cached subtree freed, and returns the candidate with the best
-// predicted rate that fits in memory. Equals PlanCache on chains.
-CacheDecision PlanCacheByEnumeration(const PipelineModel& model,
-                                     const CachePlanOptions& cache_options,
-                                     const LpPlanOptions& lp_options = {});
-
-// Predicted rate if a cache were placed after `node` (upstream freed).
-double PredictedRateWithCacheAt(const PipelineModel& model,
-                                const std::string& node,
-                                const LpPlanOptions& lp_options = {});
+                        const CachePlanOptions& options,
+                        const LpPlanOptions& lp_options = {});
 
 // ------------------------------------------------------------- prefetch
 struct PrefetchDecision {

@@ -17,7 +17,6 @@
 #include "src/api/flow.h"
 #include "src/api/job_handle.h"
 #include "src/api/session.h"
-#include "src/core/cache_tiers.h"
 #include "src/core/multi_job_planner.h"
 #include "src/core/machine.h"
 #include "src/core/model.h"

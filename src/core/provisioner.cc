@@ -78,13 +78,12 @@ ProvisionPlan PlanProvision(const PipelineModel& model,
   ProvisionPlan best =
       PlanWithCache(model, request.target_rate, "", 0, headroom);
   if (!request.allow_cache) return best;
-  for (const auto& node : model.nodes()) {
-    if (!node.cacheable || node.materialized_bytes < 0) continue;
+  ForEachCacheCandidate(model, [&](const NodeModel& node) {
     ProvisionPlan candidate =
         PlanWithCache(model, request.target_rate, node.name,
                       node.materialized_bytes, headroom);
     if (Better(candidate, best)) best = candidate;
-  }
+  });
   return best;
 }
 
@@ -100,12 +99,11 @@ CatalogChoice PickCheapestMachine(const PipelineModel& model,
     plans.push_back(PlanWithCache(model, request.target_rate, "", 0,
                                   std::max(1.0, request.headroom)));
     if (request.allow_cache) {
-      for (const auto& node : model.nodes()) {
-        if (!node.cacheable || node.materialized_bytes < 0) continue;
+      ForEachCacheCandidate(model, [&](const NodeModel& node) {
         plans.push_back(PlanWithCache(model, request.target_rate, node.name,
                                       node.materialized_bytes,
                                       std::max(1.0, request.headroom)));
-      }
+      });
     }
     std::sort(plans.begin(), plans.end(), Better);
     for (const auto& plan : plans) {

@@ -61,33 +61,20 @@ StatusOr<std::string> InjectPrefetch(GraphDef* graph,
   return node.name;
 }
 
-StatusOr<std::string> InjectCache(GraphDef* graph, const std::string& after) {
-  NodeDef node;
-  node.name = graph->UniqueName(after + "_cache");
-  node.op = "cache";
-  RETURN_IF_ERROR(graph->InsertAfter(after, node));
-  return node.name;
-}
-
 StatusOr<std::string> InjectCache(GraphDef* graph, const std::string& after,
                                   CacheTier tier) {
   if (tier == CacheTier::kNone) {
     return InvalidArgumentError("cache tier must be memory or disk");
   }
-  if (tier == CacheTier::kMemory) {
-    // No tier attr: the memory-tier rewrite is bit-identical to the
-    // untiered overload (and to legacy CachePass output).
-    return InjectCache(graph, after);
-  }
   NodeDef node;
   node.name = graph->UniqueName(after + "_cache");
   node.op = "cache";
-  node.attrs[kAttrCacheTier] = AttrValue("disk");
+  if (tier == CacheTier::kDisk) {
+    node.attrs[kAttrCacheTier] = AttrValue("disk");
+  }
   RETURN_IF_ERROR(graph->InsertAfter(after, node));
   return node.name;
 }
-
-bool HasCacheOp(const GraphDef& graph) { return HasOp(graph, "cache"); }
 
 StatusOr<std::string> ShardSource(GraphDef* graph, const std::string& reader,
                                   int shards) {

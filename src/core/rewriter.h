@@ -7,7 +7,6 @@
 // drop-in replacement for the original.
 #pragma once
 
-#include "src/core/cache_tiers.h"
 #include "src/core/planner.h"
 #include "src/pipeline/graph_def.h"
 
@@ -29,21 +28,12 @@ Status SetBufferSize(GraphDef* graph, const std::string& node, int size);
 StatusOr<std::string> InjectPrefetch(GraphDef* graph,
                                      const std::string& after, int buffer);
 
-// Inserts a cache node after `after`. Returns the new node's name.
-StatusOr<std::string> InjectCache(GraphDef* graph, const std::string& after);
-
-// Tier-aware variant. kMemory emits a node identical to the overload
-// above (no tier attr), so a memory-tier placement is bit-identical to
-// the legacy CachePass rewrite; kDisk stamps kAttrCacheTier = "disk",
-// which the execution layer serves through the machine's modeled
-// scratch device. kNone is an error.
+// Inserts a cache node of the given tier after `after`. Returns the new
+// node's name. A memory-tier node carries no tier attr; kDisk stamps
+// kAttrCacheTier = "disk", which the execution layer serves through the
+// machine's modeled scratch device. kNone is an error.
 StatusOr<std::string> InjectCache(GraphDef* graph, const std::string& after,
-                                  CacheTier tier);
-
-// True if any cache node exists, regardless of tier. Passes that skip
-// already-cached graphs must use this (not an op+attr match) so a
-// disk-tier cache blocks a second memory-tier insertion and vice versa.
-bool HasCacheOp(const GraphDef& graph);
+                                  CacheTier tier = CacheTier::kMemory);
 
 // Splits the source subtree feeding `reader` (a tfrecord/interleave
 // node over a file_list child) into `shards` clones, each stamped with

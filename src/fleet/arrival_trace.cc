@@ -132,10 +132,8 @@ StatusOr<ArrivalTrace> ArrivalTrace::Parse(const std::string& text) {
       continue;
     }
     if (tokens[0] == "class") {
-      // 5 fields is the pre-SLO format; 7 adds <slo> <priority>; 8 adds
-      // <latency_target_s>.
-      if (tokens.size() != 6 && tokens.size() != 8 && tokens.size() != 9) {
-        return LineError(line_no, "class takes 5, 7, or 8 fields, got " +
+      if (tokens.size() != 9) {
+        return LineError(line_no, "class takes 8 fields, got " +
                                       std::to_string(tokens.size() - 1));
       }
       TraceJobClass c;
@@ -157,22 +155,18 @@ StatusOr<ArrivalTrace> ArrivalTrace::Parse(const std::string& text) {
                          "bad class mean_elements '" + tokens[5] + "'");
       }
       c.parallelism = static_cast<int>(parallelism);
-      if (tokens.size() >= 8) {
-        if (!ParseSloToken(tokens[6], &c.slo)) {
-          return LineError(line_no, "bad class slo '" + tokens[6] +
-                                        "' (want interactive|batch|"
-                                        "best_effort)");
-        }
-        if (!ParseDoubleToken(tokens[7], &c.priority) || c.priority <= 0) {
-          return LineError(line_no, "bad class priority '" + tokens[7] + "'");
-        }
+      if (!ParseSloToken(tokens[6], &c.slo)) {
+        return LineError(line_no, "bad class slo '" + tokens[6] +
+                                      "' (want interactive|batch|"
+                                      "best_effort)");
       }
-      if (tokens.size() == 9) {
-        if (!ParseDoubleToken(tokens[8], &c.latency_target_s) ||
-            c.latency_target_s < 0) {
-          return LineError(line_no,
-                           "bad class latency_target_s '" + tokens[8] + "'");
-        }
+      if (!ParseDoubleToken(tokens[7], &c.priority) || c.priority <= 0) {
+        return LineError(line_no, "bad class priority '" + tokens[7] + "'");
+      }
+      if (!ParseDoubleToken(tokens[8], &c.latency_target_s) ||
+          c.latency_target_s < 0) {
+        return LineError(line_no,
+                         "bad class latency_target_s '" + tokens[8] + "'");
       }
       trace.classes.push_back(std::move(c));
       continue;

@@ -13,15 +13,13 @@
 // numbers):
 //   plumber_arrival_trace v1
 //   class <name> <weight> <cost_ns> <parallelism> <mean_elements>
-//         ... [<slo> <priority> [<latency_target_s>]]
+//         ... <slo> <priority> <latency_target_s>
 //                                  (continuation of the class line)
 //   event <arrival_s> <class_index> <elements> <pinned_host>
-// The trailing class fields are optional for back-compat with traces
-// serialized before SLO scheduling existed: <slo> is one of
-// interactive|batch|best_effort (default batch), <priority> the
-// within-class water-fill weight (default 1), and <latency_target_s>
-// the per-request completion deadline (default 0 = none). Serialize
-// always emits all three.
+// A class line takes exactly these 8 fields: <slo> is one of
+// interactive|batch|best_effort, <priority> the within-class
+// water-fill weight (> 0), and <latency_target_s> the per-request
+// completion deadline (0 = none).
 //
 // Three seeded generators cover the serving-paper workload shapes: a
 // homogeneous-rate Poisson process, a bursty on/off process (burst

@@ -127,7 +127,7 @@ inline constexpr char kAttrEngineBatchSize[] = "engine_batch_size";
 // measured rates over its uniform-rate fallback, so unequal-demand
 // jobs get unequal water-fill shares (see src/core/multi_job_planner).
 inline constexpr char kAttrTracedRate[] = "traced_rate";
-// Cache placement tier chosen by CachePlacementPass: absent or
+// Cache placement tier chosen by the cache pass: absent or
 // "memory" = DRAM materialization (the classic cache op), "disk" =
 // materialize to the scratch tier and meter serves at its bandwidth.
 inline constexpr char kAttrCacheTier[] = "cache_tier";

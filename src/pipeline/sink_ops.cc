@@ -208,7 +208,7 @@ StatusOr<std::unique_ptr<IteratorBase>> PrefetchDataset::MakeIterator(
 // against the scratch budget rather than the DRAM budget, and every
 // serve-path read is charged through the modeled scratch
 // StorageDevice, so a warm disk cache delivers at SSD bandwidth — the
-// economics PlanCacheTiered decides by.
+// economics PlanCache decides by.
 class CacheDataset : public DatasetBase {
  public:
   CacheDataset(NodeDef def, std::vector<DatasetPtr> inputs)

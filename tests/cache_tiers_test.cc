@@ -1,10 +1,11 @@
-// Tests for the memory/disk tiered cache dispatch (paper §4.1
-// "Extensions").
-#include "src/core/cache_tiers.h"
-
+// Tests for the memory/disk tiered cache dispatch of PlanCache (paper
+// §4.1 "Extensions"): each cache candidate is tried against DRAM first,
+// then against the scratch tier under the serve-rate guard.
 #include <gtest/gtest.h>
 
-#include "src/core/optimizer.h"
+#include "src/core/planner.h"
+#include "src/core/tracer.h"
+#include "src/pipeline/ops.h"
 #include "tests/test_util.h"
 
 namespace plumber {
@@ -40,51 +41,52 @@ class CacheTiersTest : public ::testing::Test {
 };
 
 TEST_F(CacheTiersTest, PrefersMemoryWhenItFits) {
-  TieredCachePlanOptions options;
+  CachePlanOptions options;
   options.memory_bytes = 10 << 20;
   options.disk_free_bytes = 10 << 20;
   options.disk_read_bandwidth = 1e9;
-  const TieredCacheDecision decision = PlanCacheTiered(*model_, options);
+  const CacheDecision decision = PlanCache(*model_, options);
   ASSERT_TRUE(decision.feasible);
   EXPECT_EQ(decision.tier, CacheTier::kMemory);
+  EXPECT_EQ(decision.disk_serve_rate, 0);
   // The deepest cacheable node is "work" (the slow map is deterministic
   // here), closest to the root below the infinite shuffle+repeat.
   EXPECT_EQ(decision.node, "work");
 }
 
 TEST_F(CacheTiersTest, FallsBackToDiskWhenMemoryTooSmall) {
-  TieredCachePlanOptions options;
+  CachePlanOptions options;
   options.memory_bytes = 1024;  // nothing fits in memory
   options.disk_free_bytes = 10 << 20;
   options.disk_read_bandwidth = 1e9;  // fast scratch SSD
-  const TieredCacheDecision decision = PlanCacheTiered(*model_, options);
+  const CacheDecision decision = PlanCache(*model_, options);
   ASSERT_TRUE(decision.feasible);
   EXPECT_EQ(decision.tier, CacheTier::kDisk);
   EXPECT_GT(decision.disk_serve_rate, 0);
 }
 
 TEST_F(CacheTiersTest, RejectsDiskTooSlowToServe) {
-  TieredCachePlanOptions options;
+  CachePlanOptions options;
   options.memory_bytes = 1024;
   options.disk_free_bytes = 10 << 20;
   options.disk_read_bandwidth = 16;  // 16 B/s: slower than recompute
-  const TieredCacheDecision decision = PlanCacheTiered(*model_, options);
+  const CacheDecision decision = PlanCache(*model_, options);
   EXPECT_FALSE(decision.feasible);
   EXPECT_EQ(decision.tier, CacheTier::kNone);
 }
 
 TEST_F(CacheTiersTest, RejectsDiskWithoutCapacity) {
-  TieredCachePlanOptions options;
+  CachePlanOptions options;
   options.memory_bytes = 0;
   options.disk_free_bytes = 64;  // materializations don't fit
   options.disk_read_bandwidth = 1e9;
-  const TieredCacheDecision decision = PlanCacheTiered(*model_, options);
+  const CacheDecision decision = PlanCache(*model_, options);
   EXPECT_FALSE(decision.feasible);
 }
 
 TEST_F(CacheTiersTest, DisabledTiersYieldNoDecision) {
-  TieredCachePlanOptions options;  // both tiers disabled
-  const TieredCacheDecision decision = PlanCacheTiered(*model_, options);
+  CachePlanOptions options;  // both tiers disabled
+  const CacheDecision decision = PlanCache(*model_, options);
   EXPECT_FALSE(decision.feasible);
   EXPECT_EQ(std::string(CacheTierName(decision.tier)), "none");
 }
@@ -92,17 +94,16 @@ TEST_F(CacheTiersTest, DisabledTiersYieldNoDecision) {
 TEST_F(CacheTiersTest, SafetyFactorShrinksBudget) {
   // Find the smallest memory budget that fits at factor 1.0, then show
   // a 0.5 factor rejects the same budget.
-  TieredCachePlanOptions options;
-  options.disk_free_bytes = 0;
+  CachePlanOptions options;
   const NodeModel* work = model_->Find("work");
   ASSERT_NE(work, nullptr);
   ASSERT_GT(work->materialized_bytes, 0);
   options.memory_bytes =
       static_cast<uint64_t>(work->materialized_bytes * 1.05);
   options.safety_factor = 1.0;
-  EXPECT_TRUE(PlanCacheTiered(*model_, options).feasible);
+  EXPECT_TRUE(PlanCache(*model_, options).feasible);
   options.safety_factor = 0.5;
-  const TieredCacheDecision tight = PlanCacheTiered(*model_, options);
+  const CacheDecision tight = PlanCache(*model_, options);
   // Either infeasible or a smaller (deeper) placement than "work".
   if (tight.feasible) {
     EXPECT_LT(tight.materialized_bytes, work->materialized_bytes);
@@ -117,12 +118,12 @@ TEST_F(CacheTiersTest, DiskPlacementHonorsClosestToRootRule) {
   ASSERT_NE(grow, nullptr);
   ASSERT_NE(interleave, nullptr);
   ASSERT_GT(grow->materialized_bytes, interleave->materialized_bytes);
-  TieredCachePlanOptions options;
+  CachePlanOptions options;
   options.memory_bytes = 1024;
   options.disk_free_bytes = static_cast<uint64_t>(
       (grow->materialized_bytes + interleave->materialized_bytes) / 2);
   options.disk_read_bandwidth = 1e9;
-  const TieredCacheDecision decision = PlanCacheTiered(*model_, options);
+  const CacheDecision decision = PlanCache(*model_, options);
   ASSERT_TRUE(decision.feasible);
   EXPECT_EQ(decision.tier, CacheTier::kDisk);
   EXPECT_EQ(decision.node, "interleave");

@@ -43,7 +43,7 @@ TEST(ArrivalTraceTest, CommentsAndBlankLinesIgnored) {
       "plumber_arrival_trace v1\n"
       "# a comment\n"
       "\n"
-      "class c 1 1000 1 4  # trailing comment\n"
+      "class c 1 1000 1 4 batch 1 0  # trailing comment\n"
       "event 0.5 0 3 -1\n";
   auto parsed = ArrivalTrace::Parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -60,28 +60,25 @@ TEST(ArrivalTraceTest, MalformedLinesRejectWithLineNumbers) {
               std::string::npos)
         << parsed.status().ToString();
   };
+  const std::string head = "plumber_arrival_trace v1\n";
+  const std::string klass = "class c 1 1000 1 4 batch 1 0\n";
   // Missing header.
-  expect_error_at("class c 1 1000 1 4\n", 1);
+  expect_error_at(klass, 1);
   // Wrong field count on line 3.
-  expect_error_at(
-      "plumber_arrival_trace v1\nclass c 1 1000 1 4\nevent 0.5 0\n", 3);
+  expect_error_at(head + klass + "event 0.5 0\n", 3);
   // Unparseable number on line 2.
-  expect_error_at("plumber_arrival_trace v1\nclass c 1 xyz 1 4\n", 2);
+  expect_error_at(head + "class c 1 xyz 1 4 batch 1 0\n", 2);
   // Class index out of range on line 3.
-  expect_error_at(
-      "plumber_arrival_trace v1\nclass c 1 1000 1 4\nevent 0.5 7 3 -1\n", 3);
+  expect_error_at(head + klass + "event 0.5 7 3 -1\n", 3);
   // Arrivals must be nondecreasing (line 4).
-  expect_error_at(
-      "plumber_arrival_trace v1\nclass c 1 1000 1 4\n"
-      "event 1.0 0 3 -1\nevent 0.5 0 3 -1\n",
-      4);
+  expect_error_at(head + klass + "event 1.0 0 3 -1\nevent 0.5 0 3 -1\n", 4);
   // Unknown directive on line 2.
   expect_error_at("plumber_arrival_trace v1\nbogus 1 2 3\n", 2);
   // Empty input.
   EXPECT_FALSE(ArrivalTrace::Parse("").ok());
 }
 
-TEST(ArrivalTraceTest, SloAndPriorityRoundTripWithBackCompat) {
+TEST(ArrivalTraceTest, SloAndPriorityRoundTrip) {
   ArrivalTrace trace;
   TraceJobClass rpc;
   rpc.name = "rpc";
@@ -95,7 +92,7 @@ TEST(ArrivalTraceTest, SloAndPriorityRoundTripWithBackCompat) {
   trace.classes.push_back({"bulk", 0.5, 1e6, 2, 32});  // class defaults
   trace.events.push_back({0.0, 0, 4, -1});
   const std::string text = trace.Serialize();
-  // Serialize always writes the 7-field class line (slo by name).
+  // Serialize always writes the 8-field class line (slo by name).
   EXPECT_NE(text.find("interactive"), std::string::npos);
   EXPECT_NE(text.find("batch"), std::string::npos);
   auto parsed = ArrivalTrace::Parse(text);
@@ -106,20 +103,14 @@ TEST(ArrivalTraceTest, SloAndPriorityRoundTripWithBackCompat) {
   EXPECT_EQ(parsed->classes[1].slo, runtime::SloClass::kBatch);
   EXPECT_EQ(parsed->classes[1].priority, 1.0);
 
-  // Pre-SLO 5-field class lines still parse, with the batch defaults.
-  auto legacy = ArrivalTrace::Parse(
-      "plumber_arrival_trace v1\n"
-      "class c 1 1000 1 4\n"
-      "event 0.5 0 3 -1\n");
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->classes[0].slo, runtime::SloClass::kBatch);
-  EXPECT_EQ(legacy->classes[0].priority, 1.0);
-
-  // An unknown SLO token and a non-positive priority both reject with
-  // the offending line number.
+  // Pre-SLO 5-field and pre-deadline 7-field class lines, an unknown
+  // SLO token, and a non-positive priority all reject with the
+  // offending line number.
   for (const char* bad :
-       {"plumber_arrival_trace v1\nclass c 1 1000 1 4 turbo 1\n",
-        "plumber_arrival_trace v1\nclass c 1 1000 1 4 batch 0\n"}) {
+       {"plumber_arrival_trace v1\nclass c 1 1000 1 4\n",
+        "plumber_arrival_trace v1\nclass c 1 1000 1 4 batch 1\n",
+        "plumber_arrival_trace v1\nclass c 1 1000 1 4 turbo 1 0\n",
+        "plumber_arrival_trace v1\nclass c 1 1000 1 4 batch 0 0\n"}) {
     auto rejected = ArrivalTrace::Parse(bad);
     ASSERT_FALSE(rejected.ok()) << bad;
     EXPECT_NE(rejected.status().message().find("line 2"), std::string::npos)

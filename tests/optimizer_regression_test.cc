@@ -32,7 +32,8 @@ OptimizeOptions MakeOptions(PipelineTestEnv& env) {
   options.fs = &env.fs;
   options.udfs = &env.udfs;
   options.trace_seconds = 0.25;
-  options.enable_cache = false;  // isolate the parallelism pass
+  // Isolate the parallelism pass: the default schedule minus cache.
+  options.schedule = "parallelism,prefetch,parallelism";
   return options;
 }
 
@@ -87,23 +88,23 @@ TEST(OptimizerRegressionTest, BatchSizePassNeverSlowerOnCheapUdfPipeline) {
       << " naive=" << naive_rate;
 }
 
-TEST(OptimizerRegressionTest, CachePlacementPassNeverSlowerOnDiskTier) {
-  // With DRAM too small for any materialization, CachePlacementPass
-  // falls back to the SSD scratch tier. Serving the repeat epochs from
+TEST(OptimizerRegressionTest, CachePassNeverSlowerOnDiskTier) {
+  // With DRAM too small for any materialization, the cache pass falls
+  // back to the SSD scratch tier. Serving the repeat epochs from
   // scratch skips the 200us/element map, so the placed graph must
   // never measure slower than the misconfigured input.
   PipelineTestEnv env(4, 200, 64);
   OptimizeOptions options = MakeOptions(env);
-  options.schedule = "cache_tiers,parallelism";
+  options.schedule = "cache,parallelism";
   options.machine.memory_bytes = 1024;  // no DRAM fit
   options.machine.scratch = DeviceSpec::NvmeSsd();
   options.machine.scratch_bytes = 64ull << 20;
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_TRUE(result->tiered_cache.feasible);
-  EXPECT_EQ(result->tiered_cache.tier, CacheTier::kDisk);
-  ASSERT_TRUE(rewriter::HasCacheOp(result->graph));
+  ASSERT_TRUE(result->cache.feasible);
+  EXPECT_EQ(result->cache.tier, CacheTier::kDisk);
+  ASSERT_TRUE(rewriter::HasOp(result->graph, "cache"));
 
   // Measure on a machine that actually meters the scratch tier.
   PipelineOptions popts = env.Options();

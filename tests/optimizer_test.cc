@@ -29,7 +29,8 @@ OptimizeOptions MakeOptions(PipelineTestEnv& env, bool cache = false) {
   options.fs = &env.fs;
   options.udfs = &env.udfs;
   options.trace_seconds = 0.25;
-  options.enable_cache = cache;
+  options.schedule =
+      cache ? kDefaultPassSchedule : "parallelism,prefetch,parallelism";
   return options;
 }
 
@@ -90,6 +91,11 @@ TEST(OptimizerTest, CachePassInsertsCacheWhenItFits) {
   // Cache goes below the infinite shuffle+repeat, after the expensive
   // map (closest cacheable node to the root).
   EXPECT_EQ(result->cache.node, "expensive");
+  // The stages behind the cache stay unstamped at parallelism 1; they
+  // escape no arbitration, so stamping raises no partial-trace warning.
+  for (const std::string& line : result->log) {
+    EXPECT_EQ(line.find("WARNING"), std::string::npos) << line;
+  }
 }
 
 TEST(OptimizerTest, NoCacheWhenMemoryTooSmall) {

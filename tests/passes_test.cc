@@ -1,6 +1,6 @@
-// Pass framework tests: registry contents, schedule parsing, legacy
-// flag derivation, default-schedule equivalence with the pre-framework
-// optimizer, and the BatchSizePass decision rule.
+// Pass framework tests: registry contents, schedule parsing, the
+// default schedule, the cache pass's tier dispatch, and the
+// BatchSizePass decision rule.
 #include "src/core/passes/pass_registry.h"
 
 #include <gtest/gtest.h>
@@ -18,22 +18,20 @@ using testing_util::PipelineTestEnv;
 
 TEST(PassRegistryTest, BuiltinsRegisteredInCanonicalOrder) {
   const std::vector<std::string> names = PassRegistry::Global().Names();
-  ASSERT_EQ(names.size(), 6u);
+  ASSERT_EQ(names.size(), 5u);
   EXPECT_EQ(names[0], "parallelism");
   EXPECT_EQ(names[1], "prefetch");
   EXPECT_EQ(names[2], "cache");
   EXPECT_EQ(names[3], "batch");
-  EXPECT_EQ(names[4], "cache_tiers");
-  EXPECT_EQ(names[5], "shard_sources");
+  EXPECT_EQ(names[4], "shard_sources");
   for (const std::string& name : names) {
     auto pass = PassRegistry::Global().Create(name);
     ASSERT_TRUE(pass.ok()) << name;
     EXPECT_EQ((*pass)->name(), name);
-    // The cache passes and the shard pass declare a re-parallelism
+    // The cache pass and the shard pass declare a re-parallelism
     // follow-up (redistribute the cores their rewrite frees or the
     // bandwidth it adds) in generated schedules.
-    if (name == "cache" || name == "cache_tiers" ||
-        name == "shard_sources") {
+    if (name == "cache" || name == "shard_sources") {
       EXPECT_STREQ((*pass)->followup(), "parallelism") << name;
     } else {
       EXPECT_EQ((*pass)->followup(), nullptr) << name;
@@ -102,27 +100,6 @@ TEST(PassScheduleTest, EmptyComponentIsInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(OptimizeOptionsTest, EffectiveScheduleMatchesLegacyFlagDerivation) {
-  OptimizeOptions options;
-  EXPECT_EQ(options.EffectiveSchedule(), kDefaultPassSchedule);
-  options.enable_cache = false;
-  EXPECT_EQ(options.EffectiveSchedule(), "parallelism,prefetch,parallelism");
-  options.enable_prefetch = false;
-  EXPECT_EQ(options.EffectiveSchedule(), "parallelism,parallelism");
-  options.passes = 1;
-  EXPECT_EQ(options.EffectiveSchedule(), "parallelism");
-  options.enable_parallelism = false;
-  EXPECT_EQ(options.EffectiveSchedule(), "");
-  // An explicit schedule wins over every legacy knob.
-  options.schedule = "batch";
-  EXPECT_EQ(options.EffectiveSchedule(), "batch");
-  // The "none" sentinel is the explicitly empty schedule, distinct
-  // from "" (= derive from the legacy knobs).
-  options = OptimizeOptions();
-  options.schedule = "none";
-  EXPECT_EQ(options.EffectiveSchedule(), "");
-}
-
 GraphDef MisconfiguredGraph() {
   GraphBuilder b;
   auto n = b.Interleave("interleave", b.FileList("files", "data/"), 2, 1);
@@ -153,14 +130,11 @@ TEST(PassFrameworkTest, UnknownPassInScheduleFailsBeforeTracing) {
 }
 
 TEST(PassFrameworkTest, EmptyScheduleStillTracesTheInput) {
-  // All legacy knobs disabled derives an empty schedule; the graph is
-  // returned untouched but the observed rate is still measured (the
-  // pre-framework optimizer traced even with every pass disabled).
+  // The empty schedule runs no passes: the graph is returned untouched
+  // but the observed rate is still measured.
   PipelineTestEnv env(2, 20, 64);
   OptimizeOptions options = MakeOptions(env);
-  options.enable_parallelism = false;
-  options.enable_prefetch = false;
-  options.enable_cache = false;
+  options.schedule = "";
   PlumberOptimizer optimizer(options);
   const GraphDef input = MisconfiguredGraph();
   auto result = optimizer.Optimize(input);
@@ -272,62 +246,65 @@ const NodeDef* FindCacheNode(const GraphDef& graph) {
   return nullptr;
 }
 
-TEST(CachePlacementPassTest, MemoryPlacementMatchesCachePass) {
-  // When the materialization fits DRAM, cache_tiers must place the
-  // exact cache node CachePass would: same insertion point, same name,
-  // and no tier attr (the memory-tier rewrite is bit-identical).
+TEST(CachePassTest, ScratchTierLeavesMemoryPlacementUnchanged) {
+  // When the materialization fits DRAM, configuring a scratch tier must
+  // not change the rewrite: same insertion point, same name, and no
+  // tier attr.
   PipelineTestEnv env(4, 50, 64);
   OptimizeOptions options = MakeOptions(env);
   options.machine.memory_bytes = 1ull << 30;
+  options.schedule = "cache";
+  auto dram_only = PlumberOptimizer(options).Optimize(MisconfiguredGraph());
+  ASSERT_TRUE(dram_only.ok()) << dram_only.status();
   options.machine.scratch = DeviceSpec::NvmeSsd();
   options.machine.scratch_bytes = 64ull << 20;
-  options.schedule = "cache_tiers";
-  auto tiered = PlumberOptimizer(options).Optimize(MisconfiguredGraph());
-  ASSERT_TRUE(tiered.ok()) << tiered.status();
-  options.schedule = "cache";
-  auto legacy = PlumberOptimizer(options).Optimize(MisconfiguredGraph());
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  auto with_scratch =
+      PlumberOptimizer(options).Optimize(MisconfiguredGraph());
+  ASSERT_TRUE(with_scratch.ok()) << with_scratch.status();
 
-  EXPECT_EQ(tiered->tiered_cache.tier, CacheTier::kMemory);
-  const NodeDef* a = FindCacheNode(tiered->graph);
-  const NodeDef* b = FindCacheNode(legacy->graph);
+  EXPECT_EQ(dram_only->cache.tier, CacheTier::kMemory);
+  EXPECT_EQ(with_scratch->cache.tier, CacheTier::kMemory);
+  const NodeDef* a = FindCacheNode(with_scratch->graph);
+  const NodeDef* b = FindCacheNode(dram_only->graph);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->name, b->name);
   EXPECT_EQ(a->inputs, b->inputs);
   EXPECT_FALSE(a->HasAttr(kAttrCacheTier));
+  EXPECT_FALSE(b->HasAttr(kAttrCacheTier));
 }
 
-TEST(CachePlacementPassTest, FallsBackToDiskUnderTightMemory) {
+TEST(CachePassTest, FallsBackToDiskUnderTightMemory) {
+  // Memory-first dispatch (paper §4.1 "Extensions") in the default
+  // schedule: with DRAM too small, the cache goes to the scratch tier.
   PipelineTestEnv env(4, 50, 64);
   OptimizeOptions options = MakeOptions(env);
   options.machine.memory_bytes = 1024;  // nothing fits DRAM
   options.machine.scratch = DeviceSpec::NvmeSsd();
   options.machine.scratch_bytes = 64ull << 20;
-  options.schedule = "cache_tiers";
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_TRUE(result->tiered_cache.feasible);
-  EXPECT_EQ(result->tiered_cache.tier, CacheTier::kDisk);
-  EXPECT_GT(result->tiered_cache.disk_serve_rate, 0);
+  ASSERT_TRUE(result->cache.feasible);
+  EXPECT_EQ(result->cache.tier, CacheTier::kDisk);
+  EXPECT_GT(result->cache.disk_serve_rate, 0);
   const NodeDef* cache = FindCacheNode(result->graph);
   ASSERT_NE(cache, nullptr);
   EXPECT_EQ(cache->GetString(kAttrCacheTier), "disk");
 }
 
-TEST(CachePlacementPassTest, SkipsWithoutAnyFittingTier) {
+TEST(CachePassTest, SkipsWithoutAnyFittingTier) {
   // Tight memory and no scratch tier: the pass reports infeasible and
   // leaves the graph cache-free instead of forcing a bad placement.
   PipelineTestEnv env(4, 50, 64);
   OptimizeOptions options = MakeOptions(env);
   options.machine.memory_bytes = 1024;
   options.machine.scratch_bytes = 0;
-  options.schedule = "cache_tiers";
+  options.schedule = "cache";
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_FALSE(result->tiered_cache.feasible);
+  EXPECT_FALSE(result->cache.feasible);
   EXPECT_FALSE(result->pass_reports[0].changed);
   EXPECT_EQ(FindCacheNode(result->graph), nullptr);
 }
@@ -365,12 +342,10 @@ TEST(ShardSourcesPassTest, SkipsWhenNotDiskLimited) {
   EXPECT_FALSE(rewriter::HasOp(result->graph, "shard_merge"));
 }
 
-TEST(PassFrameworkTest, DefaultScheduleIgnoresPlacementPasses) {
-  // The placement passes are opt-in: even with a scratch tier and a
-  // disk bound configured, the default schedule neither stamps a cache
-  // tier nor shards the source.
-  EXPECT_EQ(std::string(kDefaultPassSchedule).find("cache_tiers"),
-            std::string::npos);
+TEST(PassFrameworkTest, DefaultScheduleNeverShards) {
+  // shard_sources is opt-in: even with a disk bound configured, the
+  // default schedule does not shard the source, and a cache that fits
+  // DRAM carries no tier attr although a scratch tier exists.
   EXPECT_EQ(std::string(kDefaultPassSchedule).find("shard_sources"),
             std::string::npos);
   PipelineTestEnv env(4, 50, 64);
@@ -379,15 +354,13 @@ TEST(PassFrameworkTest, DefaultScheduleIgnoresPlacementPasses) {
   options.machine.scratch = DeviceSpec::NvmeSsd();
   options.machine.scratch_bytes = 64ull << 20;
   options.lp_options.disk_bandwidth = 500;
-  ASSERT_EQ(options.EffectiveSchedule(), kDefaultPassSchedule);
   PlumberOptimizer optimizer(options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(rewriter::HasOp(result->graph, "shard_merge"));
   const NodeDef* cache = FindCacheNode(result->graph);
-  if (cache != nullptr) {
-    EXPECT_FALSE(cache->HasAttr(kAttrCacheTier));
-  }
+  ASSERT_NE(cache, nullptr);
+  EXPECT_FALSE(cache->HasAttr(kAttrCacheTier));
 }
 
 TEST(PassFrameworkTest, RetraceHookSeesRewrittenGraph) {
@@ -396,7 +369,6 @@ TEST(PassFrameworkTest, RetraceHookSeesRewrittenGraph) {
   // trace the graph the earlier passes rewrote, not the input.
   PipelineTestEnv env(4, 50, 64);
   OptimizeOptions options = MakeOptions(env);
-  options.enable_cache = false;
   OptimizationContext ctx(MisconfiguredGraph(), options);
   int traces = 0;
   bool saw_prefetch_root = false;

@@ -237,30 +237,76 @@ TEST(CachePlanTest, SafetyFactorShrinksBudget) {
   EXPECT_EQ(decision.node, "source");
 }
 
-TEST(CachePlanTest, EnumerationAgreesOnChains) {
+TEST(CachePlanTest, ZeroMemoryBudgetMeansNoMemoryTier) {
+  // Without a read log the source size estimate is 0 bytes, so every
+  // candidate materializes to 0 bytes. A 0-byte budget is still no
+  // memory tier at all (the same rule as a 0-byte scratch tier), not a
+  // tier that fits only empty materializations.
+  TraceSnapshot trace = CacheTrace(MachineSpec::SetupA());
+  trace.read_log.clear();
+  trace.files_per_prefix.clear();
   const auto udfs = CacheUdfs();
-  auto model = std::move(
-                   PipelineModel::Build(CacheTrace(MachineSpec::SetupA()),
-                                        &udfs))
-                   .value();
+  auto model = std::move(PipelineModel::Build(trace, &udfs)).value();
+  const NodeModel* decode = model.Find("decode");
+  ASSERT_NE(decode, nullptr);
+  ASSERT_TRUE(decode->cacheable);
+  ASSERT_EQ(decode->materialized_bytes, 0);
+
   CachePlanOptions options;
-  options.memory_bytes = 1 << 20;
-  const CacheDecision greedy = PlanCache(model, options);
-  const CacheDecision enumerated = PlanCacheByEnumeration(model, options);
-  ASSERT_TRUE(greedy.feasible);
-  ASSERT_TRUE(enumerated.feasible);
-  EXPECT_EQ(greedy.node, enumerated.node);
+  options.memory_bytes = 0;
+  const CacheDecision none = PlanCache(model, options);
+  EXPECT_FALSE(none.feasible);
+  EXPECT_EQ(none.tier, CacheTier::kNone);
+  EXPECT_FALSE(none.candidates.empty());
+
+  options.memory_bytes = 1;
+  const CacheDecision tiny = PlanCache(model, options);
+  ASSERT_TRUE(tiny.feasible);
+  EXPECT_EQ(tiny.tier, CacheTier::kMemory);
+  EXPECT_EQ(tiny.node, "decode");
 }
 
-TEST(CachePlanTest, PredictedRateImprovesWithCache) {
+TEST(CachePlanTest, DiskServeRateGuardComparesUncachedLpRate) {
   const auto udfs = CacheUdfs();
   auto model = std::move(
                    PipelineModel::Build(CacheTrace(MachineSpec::SetupA()),
                                         &udfs))
                    .value();
-  const double base = PlanAllocation(model).predicted_rate;
-  const double cached = PredictedRateWithCacheAt(model, "decode");
-  EXPECT_GT(cached, base);
+  const double uncached = PlanAllocation(model).predicted_rate;
+  ASSERT_GT(uncached, 0);
+  const NodeModel* decode = model.Find("decode");
+  ASSERT_NE(decode, nullptr);
+  const double decode_bytes_per_minibatch =
+      decode->visit_ratio * decode->bytes_per_element;
+
+  CachePlanOptions options;
+  options.memory_bytes = 10;  // DRAM fits nothing
+  options.disk_free_bytes = 1 << 20;
+  options.disk_read_bandwidth = 1.01 * uncached * decode_bytes_per_minibatch;
+  const CacheDecision fast = PlanCache(model, options);
+  ASSERT_TRUE(fast.feasible);
+  EXPECT_EQ(fast.tier, CacheTier::kDisk);
+  EXPECT_EQ(fast.node, "decode");
+  EXPECT_NEAR(fast.disk_serve_rate, 1.01 * uncached, 1e-6 * uncached);
+
+  // Just below the uncached rate, serving decode's output would
+  // bottleneck the pipeline; the source's 6x smaller elements still
+  // serve fast enough, so the placement moves deeper.
+  options.disk_read_bandwidth = 0.99 * uncached * decode_bytes_per_minibatch;
+  const CacheDecision slow = PlanCache(model, options);
+  ASSERT_TRUE(slow.feasible);
+  EXPECT_EQ(slow.tier, CacheTier::kDisk);
+  EXPECT_EQ(slow.node, "source");
+  ASSERT_EQ(slow.candidates.size(), 2u);
+  EXPECT_EQ(slow.candidates[0].node, "decode");
+  EXPECT_FALSE(slow.candidates[0].fits);
+
+  // The guard compares against the LP under the caller's constraints:
+  // a 100 minibatch/s disk bound on the source lowers the bar, and
+  // decode fits again.
+  LpPlanOptions lp;
+  lp.disk_bandwidth = 100 * model.DiskBytesPerMinibatch();
+  EXPECT_EQ(PlanCache(model, options, lp).node, "decode");
 }
 
 // ---- Prefetch planning ----------------------------------------------

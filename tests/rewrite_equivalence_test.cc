@@ -166,23 +166,22 @@ TEST(RewriteEquivalenceTest, PassOrderPermutationsPreserveSemantics) {
 }
 
 TEST(RewriteEquivalenceTest, PlacementScheduleDropInsPreserveSemantics) {
-  // The opt-in placement passes (cache_tiers, shard_sources) slot into
+  // The placement rewrites (a disk-tier cache, shard_sources) slot into
   // any schedule position and stay semantics-preserving, under a
   // machine where they actually fire: memory too small for a DRAM
-  // cache (so cache_tiers goes to disk) and a modeled disk bound (so
-  // shard_sources shards). "cache" and "cache_tiers" together — in
-  // either order — must never double-insert.
+  // cache (so cache goes to the scratch tier) and a modeled disk bound
+  // (so shard_sources shards). A repeated "cache" must never
+  // double-insert.
   PipelineTestEnv env(3, 20, 48);
   const std::vector<size_t> expected = ReferenceFingerprint(env);
 
   const char* kSchedules[] = {
-      "cache_tiers,parallelism",
-      "parallelism,prefetch,cache_tiers,parallelism",
+      "cache,parallelism",
+      "parallelism,prefetch,cache,parallelism",
       "shard_sources,parallelism",
-      "shard_sources,cache_tiers,prefetch,parallelism",
-      "cache,cache_tiers",
-      "cache_tiers,cache",
-      "batch,shard_sources,cache_tiers",
+      "shard_sources,cache,prefetch,parallelism",
+      "cache,cache",
+      "batch,shard_sources,cache",
   };
   for (const char* schedule : kSchedules) {
     OptimizeOptions options;

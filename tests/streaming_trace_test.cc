@@ -82,7 +82,7 @@ TEST(TimeVaryingTraceTest, RampShapeShiftsArrivalsLate) {
   EXPECT_GT(sine_early, sine_late);
 }
 
-TEST(StreamingTraceTest, LatencyTargetRoundTripsWithBackCompat) {
+TEST(StreamingTraceTest, LatencyTargetRoundTrips) {
   ArrivalTrace trace;
   TraceJobClass rpc;
   rpc.name = "rpc";
@@ -100,22 +100,16 @@ TEST(StreamingTraceTest, LatencyTargetRoundTripsWithBackCompat) {
   EXPECT_EQ(parsed->Serialize(), text);
   EXPECT_EQ(parsed->classes[0].latency_target_s, 0.25);
 
-  // 7-field class lines (pre-deadline traces) parse with no target.
-  auto legacy = ArrivalTrace::Parse(
-      "plumber_arrival_trace v1\n"
-      "class c 1 1000 1 4 interactive 2\n"
-      "event 0.5 0 3 -1\n");
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->classes[0].latency_target_s, 0);
-  EXPECT_EQ(legacy->classes[0].slo, runtime::SloClass::kInteractive);
-
-  // A negative target rejects with the offending line number.
-  auto rejected = ArrivalTrace::Parse(
-      "plumber_arrival_trace v1\n"
-      "class c 1 1000 1 4 batch 1 -0.5\n");
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_NE(rejected.status().message().find("line 2"), std::string::npos)
-      << rejected.status().ToString();
+  // A 7-field class line (no target) and a negative target both reject
+  // with the offending line number.
+  for (const char* bad :
+       {"plumber_arrival_trace v1\nclass c 1 1000 1 4 interactive 2\n",
+        "plumber_arrival_trace v1\nclass c 1 1000 1 4 batch 1 -0.5\n"}) {
+    auto rejected = ArrivalTrace::Parse(bad);
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_NE(rejected.status().message().find("line 2"), std::string::npos)
+        << rejected.status().ToString();
+  }
 }
 
 TEST(StreamingTraceTest, ReplayScoresPerClassAttainment) {
