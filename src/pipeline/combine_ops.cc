@@ -9,12 +9,10 @@
 // engine", App. C.3).
 #include <algorithm>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <vector>
 
-#include "src/pipeline/channels.h"
 #include "src/pipeline/ops.h"
+#include "src/pipeline/worker_pool.h"
 #include "src/util/rng.h"
 
 namespace plumber {
@@ -241,9 +239,11 @@ class MapAndBatchDataset : public DatasetBase {
   const UdfSpec* udf_;
 };
 
-// Workers each assemble a full batch: pull batch_size inputs under the
-// input lock, run the UDF per element outside it, emit the batch. One
-// queue handoff per batch instead of per element.
+// Workers of a governed WorkerPool each assemble a full batch: pull
+// batch_size inputs under the input lock, run the UDF per element
+// outside it, emit the batch. One handoff per batch instead of per
+// element. Batches leave in completion order, and the pool retargets
+// live like the parallel map's.
 class MapAndBatchIterator : public IteratorBase {
  public:
   MapAndBatchIterator(PipelineContext* ctx, IteratorStats* stats,
@@ -257,100 +257,56 @@ class MapAndBatchIterator : public IteratorBase {
         batch_size_(batch_size < 1 ? 1 : batch_size),
         drop_remainder_(drop_remainder),
         seed_(seed),
-        // Fixed worker pool (no governor registration, so never
-        // retargeted): parallelism 1 is a structural 1:1 edge and gets
-        // the lock-free SPSC ring; larger pools stay MPMC.
-        queue_(MakeEdgeChannel<Element>(
-            EdgeTopology{std::max(parallelism, 1), 1, false},
-            static_cast<size_t>(std::max(parallelism, 1)) * 2)) {
-    const int workers = std::max(parallelism, 1);
-    stats_->SetParallelism(workers);
-    active_workers_.store(workers);
-    workers_.reserve(workers);
-    for (int i = 0; i < workers; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  ~MapAndBatchIterator() override {
-    queue_->Cancel();
-    {
-      std::lock_guard<std::mutex> lock(input_mu_);
-      input_done_ = true;
-    }
-    for (auto& w : workers_) w.join();
-  }
+        // Items are whole batches: two in flight per worker.
+        pool_(ctx, stats,
+              PoolSpec{std::max(parallelism, 1), /*governed=*/true,
+                       /*depth_per_worker=*/2, /*batch_headroom=*/false},
+              [this](int) { return Claim(); }) {}
 
  protected:
   Status GetNextInternal(Element* out, bool* end) override {
-    auto item = queue_->Pop();
-    if (!item.has_value()) {
-      {
-        std::lock_guard<std::mutex> lock(input_mu_);
-        if (!first_error_.ok()) {
-          *end = true;
-          return first_error_;
-        }
-      }
-      *end = true;
-      return OkStatus();
-    }
-    *out = std::move(*item);
-    *end = false;
-    return OkStatus();
+    return pool_.Next(out, end);
   }
 
  private:
-  void WorkerLoop() {
+  bool Claim() {
     // Inside the input lock, claim in engine-batch chunks: one child
     // call (one lock/scope) per chunk instead of per element.
     const size_t chunk =
         static_cast<size_t>(std::max(1, ctx_->engine_batch_size));
-    for (;;) {
-      std::vector<Element> raw;
-      raw.reserve(batch_size_);
-      bool saw_end = false;
-      {
-        std::lock_guard<std::mutex> lock(input_mu_);
-        if (input_done_) break;
-        while (static_cast<int64_t>(raw.size()) < batch_size_) {
-          const size_t want = std::min(
-              chunk, static_cast<size_t>(batch_size_) - raw.size());
-          bool in_end = false;
-          const Status status = input_->GetNextBatch(&raw, want, &in_end);
-          if (!status.ok()) {
-            if (first_error_.ok()) first_error_ = status;
-            input_done_ = true;
-            saw_end = true;
-            break;
-          }
-          if (in_end) {
-            input_done_ = true;
-            saw_end = true;
-            break;
-          }
-        }
-        if (!raw.empty()) stats_->RecordConsumedBatch(raw.size());
+    std::vector<Element> raw;
+    raw.reserve(batch_size_);
+    bool saw_end = false;
+    Status status;
+    {
+      std::lock_guard<std::mutex> lock(input_mu_);
+      if (input_done_) return false;
+      while (!saw_end && static_cast<int64_t>(raw.size()) < batch_size_) {
+        const size_t want = std::min(
+            chunk, static_cast<size_t>(batch_size_) - raw.size());
+        status = input_->GetNextBatch(&raw, want, &saw_end);
+        if (!status.ok()) saw_end = true;
       }
-      const bool drop =
-          drop_remainder_ && static_cast<int64_t>(raw.size()) < batch_size_;
-      if (!raw.empty() && !drop) {
-        Element batch;
-        batch.sequence = raw.front().sequence;
-        for (Element& in : raw) {
-          const uint64_t seed = SplitMix64(seed_ ^ in.sequence);
-          Element mapped = ExecuteMapUdf(*udf_, std::move(in),
-                                         ctx_->cpu_scale, seed,
-                                         ctx_->work_model);
-          for (auto& c : mapped.components) {
-            batch.components.push_back(std::move(c));
-          }
-        }
-        if (!queue_->Push(std::move(batch))) break;
-      }
-      if (saw_end) break;
+      input_done_ = saw_end;
+      if (!raw.empty()) stats_->RecordConsumedBatch(raw.size());
     }
-    if (active_workers_.fetch_sub(1) == 1) queue_->Cancel();
+    const bool drop =
+        drop_remainder_ && static_cast<int64_t>(raw.size()) < batch_size_;
+    if (!raw.empty() && !drop) {
+      Element batch;
+      batch.sequence = raw.front().sequence;
+      for (Element& in : raw) {
+        const uint64_t seed = SplitMix64(seed_ ^ in.sequence);
+        Element mapped = ExecuteMapUdf(*udf_, std::move(in), ctx_->cpu_scale,
+                                       seed, ctx_->work_model);
+        for (auto& c : mapped.components) {
+          batch.components.push_back(std::move(c));
+        }
+      }
+      if (!pool_.Push(std::move(batch))) return false;
+    }
+    if (!status.ok()) return pool_.Fail(status);
+    return !saw_end;
   }
 
   std::unique_ptr<IteratorBase> input_;
@@ -358,12 +314,10 @@ class MapAndBatchIterator : public IteratorBase {
   const int64_t batch_size_;
   const bool drop_remainder_;
   const uint64_t seed_;
-  std::unique_ptr<Channel<Element>> queue_;
   std::mutex input_mu_;
   bool input_done_ = false;
-  Status first_error_ = OkStatus();
-  std::atomic<int> active_workers_{0};
-  std::vector<std::thread> workers_;
+  // Declared after everything its claims touch (joined first).
+  WorkerPool pool_;
 };
 
 StatusOr<std::unique_ptr<IteratorBase>> MapAndBatchDataset::MakeIterator(

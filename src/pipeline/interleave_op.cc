@@ -5,17 +5,14 @@
 // semantics. Parallel mode assigns whole files to `parallelism` reader
 // workers feeding a bounded queue — the read-parallelism knob that
 // drives the parallelism->bandwidth curve for throttled storage.
-#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
+#include <mutex>
 #include <optional>
-#include <thread>
+#include <utility>
 #include <vector>
 
-#include "src/pipeline/channels.h"
 #include "src/pipeline/ops.h"
+#include "src/pipeline/worker_pool.h"
 #include "src/util/buffer_pool.h"
 
 namespace plumber {
@@ -126,249 +123,94 @@ class SequentialInterleaveIterator : public IteratorBase {
   size_t last_payload_bytes_ = 64;
 };
 
-// With engine_batch_size > 1 each reader accumulates a vector of
-// records and hands it off in one PushBatch, and the consumer drains
-// whole batches per queue lock; batch size 1 is the classic
-// record-at-a-time handoff.
-//
-// The reader pool is retargetable while running, the same protocol as
-// ParallelMapIterator: with a ParallelismGovernor attached the iterator
-// registers a resize listener; workers whose index is at or above the
-// live target park off the input lock (at file boundaries — a reader
-// always finishes the file it holds, so no records are stranded), and
-// Resize() wakes parked workers or spawns new ones up to the target.
-// File-to-worker assignment is already nondeterministic, so a resize
-// history changes element order but never the element multiset.
+// Parallel interleave on a governed WorkerPool: each claim is one whole
+// file, read to its end, so parking at claim boundaries strands no
+// records. With engine_batch_size > 1 a reader hands records off a
+// vector at a time; batch size 1 is the classic record-at-a-time
+// handoff. File-to-worker assignment is already nondeterministic, so a
+// resize history changes element order but never the element multiset.
 class ParallelInterleaveIterator : public IteratorBase {
  public:
   ParallelInterleaveIterator(PipelineContext* ctx, IteratorStats* stats,
                              std::unique_ptr<IteratorBase> input,
-                             int parallelism, int initial_target,
-                             StorageDevice* shard_device)
+                             int parallelism, StorageDevice* shard_device)
       : IteratorBase(ctx, stats), input_(std::move(input)),
-        configured_(parallelism), shard_device_(shard_device),
-        // Parallel mode implies >= 2 readers (and a governor can grow
-        // the pool), so the factory keeps this edge MPMC. Capacity
-        // absorbs at least two engine batches so a requested batch size
-        // is never clamped by the channel.
-        queue_(MakeEdgeChannel<Item>(
-            EdgeTopology{std::max(parallelism, initial_target), 1,
-                         ctx->governor != nullptr},
-            static_cast<size_t>(
-                std::max(std::max(parallelism, initial_target) * 4,
-                         2 * std::max(1, ctx->engine_batch_size))))),
-        batch_size_(
-            ClampBatchToCapacity(ctx->engine_batch_size, queue_->capacity())),
-        consumer_(queue_.get(), batch_size_) {
-    stats_->SetParallelism(initial_target);
-    {
-      std::lock_guard<std::mutex> lock(park_mu_);
-      target_.store(initial_target, std::memory_order_relaxed);
-      SpawnLocked(initial_target);
-    }
-    if (ctx_->governor != nullptr) {
-      governor_id_ = ctx_->governor->Register(
-          stats_->name(), configured_, [this](int t) { Resize(t); });
-    }
-  }
-
-  ~ParallelInterleaveIterator() override {
-    // Unregister first: after this returns no Resize callback can run,
-    // so the worker vector is stable for the joins below.
-    if (ctx_->governor != nullptr) ctx_->governor->Unregister(governor_id_);
-    SignalDone();
-    queue_->Cancel();
-    {
-      std::lock_guard<std::mutex> lock(input_mu_);
-      files_done_ = true;
-    }
-    for (auto& w : workers_) w.join();
-  }
+        shard_device_(shard_device),
+        pool_(ctx, stats, PoolSpec{parallelism, /*governed=*/true},
+              [this](int) { return Claim(); }) {}
 
  protected:
   Status GetNextInternal(Element* out, bool* end) override {
-    for (;;) {
-      Item item;
-      if (!consumer_.Next(&item)) {
-        *end = true;
-        return OkStatus();
-      }
-      if (!item.status.ok()) {
-        *end = true;
-        return item.status;
-      }
-      if (item.end) {
-        *end = true;
-        return OkStatus();
-      }
-      *out = std::move(item.element);
-      *end = false;
-      return OkStatus();
-    }
+    return pool_.Next(out, end);
   }
 
  private:
-  struct Item {
-    Element element;
+  bool Claim() {
+    std::string name;
+    bool done = false;
     Status status;
-    bool end = false;
-  };
-
-  // Grows or shrinks the live worker target. Called from the
-  // governor's SetTarget (under the governor lock); never runs
-  // concurrently with the destructor, which unregisters first.
-  void Resize(int target) {
-    target = std::max(1, target);
     {
-      std::lock_guard<std::mutex> lock(park_mu_);
-      target_.store(target, std::memory_order_relaxed);
-      // No new workers once the file list finished: they would exit
-      // immediately and could double-push the end sentinel.
-      if (!done_.load(std::memory_order_acquire)) SpawnLocked(target);
+      std::lock_guard<std::mutex> lock(input_mu_);
+      if (files_done_) return false;
+      status = NextFilename(input_.get(), stats_, &name, &done);
+      if (!status.ok() || done) files_done_ = true;
     }
-    park_cv_.notify_all();
-    stats_->SetParallelism(target);
-  }
-
-  void SpawnLocked(int target) {
-    while (static_cast<int>(workers_.size()) < target) {
-      const int index = static_cast<int>(workers_.size());
-      active_workers_.fetch_add(1);
-      workers_.emplace_back([this, index] { WorkerLoop(index); });
-    }
-  }
-
-  // Marks the file list finished and wakes parked workers so they can
-  // exit (and release the end sentinel).
-  void SignalDone() {
-    done_.store(true, std::memory_order_release);
-    park_cv_.notify_all();
-  }
-
-  // Blocks while this worker's slot is above the live target. Returns
-  // false when the worker should exit instead of claiming. Cancellation
-  // has no wakeup channel into the park, so re-check on a short tick.
-  bool ParkUntilActive(int index) {
-    std::unique_lock<std::mutex> lock(park_mu_);
+    if (!status.ok()) return pool_.Fail(status);
+    if (done) return false;
+    auto reader_or = shard_device_ != nullptr
+                         ? ctx_->fs->OpenRecord(name, shard_device_)
+                         : ctx_->fs->OpenRecord(name);
+    if (!reader_or.ok()) return pool_.Fail(reader_or.status());
+    auto reader = std::move(reader_or).value();
+    std::vector<WorkerPool::Item> pending;
+    pending.reserve(pool_.batch_size());
+    // Recycled record buffers (see SequentialInterleave), sized at the
+    // last record any reader saw.
+    size_t payload_bytes = last_payload_bytes_.load(std::memory_order_relaxed);
     for (;;) {
-      if (done_.load(std::memory_order_acquire) || ctx_->is_cancelled()) {
-        return false;
-      }
-      if (index < target_.load(std::memory_order_relaxed)) return true;
-      park_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    }
-  }
-
-  void WorkerLoop(int index) {
-    std::vector<Item> pending;
-    pending.reserve(batch_size_);
-    size_t last_payload_bytes = 64;
-    // Hands accumulated records to the queue; false when cancelled.
-    auto flush = [&]() -> bool {
-      if (pending.empty()) return true;
-      std::vector<Item> batch;
-      batch.swap(pending);
-      pending.reserve(batch_size_);
-      return queue_->PushBatch(std::move(batch));
-    };
-    for (;;) {
-      if (ctx_->is_cancelled()) break;
-      if (index >= target_.load(std::memory_order_relaxed) &&
-          !ParkUntilActive(index)) {
-        break;
-      }
-      std::string name;
-      bool done = false;
-      Status status;
+      Buffer payload = BufferPool::Get()->Acquire(payload_bytes);
+      bool file_end = false;
+      Status read_status;
       {
-        std::lock_guard<std::mutex> lock(input_mu_);
-        if (files_done_) {
-          done = true;
-        } else {
-          status = NextFilename(input_.get(), stats_, &name, &done);
-          if (!status.ok() || done) files_done_ = true;
-        }
+        std::optional<CpuAccountingScope> scope;
+        if (ctx_->tracing_enabled) scope.emplace(stats_);
+        read_status = reader->ReadRecord(&payload, &file_end);
       }
-      if (!status.ok() || done) SignalDone();
-      if (!status.ok()) {
-        pending.push_back(Item{{}, status, false});
-        flush();
+      if (!read_status.ok()) {
+        pool_.PushBatch(std::move(pending));
+        return pool_.Fail(read_status);
+      }
+      if (file_end) {
+        BufferPool::Get()->Release(std::move(payload));
         break;
       }
-      if (done) break;
-      auto reader_or = shard_device_ != nullptr
-                           ? ctx_->fs->OpenRecord(name, shard_device_)
-                           : ctx_->fs->OpenRecord(name);
-      if (!reader_or.ok()) {
-        pending.push_back(Item{{}, reader_or.status(), false});
-        flush();
-        break;
+      payload_bytes = payload.size();
+      stats_->AddBytesRead(payload.size() + kRecordFramingBytes);
+      Element element = Element::FromBuffer(
+          std::move(payload),
+          sequence_.fetch_add(1, std::memory_order_relaxed));
+      pending.push_back(
+          WorkerPool::Item{0, std::move(element), OkStatus(), false});
+      if (pending.size() >= pool_.batch_size()) {
+        if (!pool_.PushBatch(std::exchange(pending, {}))) return false;
+        pending.reserve(pool_.batch_size());
       }
-      auto reader = std::move(reader_or).value();
-      bool stop = false;
-      for (;;) {
-        // Per-worker recycled record buffer (see SequentialInterleave).
-        Buffer payload = BufferPool::Get()->Acquire(last_payload_bytes);
-        bool file_end = false;
-        Status read_status;
-        {
-          std::optional<CpuAccountingScope> scope;
-          if (ctx_->tracing_enabled) scope.emplace(stats_);
-          read_status = reader->ReadRecord(&payload, &file_end);
-        }
-        if (!read_status.ok()) {
-          pending.push_back(Item{{}, read_status, false});
-          flush();
-          stop = true;
-          break;
-        }
-        if (file_end) {
-          BufferPool::Get()->Release(std::move(payload));
-          break;
-        }
-        last_payload_bytes = payload.size();
-        stats_->AddBytesRead(payload.size() + kRecordFramingBytes);
-        Element elem = Element::FromBuffer(
-            std::move(payload),
-            sequence_.fetch_add(1, std::memory_order_relaxed));
-        pending.push_back(Item{std::move(elem), OkStatus(), false});
-        if (pending.size() >= batch_size_ && !flush()) {
-          stop = true;  // cancelled
-          break;
-        }
-      }
-      if (stop) break;
-      // Flush the file's tail so a slow next file cannot strand records.
-      if (!flush()) break;
     }
-    flush();
-    if (active_workers_.fetch_sub(1) == 1) {
-      queue_->Push(Item{{}, OkStatus(), true});
-    }
+    last_payload_bytes_.store(payload_bytes, std::memory_order_relaxed);
+    // Flush the file's tail so a slow next file cannot strand records.
+    return pool_.PushBatch(std::move(pending));
   }
 
   std::unique_ptr<IteratorBase> input_;
-  const int configured_;
   StorageDevice* shard_device_;  // null = the filesystem's device
 
   std::mutex input_mu_;
   bool files_done_ = false;
-
-  std::unique_ptr<Channel<Item>> queue_;
-  const size_t batch_size_;
-  std::atomic<int> active_workers_{0};
   std::atomic<uint64_t> sequence_{0};
-  // Live worker control: workers_ grows under park_mu_ (Resize), never
-  // shrinks until destruction; workers indexed >= target_ park.
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
-  std::atomic<int> target_{0};
-  std::atomic<bool> done_{false};
-  uint64_t governor_id_ = 0;
-  std::vector<std::thread> workers_;
+  std::atomic<size_t> last_payload_bytes_{64};
 
-  // Consumer-side batch buffer (accessed only from GetNext).
-  BatchedChannelConsumer<Item> consumer_;
+  // Declared after everything its claims touch (joined first).
+  WorkerPool pool_;
 };
 
 StatusOr<std::unique_ptr<IteratorBase>> InterleaveDataset::MakeIterator(
@@ -388,16 +230,8 @@ StatusOr<std::unique_ptr<IteratorBase>> InterleaveDataset::MakeIterator(
         ctx, stats, std::move(input), cycle_length(), block_length(),
         shard_device));
   }
-  // A published governor target (multi-tenant grant) bounds the live
-  // reader count from the start; the graph attr stays the configured
-  // demand a later resize can grow back to.
-  int initial = p;
-  if (ctx->governor != nullptr) {
-    const int t = ctx->governor->Target(def_.name);
-    if (t > 0) initial = t;
-  }
   return std::unique_ptr<IteratorBase>(new ParallelInterleaveIterator(
-      ctx, stats, std::move(input), p, initial, shard_device));
+      ctx, stats, std::move(input), p, shard_device));
 }
 
 }  // namespace

@@ -1,13 +1,9 @@
 // Map (sequential + parallel) and filter operators.
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <mutex>
 #include <optional>
-#include <thread>
 
-#include "src/pipeline/channels.h"
 #include "src/pipeline/ops.h"
+#include "src/pipeline/worker_pool.h"
 #include "src/util/reorder_ring.h"
 #include "src/util/rng.h"
 
@@ -67,235 +63,84 @@ class SequentialMapIterator : public IteratorBase {
   const uint64_t seed_;
 };
 
-// Parallel map: N workers pull from the (serialized) child, execute the
-// UDF, and push to a bounded output queue. Deterministic mode restores
-// input order with a reorder buffer keyed by a pull-time ticket.
+// Parallel map on a governed WorkerPool: workers pull from the
+// (serialized) child, execute the UDF, and push to the pool's output
+// edge. Deterministic mode restores input order with a reorder ring
+// keyed by a pull-time ticket.
 //
-// With engine_batch_size > 1 each worker claims a whole vector of
-// inputs under one input-lock acquisition, executes the UDF per
-// element, and hands the results off in one PushBatch; the consumer
-// drains whole batches per queue lock. batch size 1 degenerates to the
-// classic element-at-a-time engine.
-//
-// The worker pool is retargetable while running (multi-tenant
-// arbitration): when the pipeline carries a ParallelismGovernor, the
-// iterator registers a resize listener and Resize() parks workers
-// above the target (they sleep off the input lock) or spawns new ones
-// up to it. Order tickets are claimed under the input lock exactly as
-// before, so deterministic output is unchanged by any resize history.
+// With engine_batch_size > 1 each claim takes a whole vector of inputs
+// under one input-lock acquisition, executes the UDF per element, and
+// hands the results off in one push; batch size 1 degenerates to the
+// classic element-at-a-time engine. Order tickets are claimed under the
+// input lock, so deterministic output is unchanged by batching or by
+// any resize history.
 class ParallelMapIterator : public IteratorBase {
  public:
   ParallelMapIterator(PipelineContext* ctx, IteratorStats* stats,
                       std::unique_ptr<IteratorBase> input, const UdfSpec* udf,
-                      int parallelism, int initial_target, bool deterministic,
-                      uint64_t seed)
+                      int parallelism, bool deterministic, uint64_t seed)
       : IteratorBase(ctx, stats),
         input_(std::move(input)),
         udf_(udf),
-        configured_(parallelism),
         deterministic_(deterministic),
         seed_(seed),
-        // Deep enough to ride out bursty consumers (a shuffle refill or
-        // batch assembly drains several items back-to-back) AND to
-        // absorb at least two engine batches, so a requested batch size
-        // is never clamped down by the channel and a worker can publish
-        // a full batch while the consumer still drains the previous
-        // one. Sized once for the larger of the configured and initial
-        // worker counts; a later resize beyond that still works, just
-        // with more queue blocking. Multi-producer (and governor-
-        // retargetable when one is attached), so the edge is MPMC.
-        queue_(MakeEdgeChannel<Item>(
-            EdgeTopology{std::max(parallelism, initial_target), 1,
-                         ctx->governor != nullptr},
-            static_cast<size_t>(std::max(
-                {8, std::max(parallelism, initial_target) * 4,
-                 2 * std::max(1, ctx->engine_batch_size)})))),
-        batch_size_(
-            ClampBatchToCapacity(ctx->engine_batch_size, queue_->capacity())),
-        consumer_(queue_.get(), batch_size_),
-        pending_(queue_->capacity() * 2) {
-    stats_->SetParallelism(initial_target);
-    {
-      std::lock_guard<std::mutex> lock(park_mu_);
-      target_.store(initial_target, std::memory_order_relaxed);
-      SpawnLocked(initial_target);
-    }
-    if (ctx_->governor != nullptr) {
-      governor_id_ = ctx_->governor->Register(
-          stats_->name(), configured_, [this](int t) { Resize(t); });
-    }
-  }
-
-  ~ParallelMapIterator() override {
-    // Unregister first: after this returns no Resize callback can run,
-    // so the worker vector is stable for the joins below.
-    if (ctx_->governor != nullptr) ctx_->governor->Unregister(governor_id_);
-    SignalDone();
-    queue_->Cancel();
-    {
-      std::lock_guard<std::mutex> lock(input_mu_);
-      input_done_ = true;
-    }
-    for (auto& w : workers_) w.join();
-  }
+        pool_(ctx, stats, PoolSpec{parallelism, /*governed=*/true},
+              [this](int) { return Claim(); }),
+        pending_(pool_.capacity() * 2) {}
 
  protected:
   Status GetNextInternal(Element* out, bool* end) override {
-    if (!first_error_.ok()) {
-      *end = true;
-      return first_error_;
-    }
+    if (!deterministic_) return pool_.Next(out, end);
     for (;;) {
-      if (deterministic_) {
-        if (pending_.TakeIfPresent(expected_, out)) {
-          ++expected_;
-          *end = false;
-          return OkStatus();
-        }
-        if (end_received_ && pending_.empty()) {
-          *end = true;
-          return OkStatus();
-        }
-      }
-      Item item;
-      if (!consumer_.Next(&item)) {  // cancelled
-        *end = true;
-        return OkStatus();
-      }
-      if (!item.status.ok()) {
-        first_error_ = item.status;
-        *end = true;
-        return first_error_;
-      }
-      if (item.end) {
-        end_received_ = true;
-        if (!deterministic_ || pending_.empty()) {
-          if (deterministic_) continue;  // drain pending via loop head
-          *end = true;
-          return OkStatus();
-        }
-        continue;
-      }
-      if (!deterministic_) {
-        *out = std::move(item.element);
+      if (pending_.TakeIfPresent(expected_, out)) {
+        ++expected_;
         *end = false;
         return OkStatus();
       }
-      pending_.Insert(expected_, item.order, std::move(item.element));
+      Element element;
+      uint64_t order = 0;
+      const Status status = pool_.Next(&element, end, &order);
+      if (!status.ok() || *end) return status;
+      pending_.Insert(expected_, order, std::move(element));
     }
   }
 
  private:
-  struct Item {
-    uint64_t order = 0;
-    Element element;
-    Status status;
+  bool Claim() {
+    std::vector<Element> claimed;
+    claimed.reserve(pool_.batch_size());
     bool end = false;
-  };
-
-  // Grows or shrinks the live worker target. Called from the
-  // governor's SetTarget (under the governor lock); never runs
-  // concurrently with the destructor, which unregisters first.
-  void Resize(int target) {
-    target = std::max(1, target);
+    uint64_t order_base = 0;
+    Status status;
     {
-      std::lock_guard<std::mutex> lock(park_mu_);
-      target_.store(target, std::memory_order_relaxed);
-      // No new workers once the input side finished: they would exit
-      // immediately and could double-push the end sentinel.
-      if (!done_.load(std::memory_order_acquire)) SpawnLocked(target);
+      std::lock_guard<std::mutex> lock(input_mu_);
+      if (input_done_) return false;
+      status = input_->GetNextBatch(&claimed, pool_.batch_size(), &end);
+      if (!status.ok() || end) input_done_ = true;
+      order_base = next_order_;
+      next_order_ += claimed.size();
+      if (!claimed.empty()) stats_->RecordConsumedBatch(claimed.size());
     }
-    park_cv_.notify_all();
-    stats_->SetParallelism(target);
-  }
-
-  void SpawnLocked(int target) {
-    while (static_cast<int>(workers_.size()) < target) {
-      const int index = static_cast<int>(workers_.size());
-      active_workers_.fetch_add(1);
-      workers_.emplace_back([this, index] { WorkerLoop(index); });
+    std::vector<WorkerPool::Item> results;
+    results.reserve(claimed.size());
+    {
+      std::optional<CpuAccountingScope> scope;
+      if (ctx_->tracing_enabled && !claimed.empty()) scope.emplace(stats_);
+      for (size_t i = 0; i < claimed.size(); ++i) {
+        const uint64_t seed = SplitMix64(seed_ ^ claimed[i].sequence);
+        Element result = ExecuteMapUdf(*udf_, std::move(claimed[i]),
+                                       ctx_->cpu_scale, seed, ctx_->work_model);
+        results.push_back(WorkerPool::Item{order_base + i, std::move(result),
+                                           OkStatus(), false});
+      }
     }
-  }
-
-  // Marks the input side finished and wakes parked workers so they can
-  // exit (and release the end sentinel).
-  void SignalDone() {
-    done_.store(true, std::memory_order_release);
-    park_cv_.notify_all();
-  }
-
-  // Blocks while this worker's slot is above the live target. Returns
-  // false when the worker should exit instead of claiming. Cancellation
-  // has no wakeup channel into the park, so re-check on a short tick.
-  bool ParkUntilActive(int index) {
-    std::unique_lock<std::mutex> lock(park_mu_);
-    for (;;) {
-      if (done_.load(std::memory_order_acquire) || ctx_->is_cancelled()) {
-        return false;
-      }
-      if (index < target_.load(std::memory_order_relaxed)) return true;
-      park_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    }
-  }
-
-  void WorkerLoop(int index) {
-    for (;;) {
-      if (ctx_->is_cancelled()) break;
-      if (index >= target_.load(std::memory_order_relaxed) &&
-          !ParkUntilActive(index)) {
-        break;
-      }
-      std::vector<Element> claimed;
-      claimed.reserve(batch_size_);
-      bool end = false;
-      uint64_t order_base = 0;
-      Status status;
-      {
-        // One lock acquisition claims the whole batch and its
-        // consecutive order tickets (so deterministic reordering is
-        // unchanged by batching).
-        std::lock_guard<std::mutex> lock(input_mu_);
-        if (input_done_) break;
-        status = input_->GetNextBatch(&claimed, batch_size_, &end);
-        if (!status.ok() || end) input_done_ = true;
-        if (!claimed.empty()) {
-          order_base = next_order_;
-          next_order_ += claimed.size();
-          stats_->RecordConsumedBatch(claimed.size());
-        }
-      }
-      if (!status.ok() || end) SignalDone();
-      if (!claimed.empty()) {
-        std::vector<Item> results;
-        results.reserve(claimed.size());
-        {
-          std::optional<CpuAccountingScope> scope;
-          if (ctx_->tracing_enabled) scope.emplace(stats_);
-          for (size_t i = 0; i < claimed.size(); ++i) {
-            const uint64_t seed = SplitMix64(seed_ ^ claimed[i].sequence);
-            Element result =
-                ExecuteMapUdf(*udf_, std::move(claimed[i]), ctx_->cpu_scale,
-                              seed, ctx_->work_model);
-            results.push_back(
-                Item{order_base + i, std::move(result), OkStatus(), false});
-          }
-        }
-        if (!queue_->PushBatch(std::move(results))) break;  // cancelled
-      }
-      if (!status.ok()) {
-        queue_->Push(Item{0, {}, status, false});
-        break;
-      }
-      if (end) break;
-    }
-    if (active_workers_.fetch_sub(1) == 1) {
-      queue_->Push(Item{~0ULL, {}, OkStatus(), true});
-    }
+    if (!pool_.PushBatch(std::move(results))) return false;
+    if (!status.ok()) return pool_.Fail(status);
+    return !end;
   }
 
   std::unique_ptr<IteratorBase> input_;
   const UdfSpec* udf_;
-  const int configured_;
   const bool deterministic_;
   const uint64_t seed_;
 
@@ -303,26 +148,12 @@ class ParallelMapIterator : public IteratorBase {
   bool input_done_ = false;
   uint64_t next_order_ = 0;
 
-  std::unique_ptr<Channel<Item>> queue_;
-  const size_t batch_size_;
-  std::atomic<int> active_workers_{0};
-  // Live worker control: workers_ grows under park_mu_ (Resize), never
-  // shrinks until destruction; workers indexed >= target_ park.
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
-  std::atomic<int> target_{0};
-  std::atomic<bool> done_{false};
-  uint64_t governor_id_ = 0;
-  std::vector<std::thread> workers_;
-
-  // Consumer-side state (accessed only from GetNext).
-  BatchedChannelConsumer<Item> consumer_;
-  // Deterministic reorder buffer: flat O(1) ring, not a std::map — the
-  // lookup runs once per emitted element.
+  // Declared after everything its claims touch (joined first).
+  WorkerPool pool_;
+  // Consumer-side deterministic reorder buffer: a flat O(1) ring, not a
+  // std::map — the lookup runs once per emitted element.
   ReorderRing<Element> pending_;
   uint64_t expected_ = 0;
-  bool end_received_ = false;
-  Status first_error_;
 };
 
 StatusOr<std::unique_ptr<IteratorBase>> MapDataset::MakeIterator(
@@ -337,16 +168,8 @@ StatusOr<std::unique_ptr<IteratorBase>> MapDataset::MakeIterator(
     return std::unique_ptr<IteratorBase>(new SequentialMapIterator(
         ctx, stats, std::move(input), udf_, seed));
   }
-  // A published governor target (multi-tenant grant) bounds the live
-  // worker count from the start; the graph attr stays the configured
-  // demand a later resize can grow back to.
-  int initial = p;
-  if (ctx->governor != nullptr) {
-    const int t = ctx->governor->Target(def_.name);
-    if (t > 0) initial = t;
-  }
   return std::unique_ptr<IteratorBase>(new ParallelMapIterator(
-      ctx, stats, std::move(input), udf_, p, initial, deterministic(), seed));
+      ctx, stats, std::move(input), udf_, p, deterministic(), seed));
 }
 
 // ---------------------------------------------------------------- filter

@@ -5,11 +5,10 @@
 // must reach pipelines that are already running — rewriting the
 // GraphDef only helps the next instantiation. The governor is the
 // channel: the executor publishes a per-node worker target with
-// SetTarget, and a running iterator that registered a resize listener
-// (today: the parallel map, where modeled UDF cost — and therefore the
-// LP's core demand — concentrates) grows or parks its worker pool in
-// place. Other parallel ops (interleave, map_and_batch) pick their
-// grant up at the next instantiation via ApplyParallelismPlan.
+// SetTarget, and every governed WorkerPool (src/pipeline/worker_pool.h:
+// the parallel map, parallel interleave and map_and_batch — each op
+// whose parallelism the LP tunes) registers a resize listener and
+// grows or parks its workers in place.
 //
 // A target also survives re-instantiation: iterators created later
 // (e.g. per-epoch children under `repeat`) read Target() at

@@ -1,20 +1,17 @@
 // shard_merge: merges N shard sources produced by
 // rewriter::ShardSource into one stream.
 //
-// One worker thread per input pulls whole engine batches from its
-// shard subtree and pushes them into a bounded MPMC channel, so N
-// shards read concurrently — each against its own modeled shard disk
+// One worker per input pulls whole engine batches from its shard
+// subtree and pushes them into the merge channel, so N shards read
+// concurrently — each against its own modeled shard disk
 // (see ShardDeviceFor) — and their aggregate bandwidth is N x one
 // device. Merge order across shards is nondeterministic, exactly like
 // parallel interleave; the element *multiset* equals the unsharded
 // source's because the shards partition the file list.
-#include <algorithm>
-#include <atomic>
-#include <thread>
 #include <vector>
 
-#include "src/pipeline/channels.h"
 #include "src/pipeline/ops.h"
+#include "src/pipeline/worker_pool.h"
 
 namespace plumber {
 namespace {
@@ -39,100 +36,29 @@ class ShardMergeDataset : public DatasetBase {
       PipelineContext* ctx) const override;
 };
 
+// One WorkerPool worker per shard, fixed (never governed): worker i
+// owns input i exclusively, so shard pulls need no lock. The merged
+// stream ends only when every shard has drained.
 class ShardMergeIterator : public IteratorBase {
  public:
   ShardMergeIterator(PipelineContext* ctx, IteratorStats* stats,
                      std::vector<std::unique_ptr<IteratorBase>> inputs)
       : IteratorBase(ctx, stats), inputs_(std::move(inputs)),
-        queue_(MakeEdgeChannel<Item>(
-            EdgeTopology{static_cast<int>(inputs_.size()), 1, false},
-            static_cast<size_t>(
-                std::max(static_cast<int>(inputs_.size()) * 4,
-                         2 * std::max(1, ctx->engine_batch_size))))),
-        batch_size_(
-            ClampBatchToCapacity(ctx->engine_batch_size, queue_->capacity())),
-        consumer_(queue_.get(), batch_size_) {
-    stats_->SetParallelism(static_cast<int>(inputs_.size()));
-    active_workers_.store(static_cast<int>(inputs_.size()));
-    workers_.reserve(inputs_.size());
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      workers_.emplace_back([this, i] { WorkerLoop(inputs_[i].get()); });
-    }
-  }
-
-  ~ShardMergeIterator() override {
-    queue_->Cancel();
-    for (auto& w : workers_) w.join();
-  }
+        pool_(ctx, stats,
+              PoolSpec{static_cast<int>(inputs_.size()), /*governed=*/false},
+              [this](int shard) {
+                return pool_.ForwardBatch(inputs_[shard].get());
+              }) {}
 
  protected:
   Status GetNextInternal(Element* out, bool* end) override {
-    Item item;
-    if (!consumer_.Next(&item)) {
-      *end = true;
-      return OkStatus();
-    }
-    if (!item.status.ok()) {
-      *end = true;
-      return item.status;
-    }
-    if (item.end) {
-      *end = true;
-      return OkStatus();
-    }
-    *out = std::move(item.element);
-    *end = false;
-    return OkStatus();
+    return pool_.Next(out, end);
   }
 
  private:
-  struct Item {
-    Element element;
-    Status status;
-    bool end = false;
-  };
-
-  // Drains one shard's subtree. Each worker owns its input iterator
-  // exclusively, so shard pulls need no lock; only the merge channel
-  // is shared.
-  void WorkerLoop(IteratorBase* input) {
-    for (;;) {
-      if (ctx_->is_cancelled()) break;
-      std::vector<Element> claimed;
-      claimed.reserve(batch_size_);
-      bool end = false;
-      const Status status = input->GetNextBatch(&claimed, batch_size_, &end);
-      if (!claimed.empty()) stats_->RecordConsumedBatch(claimed.size());
-      std::vector<Item> items;
-      items.reserve(claimed.size() + 1);
-      for (Element& in : claimed) {
-        items.push_back(Item{std::move(in), OkStatus(), false});
-      }
-      if (!status.ok()) {
-        items.push_back(Item{{}, status, false});
-        queue_->PushBatch(std::move(items));
-        break;
-      }
-      if (end) {
-        if (!items.empty()) queue_->PushBatch(std::move(items));
-        break;
-      }
-      if (!queue_->PushBatch(std::move(items))) break;  // cancelled
-    }
-    // The merged stream ends only when every shard has drained.
-    if (active_workers_.fetch_sub(1) == 1) {
-      queue_->Push(Item{{}, OkStatus(), true});
-    }
-  }
-
   std::vector<std::unique_ptr<IteratorBase>> inputs_;
-  std::unique_ptr<Channel<Item>> queue_;
-  const size_t batch_size_;
-  std::atomic<int> active_workers_{0};
-  std::vector<std::thread> workers_;
-
-  // Consumer-side batch buffer (accessed only from GetNext).
-  BatchedChannelConsumer<Item> consumer_;
+  // Declared after the inputs its claims drain (joined first).
+  WorkerPool pool_;
 };
 
 StatusOr<std::unique_ptr<IteratorBase>> ShardMergeDataset::MakeIterator(

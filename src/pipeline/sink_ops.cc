@@ -1,11 +1,9 @@
 // Grouping and buffering operators: batch, prefetch, cache.
 #include <algorithm>
-#include <optional>
-#include <thread>
 #include <vector>
 
-#include "src/pipeline/channels.h"
 #include "src/pipeline/ops.h"
+#include "src/pipeline/worker_pool.h"
 
 namespace plumber {
 namespace {
@@ -83,8 +81,8 @@ StatusOr<std::unique_ptr<IteratorBase>> BatchDataset::MakeIterator(
 }
 
 // --------------------------------------------------------------- prefetch
-// A background thread keeps a bounded buffer of upstream elements so
-// upstream production overlaps downstream consumption.
+// A background fill worker keeps a bounded buffer of upstream elements
+// so upstream production overlaps downstream consumption.
 class PrefetchDataset : public DatasetBase {
  public:
   PrefetchDataset(NodeDef def, std::vector<DatasetPtr> inputs)
@@ -101,93 +99,33 @@ class PrefetchIterator : public IteratorBase {
   PrefetchIterator(PipelineContext* ctx, IteratorStats* stats,
                    std::unique_ptr<IteratorBase> input, size_t buffer_size)
       : IteratorBase(ctx, stats), input_(std::move(input)),
-        // One fill thread, one GetNext thread, never retargeted: the
-        // structurally 1:1 edge, so the factory picks the lock-free
-        // SPSC ring (capacity rounds up to a power of two).
-        queue_(MakeEdgeChannel<Item>(EdgeTopology{1, 1, false}, buffer_size)),
-        // Clamped to the prefetch depth. Note batching widens the
+        // One fill worker, never governed: the structurally 1:1 edge
+        // (the lock-free SPSC ring), exactly buffer_size deep. The
+        // engine batch is clamped to that depth. Batching widens the
         // look-ahead bound: besides the buffer_size elements in the
-        // queue, up to one claimed batch sits in the fill thread and
-        // one drained batch in the consumer's local buffer — at most
-        // ~3x buffer_size elements materialized ahead, vs the classic
+        // channel, up to one claimed batch sits in the fill worker and
+        // one drained batch in the consumer's local buffer — at most ~3x
+        // buffer_size elements materialized ahead, vs the classic
         // engine's buffer_size + 1.
-        batch_size_(
-            ClampBatchToCapacity(ctx->engine_batch_size, queue_->capacity())),
-        consumer_(queue_.get(), batch_size_) {
+        pool_(ctx, stats,
+              PoolSpec{1, /*governed=*/false, buffer_size,
+                       /*batch_headroom=*/false},
+              [this](int) { return pool_.ForwardBatch(input_.get()); }) {
+    // For a prefetch node the parallelism stat reports its depth.
     stats_->SetParallelism(static_cast<int>(buffer_size));
-    thread_ = std::thread([this] { FillLoop(); });
-  }
-
-  ~PrefetchIterator() override {
-    queue_->Cancel();
-    thread_.join();
   }
 
  protected:
   Status GetNextInternal(Element* out, bool* end) override {
-    if (consumer_.NeedsRefill()) {
-      const bool ok = consumer_.Refill();
-      stats_->RecordQueueEmptyFraction(queue_->EmptyPopFraction());
-      if (!ok) {  // cancelled before any sentinel
-        *end = true;
-        return OkStatus();
-      }
-    }
-    Item item;
-    consumer_.Take(&item);
-    if (!item.status.ok()) {
-      *end = true;
-      return item.status;
-    }
-    if (item.end) {
-      *end = true;
-      return OkStatus();
-    }
-    *out = std::move(item.element);
-    *end = false;
-    return OkStatus();
+    const Status status = pool_.Next(out, end);
+    stats_->RecordQueueEmptyFraction(pool_.EmptyPopFraction());
+    return status;
   }
 
  private:
-  struct Item {
-    Element element;
-    Status status;
-    bool end = false;
-  };
-
-  void FillLoop() {
-    for (;;) {
-      if (ctx_->is_cancelled()) return;
-      std::vector<Element> claimed;
-      claimed.reserve(batch_size_);
-      bool end = false;
-      Status status = input_->GetNextBatch(&claimed, batch_size_, &end);
-      if (!claimed.empty()) stats_->RecordConsumedBatch(claimed.size());
-      std::vector<Item> items;
-      items.reserve(claimed.size() + 1);
-      for (Element& in : claimed) {
-        items.push_back(Item{std::move(in), OkStatus(), false});
-      }
-      if (!status.ok()) {
-        items.push_back(Item{{}, status, false});
-        queue_->PushBatch(std::move(items));
-        return;
-      }
-      if (end) {
-        items.push_back(Item{{}, OkStatus(), true});
-        queue_->PushBatch(std::move(items));
-        return;
-      }
-      if (!queue_->PushBatch(std::move(items))) return;
-    }
-  }
-
   std::unique_ptr<IteratorBase> input_;
-  std::unique_ptr<Channel<Item>> queue_;
-  const size_t batch_size_;
-  // Consumer-side batch buffer (accessed only from GetNext).
-  BatchedChannelConsumer<Item> consumer_;
-  std::thread thread_;
+  // Declared after the input its claims drain (joined first).
+  WorkerPool pool_;
 };
 
 StatusOr<std::unique_ptr<IteratorBase>> PrefetchDataset::MakeIterator(

@@ -6,7 +6,7 @@
 #include "src/util/buffer_pool.h"
 #include "src/util/busy_work.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
+#include "src/util/parallel_for.h"
 
 namespace plumber {
 

@@ -35,7 +35,7 @@ Executor::Executor(std::function<PipelineOptions()> pipeline_options,
 
 Executor::~Executor() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(signal_->mu);
     stop_ = true;
     for (JobPtr& job : pending_) {
       FinishWithoutRunning(job.get(), JobPhase::kCancelled,
@@ -47,7 +47,7 @@ Executor::~Executor() {
       (void)id;
       job->Cancel();
     }
-    cv_.notify_all();
+    signal_->cv.notify_all();
   }
   scheduler_.join();
   for (auto& [id, thread] : drivers_) {
@@ -57,18 +57,18 @@ Executor::~Executor() {
 }
 
 JobPtr Executor::Submit(GraphDef graph, JobOptions options) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(signal_->mu);
   const uint64_t id = next_job_id_++;
   if (options.name.empty()) options.name = "job-" + std::to_string(id);
   const std::string name = options.name;
   auto job = std::make_shared<Job>(id, name, std::move(graph),
-                                   std::move(options));
+                                   std::move(options), signal_);
   if (stop_) {
     FinishWithoutRunning(job.get(), JobPhase::kCancelled,
                          CancelledError("executor shut down"));
     return job;
   }
-  if (AdmitToQueueLocked(job)) cv_.notify_all();
+  if (AdmitToQueueLocked(job)) signal_->cv.notify_all();
   return job;
 }
 
@@ -113,7 +113,7 @@ bool Executor::AdmitToQueueLocked(JobPtr job) {
   };
   // "Must queue" means the running cap is full counting everything
   // already ahead of this submission — with an unlimited cap every
-  // pending job is admitted at the next scheduler tick, so
+  // pending job is admitted on the scheduler's next pass, so
   // backpressure never engages.
   const bool must_queue =
       options_.max_concurrent_jobs > 0 &&
@@ -150,18 +150,18 @@ bool Executor::AdmitToQueueLocked(JobPtr job) {
 }
 
 int Executor::live_jobs() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(signal_->mu);
   return static_cast<int>(live_.size());
 }
 
 int Executor::queued_jobs() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(signal_->mu);
   return static_cast<int>(pending_.size());
 }
 
 ExecutorLoadSnapshot Executor::LoadSnapshot() const {
   ExecutorLoadSnapshot snapshot;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(signal_->mu);
   snapshot.queued_jobs = static_cast<int>(pending_.size());
   snapshot.running_jobs = static_cast<int>(live_.size());
   for (const JobPtr& job : pending_) {
@@ -172,7 +172,7 @@ ExecutorLoadSnapshot Executor::LoadSnapshot() const {
     ++snapshot.running_by_class[static_cast<size_t>(job->options().slo)];
     // planned_graph_ is the submitted graph until arbitration rewrites
     // it, so the sum covers both arbitrated grants and configured
-    // knobs. Same lock order as AdmitLocked (executor mu_ -> job mu_).
+    // knobs. Same lock order as AdmitLocked (executor lock -> job mu_).
     std::lock_guard<std::mutex> jlock(job->mu_);
     for (const std::string& node : rewriter::TunableNodes(job->planned_graph_)) {
       const NodeDef* def = job->planned_graph_.FindNode(node);
@@ -202,7 +202,7 @@ void Executor::JoinFinishedDriversLocked() {
 }
 
 void Executor::SchedulerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(signal_->mu);
   for (;;) {
     JoinFinishedDriversLocked();
     if (stop_) return;
@@ -235,9 +235,19 @@ void Executor::SchedulerLoop() {
       pending_.pop_front();
       AdmitLocked(std::move(job));
     }
-    // Queued cancels have no wakeup channel into the scheduler, so the
-    // wait re-checks on a short tick.
-    cv_.wait_for(lock, std::chrono::milliseconds(50));
+    // Every other event notifies; the only timed one is the earliest
+    // deadline still in the queue.
+    int64_t wake_ns = std::numeric_limits<int64_t>::max();
+    for (const JobPtr& job : pending_) {
+      wake_ns = std::min(wake_ns, DeadlineNs(*job));
+    }
+    if (wake_ns == std::numeric_limits<int64_t>::max()) {
+      signal_->cv.wait(lock);
+    } else {
+      signal_->cv.wait_until(lock, std::chrono::steady_clock::now() +
+                                       std::chrono::nanoseconds(
+                                           wake_ns - WallNanos()));
+    }
   }
 }
 
@@ -410,12 +420,12 @@ void Executor::DriverLoop(JobPtr job) {
   }
   job->Finish(phase, std::move(result), std::move(stats));
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(signal_->mu);
     live_.erase(job->id());
     demand_warned_.erase(job->id());
     ReplanLocked();
     finished_driver_ids_.push_back(job->id());
-    cv_.notify_all();
+    signal_->cv.notify_all();
   }
 }
 

@@ -9,8 +9,9 @@
 // allocator (src/core/multi_job_planner): each job's grant is recorded
 // in its planned graph via rewriter::ApplyParallelismPlan and pushed
 // into its running pipeline through a ParallelismGovernor, which grows
-// or parks parallel-map worker pools in place. A job running alone is
-// never arbitrated — its pipeline behaves exactly as the blocking
+// or parks its map, interleave and map_and_batch worker pools in place
+// (src/pipeline/worker_pool.h). A job running alone is never
+// arbitrated — its pipeline behaves exactly as the blocking
 // single-tenant Flow::Run always did — and when departures leave a
 // single survivor its configured knobs are restored.
 //
@@ -72,9 +73,9 @@ struct ClassAdmission {
 };
 
 struct ExecutorOptions {
-  // Jobs allowed to run concurrently; 0 = unlimited (every submission
-  // is admitted at the next scheduler tick, cores arbitrated by the
-  // planner rather than by queueing).
+  // Jobs allowed to run concurrently; 0 = unlimited (the scheduler
+  // admits every submission as soon as it wakes for it, cores
+  // arbitrated by the planner rather than by queueing).
   int max_concurrent_jobs = 0;
   // When true (default) the scheduler honors JobOptions::slo: the
   // core arbitration allocates in class tiers — an interactive
@@ -156,8 +157,12 @@ class Executor {
   const std::function<MachineSpec()> machine_;
   const ExecutorOptions options_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
+  // Guards everything below; shared with every job (see
+  // SchedulerSignal). The scheduler sleeps on its cv until a Submit, a
+  // queued job's Cancel, a driver's exit, or the earliest queued
+  // deadline.
+  const std::shared_ptr<SchedulerSignal> signal_ =
+      std::make_shared<SchedulerSignal>();
   bool stop_ = false;
   uint64_t next_job_id_ = 1;
   std::deque<JobPtr> pending_;

@@ -33,11 +33,13 @@ const char* SloClassName(SloClass slo) {
   return "unknown";
 }
 
-Job::Job(uint64_t id, std::string name, GraphDef graph, JobOptions options)
+Job::Job(uint64_t id, std::string name, GraphDef graph, JobOptions options,
+         std::shared_ptr<SchedulerSignal> scheduler)
     : id_(id),
       name_(std::move(name)),
       output_node_(graph.output()),
       options_(std::move(options)),
+      scheduler_(std::move(scheduler)),
       graph_(graph),
       planned_graph_(std::move(graph)),
       submit_ns_(WallNanos()) {}
@@ -59,11 +61,19 @@ bool Job::started() const {
 
 void Job::Cancel() {
   cancel_requested_.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(mu_);
-  // Trip the per-job cancellation token: the driver (and every worker
-  // inside the pipeline) observes it cooperatively. A queued job is
-  // finished by the scheduler on its next tick.
-  if (pipeline_ != nullptr) pipeline_->Cancel();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Trip the per-job cancellation token: the driver (and every worker
+    // inside the pipeline) observes it cooperatively.
+    if (pipeline_ != nullptr) pipeline_->Cancel();
+    if (phase_ != JobPhase::kQueued) return;
+  }
+  // A queued job is finished by the scheduler: wake it. The scheduler
+  // lock is taken after mu_ is released, keeping the executor-then-job
+  // lock order; the executor itself cancels only admitted jobs, so it
+  // never reaches this line while holding that lock.
+  std::lock_guard<std::mutex> lock(scheduler_->mu);
+  scheduler_->cv.notify_all();
 }
 
 void Job::Wait() {

@@ -43,6 +43,15 @@ inline constexpr int kNumSloClasses = 3;
 
 const char* SloClassName(SloClass slo);
 
+// The executor's scheduler lock and wake-up, co-owned by every job it
+// creates so Job::Cancel can wake the scheduler. Because jobs share
+// ownership, a Cancel that arrives after the executor is gone (a handle
+// outliving its Session, FleetRuntime shutdown) wakes nobody, safely.
+struct SchedulerSignal {
+  std::mutex mu;
+  std::condition_variable cv;
+};
+
 struct JobOptions {
   // Stop conditions, warmup, simulated step time, engine batch override
   // — exactly what Flow::Run accepts (Run is Submit + Wait).
@@ -78,7 +87,8 @@ struct JobProgress {
 
 class Job {
  public:
-  Job(uint64_t id, std::string name, GraphDef graph, JobOptions options);
+  Job(uint64_t id, std::string name, GraphDef graph, JobOptions options,
+      std::shared_ptr<SchedulerSignal> scheduler);
 
   uint64_t id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -91,9 +101,9 @@ class Job {
   // that failed instantiation or were cancelled while still queued.
   bool started() const;
 
-  // Requests cooperative cancellation: a queued job finishes without
-  // running, a running job's pipeline token is tripped and the driver
-  // stops at the next batch boundary.
+  // Requests cooperative cancellation: a queued job wakes the scheduler,
+  // which finishes it without running; a running job's pipeline token is
+  // tripped and the driver stops at the next batch boundary.
   void Cancel();
 
   // Blocks until the job reaches a terminal phase.
@@ -125,6 +135,7 @@ class Job {
   const std::string name_;
   const std::string output_node_;
   const JobOptions options_;
+  const std::shared_ptr<SchedulerSignal> scheduler_;
 
   mutable std::mutex mu_;
   std::condition_variable finished_cv_;

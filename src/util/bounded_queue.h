@@ -220,10 +220,4 @@ class BoundedQueue final : public Channel<T> {
   uint64_t occupancy_samples_ = 0;
 };
 
-// Consumer-side batch drainer over any Channel; the historical name for
-// BatchedChannelConsumer (src/util/channel.h), kept for call sites that
-// predate the Channel split.
-template <typename T>
-using BatchedQueueConsumer = BatchedChannelConsumer<T>;
-
 }  // namespace plumber

@@ -1,7 +1,7 @@
 // Channel<T>: the inter-operator handoff interface of the data plane.
 //
-// Every edge between a producing worker pool (or fill thread) and its
-// consumer moves elements through a Channel. Two implementations exist:
+// Every edge between a producing worker pool and its consumer moves
+// elements through a Channel. Two implementations exist:
 //
 //   * BoundedQueue<T> (src/util/bounded_queue.h): mutex-guarded MPMC
 //     blocking queue — any number of producers and consumers, waiter-
@@ -12,8 +12,8 @@
 //     claim/publish, spin-then-park waiting. Chosen for edges the
 //     topology proves are 1:1 for their whole lifetime.
 //
-// Pipeline operators pick between them per edge at iterator
-// instantiation (see MakeEdgeChannel in src/pipeline/channels.h); the
+// Every pipeline worker pool picks between them for its output edge at
+// iterator instantiation (see src/pipeline/worker_pool.h); the
 // conformance suite in tests/channel_test.cc runs against both.
 //
 // Blocking semantics shared by all implementations (the BoundedQueue

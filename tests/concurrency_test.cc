@@ -1,38 +1,14 @@
-// Tests for the thread pool and bounded queue.
+// Tests for ParallelFor and the bounded queue.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
 #include "src/util/bounded_queue.h"
-#include "src/util/thread_pool.h"
+#include "src/util/parallel_for.h"
 
 namespace plumber {
 namespace {
-
-TEST(ThreadPoolTest, ExecutesAllWork) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pool.Schedule([&] { counter.fetch_add(1); }));
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitWithNoWorkReturns) {
-  ThreadPool pool(2);
-  pool.Wait();
-}
-
-TEST(ThreadPoolTest, AtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
-  std::atomic<bool> ran{false};
-  pool.Schedule([&] { ran = true; });
-  pool.Wait();
-  EXPECT_TRUE(ran);
-}
 
 TEST(ParallelForTest, CoversAllIndices) {
   std::vector<std::atomic<int>> hits(64);

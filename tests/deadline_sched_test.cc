@@ -82,11 +82,12 @@ TEST(DeadlineSchedTest, ExpiredQueuedDeadlineIsShed) {
                                      JobOptions{window, "blocker"});
   ASSERT_TRUE(PollUntil([&] { return blocker.Progress().batches > 0; }));
 
-  // A 100ms target behind an unbounded blocker is hopeless: the
+  // A 75ms target behind an unbounded blocker is hopeless: the
   // scheduler's sweep must shed it from the queue rather than admit a
-  // guaranteed miss once the blocker finishes.
+  // guaranteed miss once the blocker finishes. The scheduler sleeps
+  // until the earliest queued deadline, so the shed lands on time.
   JobOptions doomed_opts{window, "doomed"};
-  doomed_opts.latency_target_s = 0.1;
+  doomed_opts.latency_target_s = 0.075;
   JobHandle doomed = session.Submit(session.Range(50).Map("work", 2),
                                     doomed_opts);
   const auto report = doomed.Wait();
@@ -95,6 +96,11 @@ TEST(DeadlineSchedTest, ExpiredQueuedDeadlineIsShed) {
   EXPECT_NE(report.status().message().find("shed"), std::string::npos)
       << report.status();
   EXPECT_EQ(doomed.phase(), JobPhase::kFailed);
+  // A never-run job's queue time ends at its terminal timestamp: the
+  // shed itself, stamped by the scheduler.
+  const double shed_at = doomed.Progress().queue_seconds;
+  EXPECT_GE(shed_at, 0.075);
+  EXPECT_LT(shed_at, 0.075 + 0.010);
 
   blocker.Cancel();
   (void)blocker.Wait();

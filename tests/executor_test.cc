@@ -22,7 +22,7 @@ using testing_util::PipelineTestEnv;
 using testing_util::SizeFingerprint;
 
 // Polls a condition until it holds or the deadline passes. Executor
-// scheduling is asynchronous (50ms ticks), so state assertions poll.
+// scheduling runs on its own threads, so state assertions poll.
 bool PollUntil(const std::function<bool()>& cond, double seconds = 20) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(seconds);
@@ -232,19 +232,31 @@ TEST(ExecutorTest, CancelWhileQueuedNeverRuns) {
   JobHandle blocker = session.Submit(session.Range(1 << 30).Map("work", 2),
                                      JobOptions{window, ""});
   ASSERT_TRUE(PollUntil([&] { return blocker.Progress().batches > 0; }));
-  JobHandle queued = session.Submit(session.Range(100).Map("fast", 2),
-                                    JobOptions{window, ""});
-  EXPECT_EQ(queued.phase(), JobPhase::kQueued);
-  queued.Cancel();
-  const auto report = queued.Wait();
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(queued.phase(), JobPhase::kCancelled);
+  std::vector<JobHandle> queued;
+  for (int i = 0; i < 5; ++i) {
+    queued.push_back(session.Submit(session.Range(100).Map("fast", 2),
+                                    JobOptions{window, ""}));
+    EXPECT_EQ(queued.back().phase(), JobPhase::kQueued);
+  }
+  for (const JobHandle& job : queued) {
+    // Cancel wakes the scheduler, which finishes the job at once: no
+    // polling tick sits between the Cancel and the Wait returning.
+    const auto cancelled_at = std::chrono::steady_clock::now();
+    job.Cancel();
+    const auto report = job.Wait();
+    const double waited = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - cancelled_at)
+                              .count();
+    EXPECT_LT(waited, 0.010);
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(job.phase(), JobPhase::kCancelled);
+  }
   // queue_seconds freezes at the terminal timestamp for a job that
   // never ran; it must not keep growing with wall time.
-  const double q1 = queued.Progress().queue_seconds;
+  const double q1 = queued.front().Progress().queue_seconds;
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_DOUBLE_EQ(queued.Progress().queue_seconds, q1);
+  EXPECT_DOUBLE_EQ(queued.front().Progress().queue_seconds, q1);
   blocker.Cancel();
   (void)blocker.Wait();
 }

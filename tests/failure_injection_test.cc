@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <random>
 #include <thread>
 
 #include "src/core/optimizer.h"
@@ -50,6 +53,68 @@ TEST(FailureInjectionTest, CancelUnblocksConsumerOnInfinitePipeline) {
   EXPECT_TRUE(done.load()) << "consumer still blocked 4s after Cancel()";
   if (!done.load()) consumer.detach();  // avoid hanging the suite
   else consumer.join();
+}
+
+// InfiniteGraph's stages with the repeat moved below the map, so the
+// map pool is built once, at MakeIterator, and can be parked after it
+// spawned. The shuffle's first fill claims 64 elements from the map
+// past a single cancellation check.
+GraphDef ParkableInfiniteGraph() {
+  GraphBuilder b;
+  auto n = b.Interleave("interleave", b.FileList("files", "data/"), 2, 2);
+  n = b.Repeat("repeat", n);
+  n = b.Map("work", n, "slow", /*parallelism=*/4);
+  n = b.Shuffle("shuffle", n, 64);
+  n = b.Batch("batch", n, 5);
+  n = b.Prefetch("prefetch", n, 4);
+  return std::move(b.Build(n)).value();
+}
+
+TEST(FailureInjectionTest, CancelUnblocksConsumerOnParkedPool) {
+  // The infinite pipeline with its map pool parked at 1 of 4 workers by
+  // a governor target. Each round cancels at a random sub-millisecond
+  // offset, mostly while the shuffle's first fill waits on the one
+  // running worker: that worker pushes, sees the cancel at its next
+  // claim boundary and leaves. Parked workers wait with no timeout, so
+  // its exit must release them for the end sentinel to reach the
+  // consumer, and teardown must join every worker.
+  PipelineTestEnv env(4, 50, 64);
+  const GraphDef graph = ParkableInfiniteGraph();
+  const int baseline_threads = testing_util::CountOwnThreads();
+  std::mt19937 rng(17);
+  std::uniform_int_distribution<int> offset_us(0, 999);
+  for (int round = 0; round < 200; ++round) {
+    PipelineOptions options = env.Options();
+    options.governor = std::make_shared<ParallelismGovernor>();
+    auto pipeline = std::move(Pipeline::Create(graph, options)).value();
+    auto iterator = std::move(pipeline->MakeIterator()).value();
+    options.governor->SetTarget("work", 1);
+    std::promise<void> returned;
+    std::future<void> consumer_returned = returned.get_future();
+    std::thread consumer([&] {
+      Element e;
+      bool end = false;
+      while (iterator->GetNext(&e, &end).ok() && !end) {
+      }
+      returned.set_value();
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(offset_us(rng)));
+    pipeline->Cancel();
+    if (consumer_returned.wait_for(std::chrono::seconds(4)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "round " << round << ": consumer still blocked 4s "
+                    << "after Cancel()";
+      // Leak rather than destroy a pipeline a blocked thread still uses.
+      consumer.detach();
+      iterator.release();
+      pipeline.release();
+      return;
+    }
+    consumer.join();
+  }
+  // No worker outlives its pool (a sanitizer runtime thread present at
+  // the baseline may have exited since, so the count may also drop).
+  EXPECT_LE(testing_util::CountOwnThreads(), baseline_threads);
 }
 
 TEST(FailureInjectionTest, CancelDuringDestructionIsSafe) {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -20,12 +19,13 @@
 namespace plumber {
 namespace {
 
+using testing_util::CountOwnThreads;
 using testing_util::Drain;
 using testing_util::ExpectIdenticalOutput;
 using testing_util::PipelineTestEnv;
 
 // Polls a condition until it holds or the deadline passes. Executor
-// scheduling is asynchronous (50ms ticks), so state assertions poll.
+// scheduling runs on its own threads, so state assertions poll.
 bool PollUntil(const std::function<bool()>& cond, double seconds = 20) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(seconds);
@@ -383,16 +383,6 @@ TEST(SloSchedulerTest, InteractiveJumpsTheAdmissionQueue) {
 }
 
 // ------------------------------------------- governor park/restore
-
-int CountOwnThreads() {
-  int count = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    (void)entry;
-    ++count;
-  }
-  return count;
-}
 
 TEST(SloSchedulerTest, GovernorParkRestoreCyclesKeepIdentityAndThreads) {
   // Ten full park/restore cycles (floor 1 <-> configured 6) while a

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -95,6 +96,17 @@ inline bool EventuallyTrue(Fn&& check, int attempts = 3) {
     if (check()) return true;
   }
   return false;
+}
+
+// This process's live thread count, from /proc/self/task.
+inline int CountOwnThreads() {
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
 }
 
 // Drains up to `limit` elements from a pipeline (0 = until end).
