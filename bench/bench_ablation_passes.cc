@@ -179,9 +179,7 @@ int main() {
   std::printf(
       "\nExpected shape: LP parallelism provides the bulk of the win over\n"
       "naive; prefetch adds overlap; caching lifts the pipeline past the\n"
-      "I/O bound (paper Fig. 10); engine-batch autotuning only moves\n"
-      "pipelines whose parallel stages are engine-overhead-bound.\n"
-      "Sharding lifts a source-bound pipeline by reading against\n"
-      "multiple modeled disks.\n");
+      "I/O bound (paper Fig. 10). Sharding lifts a source-bound pipeline\n"
+      "by reading against multiple modeled disks.\n");
   return shard_ok ? 0 : 1;
 }

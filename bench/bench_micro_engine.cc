@@ -24,12 +24,12 @@ struct EngineFixture {
     (void)udfs.Register(noop);
   }
 
-  PipelineOptions Options(bool tracing, int engine_batch_size = 1) {
+  PipelineOptions Options(bool tracing, int max_claim = 1) {
     PipelineOptions options;
     options.fs = &fs;
     options.udfs = &udfs;
     options.tracing_enabled = tracing;
-    options.engine_batch_size = engine_batch_size;
+    options.max_claim = max_claim;
     return options;
   }
 };
@@ -89,22 +89,21 @@ void BM_ParallelMapThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelMapThroughput)->Arg(1)->Arg(4)->Arg(8);
 
-// The batched-engine case the batching work targets: a cheap (noop)
-// UDF behind a high-parallelism map, where per-element queue handoffs
-// and input-lock traffic dominate modeled work. Arg0 = parallelism,
-// Arg1 = engine batch size; batch 1 is the classic element-at-a-time
-// engine. The CI regression gate keys off the items/sec of these
-// cases (the ratio between batch=64 and batch=1 is the tentpole's
-// >=2x acceptance criterion).
+// The case multi-element claims target: a cheap (noop) UDF behind a
+// high-parallelism map, where per-element queue handoffs and input-lock
+// traffic dominate modeled work. Arg0 = parallelism, Arg1 = max_claim;
+// 1 pins every claim to one element, and at 16 or 64 the pool's claims
+// grow to the cap. The CI regression gate keys off the items/sec of
+// these cases (and their ratios to the max_claim=1 case).
 void BM_EngineBatchCheapUdf(benchmark::State& state) {
   EngineFixture fx;
   const int parallelism = static_cast<int>(state.range(0));
-  const int batch = static_cast<int>(state.range(1));
+  const int max_claim = static_cast<int>(state.range(1));
   GraphBuilder b;
   auto n = b.Range("src", -1);
   n = b.Map("m", n, "noop", parallelism);
   auto pipeline = std::move(Pipeline::Create(std::move(b.Build(n)).value(),
-                                             fx.Options(true, batch)))
+                                             fx.Options(true, max_claim)))
                       .value();
   auto iterator = std::move(pipeline->MakeIterator()).value();
   Element e;
@@ -131,12 +130,12 @@ BENCHMARK(BM_EngineBatchCheapUdf)
 // portable across host shapes).
 void BM_EngineNoSyncBound(benchmark::State& state) {
   EngineFixture fx;
-  const int batch = static_cast<int>(state.range(0));
+  const int max_claim = static_cast<int>(state.range(0));
   GraphBuilder b;
   auto n = b.Range("src", -1);
   n = b.Map("m", n, "noop", /*parallelism=*/1);
   auto pipeline = std::move(Pipeline::Create(std::move(b.Build(n)).value(),
-                                             fx.Options(true, batch)))
+                                             fx.Options(true, max_claim)))
                       .value();
   auto iterator = std::move(pipeline->MakeIterator()).value();
   Element e;
@@ -150,17 +149,17 @@ void BM_EngineNoSyncBound(benchmark::State& state) {
 BENCHMARK(BM_EngineNoSyncBound)->Arg(64)->UseRealTime();
 
 // Same sweep through a full read->map->batch chain (records off the
-// simulated filesystem, batch assembly via the batched claim path).
+// simulated filesystem, batch assembly in one claim per batch).
 void BM_EngineBatchReadChain(benchmark::State& state) {
   EngineFixture fx;
-  const int batch = static_cast<int>(state.range(0));
+  const int max_claim = static_cast<int>(state.range(0));
   GraphBuilder b;
   auto n = b.Interleave("il", b.FileList("files", "data/"), 4, 2);
   n = b.Map("m", n, "noop", 8);
   n = b.Repeat("r", n, -1);
   n = b.Batch("bt", n, 16);
   auto pipeline = std::move(Pipeline::Create(std::move(b.Build(n)).value(),
-                                             fx.Options(true, batch)))
+                                             fx.Options(true, max_claim)))
                       .value();
   auto iterator = std::move(pipeline->MakeIterator()).value();
   Element e;

@@ -79,9 +79,8 @@ int main() {
   }
 
   // Run the full optimizer and report what each scheduled pass decided
-  // (the structured PassReports; batch appended to show the engine
-  // autotuner's reasoning alongside the paper's three rewrites).
-  const std::string schedule = std::string(kDefaultPassSchedule) + ",batch";
+  // (the structured PassReports).
+  const std::string schedule = kDefaultPassSchedule;
   auto optimized = session.FromGraph(workload.graph).OptimizeWith(schedule);
   if (!optimized.ok()) {
     std::printf("\noptimize failed: %s\n",

@@ -113,8 +113,8 @@ def add_derived_ratios(metrics):
 
 
 def add_sync_gap(metrics):
-    """Adds micro_engine.sync_gap_rel: the batched parallel engine's
-    throughput as a fraction of the single-thread no-channel bound
+    """Adds micro_engine.sync_gap_rel: the parallel engine's throughput
+    at claims of up to 64 as a fraction of the single-thread no-channel bound
     (BM_EngineNoSyncBound). 1.0 would mean the data plane's
     synchronization costs nothing; the gated ratio keeps the gap from
     silently widening. Derived identically for baseline and current."""

@@ -10,7 +10,6 @@ FleetSession::FleetSession(FleetSessionOptions options)
         SessionOptions so;
         so.seed = options_.seed;
         so.work_model = options_.work_model;
-        so.engine_batch_size = options_.engine_batch_size;
         return so;
       }()) {
   fleet::FleetOptions fopts = options_.fleet;

@@ -39,7 +39,6 @@ struct FleetSessionOptions {
   fleet::FleetOptions fleet;
   uint64_t seed = 42;
   CpuWorkModel work_model = CpuWorkModel::kTimed;
-  int engine_batch_size = 0;
 };
 
 class FleetSession {

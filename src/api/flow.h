@@ -135,8 +135,9 @@ class Flow {
   StatusOr<OptimizedFlow> Optimize(OptimizeOptions options = {}) const;
 
   // Optimize with an explicit pass schedule, e.g.
-  // "parallelism,prefetch,cache,parallelism,batch". Pass names resolve
-  // through PassRegistry::Global(); unknown names are InvalidArgument.
+  // "parallelism,prefetch,cache,parallelism,shard_sources". Pass names
+  // resolve through PassRegistry::Global(); unknown names are
+  // InvalidArgument.
   // An empty schedule runs no passes: the flow is traced once (so
   // traced_rate is measured) and returned unchanged.
   StatusOr<OptimizedFlow> OptimizeWith(const std::string& schedule,

@@ -17,7 +17,6 @@ PipelineOptions MakePipelineOptions(SessionState& state) {
   popts.memory_budget_bytes = so.memory_budget_bytes > 0
                                   ? so.memory_budget_bytes
                                   : so.machine.memory_bytes;
-  popts.engine_batch_size = so.engine_batch_size;
   popts.scratch = so.machine.scratch;
   popts.scratch_budget_bytes = so.machine.scratch_bytes;
   popts.nic = state.nic.get();
@@ -36,11 +35,6 @@ void ApplyEnvironment(SessionState& state, OptimizeOptions* options) {
   options->udfs = &state.udfs;
   options->seed = so.seed;
   options->work_model = so.work_model;
-  // Unlike the true environment fields above, an explicit per-call
-  // engine_batch_size is a tuning knob and wins over the session's.
-  if (options->engine_batch_size <= 0) {
-    options->engine_batch_size = so.engine_batch_size;
-  }
   // The planner's network constraint defaults to the machine's NIC so
   // attaching one device keeps runtime metering and planning aligned;
   // an explicit per-call bandwidth wins.

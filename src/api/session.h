@@ -47,14 +47,6 @@ struct SessionOptions {
   // instantiated pipelines and the optimizer's planning budget. 0
   // derives both from machine.memory_bytes.
   uint64_t memory_budget_bytes = 0;
-  // Engine batch size for every pipeline built from this session: how
-  // many elements parallel operators claim and hand off per lock
-  // acquisition. 0 = unset: runs element-at-a-time, but the optimizer's
-  // "batch" pass may autotune it. 1 = explicitly element-at-a-time
-  // (identical results, classic engine; the batch pass respects it);
-  // larger amortizes queue/lock overhead for cheap UDFs.
-  // RunOptions.engine_batch_size overrides per run.
-  int engine_batch_size = 0;
   // Jobs the session's executor runs concurrently; 0 = unlimited
   // (every Submit is admitted immediately and the maximin arbiter
   // splits the modeled cores). >0 queues excess submissions, which

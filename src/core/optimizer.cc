@@ -17,7 +17,6 @@ PipelineOptions OptimizeOptions::MakePipelineOptions() const {
   popts.seed = seed;
   popts.tracing_enabled = true;
   popts.memory_budget_bytes = machine.memory_bytes;
-  popts.engine_batch_size = engine_batch_size;
   popts.scratch = machine.scratch;
   popts.scratch_budget_bytes = machine.scratch_bytes;
   return popts;

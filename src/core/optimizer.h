@@ -35,17 +35,8 @@ struct OptimizeOptions {
   const UdfRegistry* udfs = nullptr;
   uint64_t seed = 42;
   CpuWorkModel work_model = CpuWorkModel::kTimed;
-  // Engine batch size for every pipeline the optimizer instantiates
-  // (traces and evaluations), so it measures the same engine the tuned
-  // pipeline will run on. 0 = inherit the Session's value when going
-  // through Flow::Optimize / Session::OptimizeBest (and behave as 1 —
-  // element-at-a-time — when the optimizer is driven directly); >0 is
-  // an explicit override that ApplyEnvironment leaves alone and the
-  // "batch" autotuning pass respects (it only tunes the unset
-  // default). See PipelineOptions::engine_batch_size.
-  int engine_batch_size = 0;
   double trace_seconds = 0.3;
-  // Pass schedule, e.g. "parallelism,prefetch,cache,parallelism,batch"
+  // Pass schedule, e.g. "parallelism,prefetch,cache,parallelism"
   // (names resolved through PassRegistry::Global()). "" runs no passes:
   // the input is traced once and returned unchanged.
   std::string schedule = kDefaultPassSchedule;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "src/core/optimizer.h"
@@ -80,94 +79,6 @@ StatusOr<PassReport> CachePass::Run(OptimizationContext& ctx) const {
     os << " on disk, serve_rate=" << report.cache.disk_serve_rate;
   }
   report.summary = os.str();
-  return report;
-}
-
-StatusOr<PassReport> BatchSizePass::Run(OptimizationContext& ctx) const {
-  PassReport report;
-  report.pass = name();
-  // > 0 is an explicit user choice — including 1, the classic
-  // element-at-a-time engine; only the unset default (0) is autotuned.
-  if (ctx.options().engine_batch_size > 0) {
-    report.summary = "explicit engine_batch_size=" +
-                     std::to_string(ctx.options().engine_batch_size) +
-                     " set; autotune skipped";
-    return report;
-  }
-  ASSIGN_OR_RETURN(const PipelineModel* model, ctx.LatestModel());
-  report.traced_rate = model->observed_rate();
-
-  // Engine batching amortizes per-element queue handoffs, which only
-  // exist on queue-backed (parallelism >= 2) stages. The stage whose
-  // overhead bounds throughput is the parallel stage with the lowest
-  // aggregate capacity; its traced per-element cost decides the batch.
-  // Parallelism is read from the current graph (post-LP), cost from the
-  // latest model (stage service times don't change with parallelism).
-  const NodeModel* bottleneck = nullptr;
-  int bottleneck_parallelism = 1;
-  double bottleneck_capacity = std::numeric_limits<double>::infinity();
-  // Stages too cheap for the model to rate (rate_per_core == 0) can't
-  // bound throughput; they only stand in when no rated stage exists —
-  // then the pipeline is engine-overhead-bound by definition.
-  const NodeModel* cheapest_unrated = nullptr;
-  int cheapest_unrated_parallelism = 1;
-  for (const NodeDef& node : ctx.graph().nodes()) {
-    if (!OpSupportsParallelism(node.op)) continue;
-    const int parallelism =
-        static_cast<int>(node.GetInt(kAttrParallelism, 1));
-    if (parallelism < 2) continue;
-    const NodeModel* nm = model->Find(node.name);
-    if (nm == nullptr || nm->completions == 0) continue;
-    if (nm->rate_per_core <= 0) {
-      if (cheapest_unrated == nullptr ||
-          nm->service_seconds < cheapest_unrated->service_seconds) {
-        cheapest_unrated = nm;
-        cheapest_unrated_parallelism = parallelism;
-      }
-      continue;
-    }
-    const double capacity = nm->rate_per_core * parallelism;
-    if (capacity < bottleneck_capacity) {
-      bottleneck_capacity = capacity;
-      bottleneck = nm;
-      bottleneck_parallelism = parallelism;
-    }
-  }
-  if (bottleneck == nullptr) {
-    bottleneck = cheapest_unrated;
-    bottleneck_parallelism = cheapest_unrated_parallelism;
-  }
-  if (bottleneck == nullptr) {
-    report.summary = "no parallel stage to amortize; engine batch stays 1";
-    return report;
-  }
-
-  const double service_seconds = bottleneck->service_seconds;
-  const double overhead_seconds = kPerElementOverheadNs * 1e-9;
-  // Smallest power of two so that overhead/batch <= fraction * service;
-  // stages whose work already dwarfs the overhead stay at 1.
-  int batch = 1;
-  const double needed =
-      overhead_seconds /
-      std::max(kTargetOverheadFraction * service_seconds, 1e-12);
-  while (batch < kMaxEngineBatch && static_cast<double>(batch) < needed) {
-    batch *= 2;
-  }
-  std::ostringstream stage;
-  stage << bottleneck->name << " at "
-        << static_cast<int64_t>(service_seconds * 1e9) << "ns/elem, p="
-        << bottleneck_parallelism;
-  if (batch <= 1) {
-    report.summary = "per-element work dominates engine overhead (" +
-                     stage.str() + "); engine batch stays 1";
-    return report;
-  }
-  RETURN_IF_ERROR(rewriter::SetEngineBatchSize(&ctx.graph(), batch));
-  ctx.MarkGraphChanged();
-  report.changed = true;
-  report.engine_batch_size = batch;
-  report.summary =
-      "engine batch " + std::to_string(batch) + " (" + stage.str() + ")";
   return report;
 }
 

@@ -1,8 +1,7 @@
 // The built-in optimizer passes, registered in PassRegistry::Global()
 // under the names in comments. ParallelismPass / PrefetchPass /
 // CachePass are the three rewrites of the original inline optimizer
-// (paper §4.1, §B); BatchSizePass autotunes the execution engine's
-// batch size from traced per-element cost.
+// (paper §4.1, §B); ShardSourcesPass splits a disk-bound source.
 #pragma once
 
 #include "src/core/passes/pass.h"
@@ -41,28 +40,6 @@ class CachePass : public OptimizerPass {
   // re-solve redistributes them (the default schedule's trailing
   // "parallelism").
   const char* followup() const override { return "parallelism"; }
-  StatusOr<PassReport> Run(OptimizationContext& ctx) const override;
-};
-
-// "batch": picks the execution engine's batch size (how many elements
-// parallel operators claim and hand off per lock acquisition) from the
-// traced per-element cost of the bottleneck parallel stage, and records
-// it in the graph via rewriter::SetEngineBatchSize. Cheap UDFs at high
-// parallelism are engine-overhead-bound and get a large batch;
-// expensive or latency-bound stages stay at 1 (results are identical at
-// any batch size, so this is a pure throughput knob). Not in the
-// default schedule; opt in via "...,batch" or Flow::OptimizeWith.
-class BatchSizePass : public OptimizerPass {
- public:
-  // Per-element engine overhead (queue handoff + input-lock traffic)
-  // the batch amortizes, from the bench_micro_engine cheap-UDF sweep.
-  static constexpr double kPerElementOverheadNs = 2000;
-  // The pass sizes the batch so amortized overhead is at most this
-  // fraction of the bottleneck stage's per-element work.
-  static constexpr double kTargetOverheadFraction = 0.1;
-  static constexpr int kMaxEngineBatch = 64;
-
-  const char* name() const override { return "batch"; }
   StatusOr<PassReport> Run(OptimizationContext& ctx) const override;
 };
 

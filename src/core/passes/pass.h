@@ -40,7 +40,6 @@ struct PassReport {
   LpPlan plan;                 // ParallelismPass
   PrefetchDecision prefetch;   // PrefetchPass
   CacheDecision cache;         // CachePass
-  int engine_batch_size = 0;   // BatchSizePass (0 = left untouched)
   int shard_count = 0;         // ShardSourcesPass (0 = not sharded)
 };
 

@@ -12,8 +12,6 @@ PassRegistry& PassRegistry::Global() {
     (void)r->Register("prefetch",
                       [] { return std::make_unique<PrefetchPass>(); });
     (void)r->Register("cache", [] { return std::make_unique<CachePass>(); });
-    (void)r->Register("batch",
-                      [] { return std::make_unique<BatchSizePass>(); });
     (void)r->Register("shard_sources",
                       [] { return std::make_unique<ShardSourcesPass>(); });
     return r;

@@ -206,23 +206,6 @@ Status EnsureRootPrefetch(GraphDef* graph, int buffer) {
   return InjectPrefetch(graph, root->name, buffer).status();
 }
 
-Status SetEngineBatchSize(GraphDef* graph, int batch) {
-  if (batch < 1) return InvalidArgumentError("engine batch size < 1");
-  NodeDef* root = graph->MutableNode(graph->output());
-  if (root == nullptr) return FailedPreconditionError("no output node");
-  // One recording per graph: clear stale attrs (e.g. on a node that was
-  // the output before a later prefetch injection) before setting.
-  for (NodeDef& node : graph->mutable_nodes()) {
-    node.attrs.erase(kAttrEngineBatchSize);
-  }
-  root->attrs[kAttrEngineBatchSize] = AttrValue(batch);
-  return OkStatus();
-}
-
-int GetEngineBatchSize(const GraphDef& graph) {
-  return GraphEngineBatchSize(graph);
-}
-
 Status SetTracedRate(GraphDef* graph, const std::string& node, double rate) {
   if (rate <= 0) return InvalidArgumentError("traced rate must be positive");
   NodeDef* def = graph->MutableNode(node);

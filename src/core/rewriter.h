@@ -61,19 +61,9 @@ StatusOr<GraphDef> ExtractShard(const GraphDef& graph, int shard);
 // Ensures the graph root is a prefetch (injects one if missing).
 Status EnsureRootPrefetch(GraphDef* graph, int buffer);
 
-// Records the execution engine's batch size in the graph (attr on the
-// output node; any previous recording is cleared), so the optimizer's
-// batch decision travels with the program instead of living only in
-// PipelineOptions. Pipeline::Create honors it whenever the options
-// leave the knob unset; an explicit options value wins.
-Status SetEngineBatchSize(GraphDef* graph, int batch);
-
-// The graph-recorded engine batch size; 0 if none was recorded.
-int GetEngineBatchSize(const GraphDef& graph);
-
 // Records a traced per-core processing rate (minibatches/sec/core) on
-// a node, so measured demand travels with the program the way the
-// batch decision does. The optimizer stamps these after its final
+// a node, so measured demand travels with the program the way its
+// parallelism does. The optimizer stamps these after its final
 // trace; the multi-job arbiter's DemandFromGraph reads them back.
 Status SetTracedRate(GraphDef* graph, const std::string& node, double rate);
 

@@ -260,8 +260,8 @@ class MapAndBatchIterator : public IteratorBase {
         // Items are whole batches: two in flight per worker.
         pool_(ctx, stats,
               PoolSpec{std::max(parallelism, 1), /*governed=*/true,
-                       /*depth_per_worker=*/2, /*batch_headroom=*/false},
-              [this](int) { return Claim(); }) {}
+                       /*depth_per_worker=*/2},
+              [this](WorkerPool::Worker&) { return Claim(); }) {}
 
  protected:
   Status GetNextInternal(Element* out, bool* end) override {
@@ -270,10 +270,8 @@ class MapAndBatchIterator : public IteratorBase {
 
  private:
   bool Claim() {
-    // Inside the input lock, claim in engine-batch chunks: one child
-    // call (one lock/scope) per chunk instead of per element.
-    const size_t chunk =
-        static_cast<size_t>(std::max(1, ctx_->engine_batch_size));
+    // The whole batch in one child call under the input lock: one
+    // cancellation check and CPU scope per batch instead of per element.
     std::vector<Element> raw;
     raw.reserve(batch_size_);
     bool saw_end = false;
@@ -281,12 +279,9 @@ class MapAndBatchIterator : public IteratorBase {
     {
       std::lock_guard<std::mutex> lock(input_mu_);
       if (input_done_) return false;
-      while (!saw_end && static_cast<int64_t>(raw.size()) < batch_size_) {
-        const size_t want = std::min(
-            chunk, static_cast<size_t>(batch_size_) - raw.size());
-        status = input_->GetNextBatch(&raw, want, &saw_end);
-        if (!status.ok()) saw_end = true;
-      }
+      status = input_->GetNextBatch(&raw, static_cast<size_t>(batch_size_),
+                                    &saw_end);
+      if (!status.ok()) saw_end = true;
       input_done_ = saw_end;
       if (!raw.empty()) stats_->RecordConsumedBatch(raw.size());
     }

@@ -1,6 +1,5 @@
 #include "src/pipeline/dataset.h"
 
-#include <algorithm>
 #include <map>
 #include <optional>
 
@@ -68,15 +67,6 @@ bool OpSupportsParallelism(const std::string& op) {
 bool OpIsSource(const std::string& op) {
   return op == "tfrecord" || op == "remote_read" || op == "interleave" ||
          op == "range" || op == "file_list";
-}
-
-int GraphEngineBatchSize(const GraphDef& graph) {
-  int batch = 0;
-  for (const auto& node : graph.nodes()) {
-    batch = std::max(batch,
-                     static_cast<int>(node.GetInt(kAttrEngineBatchSize, 0)));
-  }
-  return batch;
 }
 
 StatusOr<DatasetPtr> InstantiateGraph(const GraphDef& graph,

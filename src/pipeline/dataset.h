@@ -60,12 +60,11 @@ struct PipelineContext {
   // remote endpoint's NIC. Null = the local endpoint is unmetered,
   // matching machines that never set MachineSpec::nic.
   NetworkDevice* nic = nullptr;
-  // Engine batch size: how many elements parallel operators claim from
-  // their input and hand off through their queues per lock acquisition.
-  // 1 (the default) is element-at-a-time execution, identical to the
-  // pre-batching engine; larger values amortize queue/lock overhead
-  // when UDFs are cheap. Does not change what elements are produced.
-  int engine_batch_size = 1;
+  // The largest claim a worker pool sizes: how many elements one worker
+  // takes from its input and hands off per lock acquisition (see
+  // src/pipeline/worker_pool.h). 1 is element-at-a-time execution.
+  // Never changes which elements are produced.
+  int max_claim = 64;
   // Live parallelism control (multi-tenant execution). When set,
   // worker-pool iterators register resize listeners and honor published
   // per-node targets; null means worker counts are fixed at

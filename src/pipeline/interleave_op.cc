@@ -125,10 +125,10 @@ class SequentialInterleaveIterator : public IteratorBase {
 
 // Parallel interleave on a governed WorkerPool: each claim is one whole
 // file, read to its end, so parking at claim boundaries strands no
-// records. With engine_batch_size > 1 a reader hands records off a
-// vector at a time; batch size 1 is the classic record-at-a-time
-// handoff. File-to-worker assignment is already nondeterministic, so a
-// resize history changes element order but never the element multiset.
+// records. A reader hands records off worker.claim() at a time, sized
+// by the pool from the measured read cost. File-to-worker assignment is
+// already nondeterministic, so a resize history changes element order
+// but never the element multiset.
 class ParallelInterleaveIterator : public IteratorBase {
  public:
   ParallelInterleaveIterator(PipelineContext* ctx, IteratorStats* stats,
@@ -137,7 +137,7 @@ class ParallelInterleaveIterator : public IteratorBase {
       : IteratorBase(ctx, stats), input_(std::move(input)),
         shard_device_(shard_device),
         pool_(ctx, stats, PoolSpec{parallelism, /*governed=*/true},
-              [this](int) { return Claim(); }) {}
+              [this](WorkerPool::Worker& worker) { return Claim(worker); }) {}
 
  protected:
   Status GetNextInternal(Element* out, bool* end) override {
@@ -145,7 +145,7 @@ class ParallelInterleaveIterator : public IteratorBase {
   }
 
  private:
-  bool Claim() {
+  bool Claim(WorkerPool::Worker& worker) {
     std::string name;
     bool done = false;
     Status status;
@@ -157,13 +157,14 @@ class ParallelInterleaveIterator : public IteratorBase {
     }
     if (!status.ok()) return pool_.Fail(status);
     if (done) return false;
+    worker.StartWork();
     auto reader_or = shard_device_ != nullptr
                          ? ctx_->fs->OpenRecord(name, shard_device_)
                          : ctx_->fs->OpenRecord(name);
     if (!reader_or.ok()) return pool_.Fail(reader_or.status());
     auto reader = std::move(reader_or).value();
     std::vector<WorkerPool::Item> pending;
-    pending.reserve(pool_.batch_size());
+    pending.reserve(worker.claim());
     // Recycled record buffers (see SequentialInterleave), sized at the
     // last record any reader saw.
     size_t payload_bytes = last_payload_bytes_.load(std::memory_order_relaxed);
@@ -177,7 +178,7 @@ class ParallelInterleaveIterator : public IteratorBase {
         read_status = reader->ReadRecord(&payload, &file_end);
       }
       if (!read_status.ok()) {
-        pool_.PushBatch(std::move(pending));
+        pool_.PushBatch(worker, std::move(pending));
         return pool_.Fail(read_status);
       }
       if (file_end) {
@@ -191,14 +192,16 @@ class ParallelInterleaveIterator : public IteratorBase {
           sequence_.fetch_add(1, std::memory_order_relaxed));
       pending.push_back(
           WorkerPool::Item{0, std::move(element), OkStatus(), false});
-      if (pending.size() >= pool_.batch_size()) {
-        if (!pool_.PushBatch(std::exchange(pending, {}))) return false;
-        pending.reserve(pool_.batch_size());
+      if (pending.size() >= worker.claim()) {
+        if (!pool_.PushBatch(worker, std::exchange(pending, {}))) {
+          return false;
+        }
+        pending.reserve(worker.claim());
       }
     }
     last_payload_bytes_.store(payload_bytes, std::memory_order_relaxed);
     // Flush the file's tail so a slow next file cannot strand records.
-    return pool_.PushBatch(std::move(pending));
+    return pool_.PushBatch(worker, std::move(pending));
   }
 
   std::unique_ptr<IteratorBase> input_;

@@ -21,6 +21,7 @@ void IteratorStats::Reset() {
     s.bytes_produced.store(0, std::memory_order_relaxed);
     s.bytes_read.store(0, std::memory_order_relaxed);
     s.network_bytes.store(0, std::memory_order_relaxed);
+    s.claims.store(0, std::memory_order_relaxed);
     s.cpu_ns.store(0, std::memory_order_relaxed);
     s.cached_bytes.store(0, std::memory_order_relaxed);
   }

@@ -43,7 +43,7 @@ class IteratorStats {
   const std::string& op() const { return op_; }
 
   void RecordProduced(uint64_t bytes) { RecordProducedBatch(1, bytes); }
-  // One counter bump for a whole claimed batch (batched engine path).
+  // One counter bump for a whole multi-element claim.
   void RecordProducedBatch(uint64_t count, uint64_t bytes) {
     Shard& s = LocalShard();
     s.elements_produced.fetch_add(count, std::memory_order_relaxed);
@@ -53,6 +53,13 @@ class IteratorStats {
   void RecordConsumedBatch(uint64_t count) {
     LocalShard().elements_consumed.fetch_add(count,
                                              std::memory_order_relaxed);
+  }
+  // One worker-pool claim handed off to the pool's output edge. For the
+  // parallel map, prefetch and shard_merge, elements_consumed / claims
+  // is the mean claim; interleave hands off records, so there
+  // elements_produced / claims is.
+  void RecordClaim() {
+    LocalShard().claims.fetch_add(1, std::memory_order_relaxed);
   }
   void AddCpuNanos(int64_t ns) {
     if (ns > 0) LocalShard().cpu_ns.fetch_add(ns, std::memory_order_relaxed);
@@ -87,6 +94,7 @@ class IteratorStats {
   uint64_t bytes_produced() const { return Sum(&Shard::bytes_produced); }
   uint64_t bytes_read() const { return Sum(&Shard::bytes_read); }
   uint64_t network_bytes() const { return Sum(&Shard::network_bytes); }
+  uint64_t claims() const { return Sum(&Shard::claims); }
   int64_t cpu_ns() const { return SumSigned(&Shard::cpu_ns); }
   int parallelism() const {
     return parallelism_.load(std::memory_order_relaxed);
@@ -103,16 +111,18 @@ class IteratorStats {
   void Reset();
 
  private:
-  // One cache line per shard: seven 8-byte counters + padding.
+  // One cache line per shard: eight 8-byte counters.
   struct alignas(64) Shard {
     std::atomic<uint64_t> elements_produced{0};
     std::atomic<uint64_t> elements_consumed{0};
     std::atomic<uint64_t> bytes_produced{0};
     std::atomic<uint64_t> bytes_read{0};
     std::atomic<uint64_t> network_bytes{0};
+    std::atomic<uint64_t> claims{0};
     std::atomic<int64_t> cpu_ns{0};
     std::atomic<int64_t> cached_bytes{0};
   };
+  static_assert(sizeof(Shard) == 64, "one cache line per shard");
 
   Shard& LocalShard() {
     return shards_[internal::ThreadStatShard() & (kStatShards - 1)];

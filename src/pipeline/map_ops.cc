@@ -68,12 +68,11 @@ class SequentialMapIterator : public IteratorBase {
 // edge. Deterministic mode restores input order with a reorder ring
 // keyed by a pull-time ticket.
 //
-// With engine_batch_size > 1 each claim takes a whole vector of inputs
-// under one input-lock acquisition, executes the UDF per element, and
-// hands the results off in one push; batch size 1 degenerates to the
-// classic element-at-a-time engine. Order tickets are claimed under the
-// input lock, so deterministic output is unchanged by batching or by
-// any resize history.
+// Each claim takes worker.claim() inputs under one input-lock
+// acquisition, executes the UDF per element, and hands the results off
+// in one push; the pool sizes claims from the timed UDF loop. Order
+// tickets are claimed under the input lock, so deterministic output is
+// unchanged by claim sizes or by any resize history.
 class ParallelMapIterator : public IteratorBase {
  public:
   ParallelMapIterator(PipelineContext* ctx, IteratorStats* stats,
@@ -85,7 +84,7 @@ class ParallelMapIterator : public IteratorBase {
         deterministic_(deterministic),
         seed_(seed),
         pool_(ctx, stats, PoolSpec{parallelism, /*governed=*/true},
-              [this](int) { return Claim(); }),
+              [this](WorkerPool::Worker& worker) { return Claim(worker); }),
         pending_(pool_.capacity() * 2) {}
 
  protected:
@@ -106,16 +105,16 @@ class ParallelMapIterator : public IteratorBase {
   }
 
  private:
-  bool Claim() {
+  bool Claim(WorkerPool::Worker& worker) {
     std::vector<Element> claimed;
-    claimed.reserve(pool_.batch_size());
+    claimed.reserve(worker.claim());
     bool end = false;
     uint64_t order_base = 0;
     Status status;
     {
       std::lock_guard<std::mutex> lock(input_mu_);
       if (input_done_) return false;
-      status = input_->GetNextBatch(&claimed, pool_.batch_size(), &end);
+      status = input_->GetNextBatch(&claimed, worker.claim(), &end);
       if (!status.ok() || end) input_done_ = true;
       order_base = next_order_;
       next_order_ += claimed.size();
@@ -126,6 +125,7 @@ class ParallelMapIterator : public IteratorBase {
     {
       std::optional<CpuAccountingScope> scope;
       if (ctx_->tracing_enabled && !claimed.empty()) scope.emplace(stats_);
+      worker.StartWork();
       for (size_t i = 0; i < claimed.size(); ++i) {
         const uint64_t seed = SplitMix64(seed_ ^ claimed[i].sequence);
         Element result = ExecuteMapUdf(*udf_, std::move(claimed[i]),
@@ -134,7 +134,7 @@ class ParallelMapIterator : public IteratorBase {
                                            OkStatus(), false});
       }
     }
-    if (!pool_.PushBatch(std::move(results))) return false;
+    if (!pool_.PushBatch(worker, std::move(results))) return false;
     if (!status.ok()) return pool_.Fail(status);
     return !end;
   }
@@ -186,13 +186,13 @@ class FilterDataset : public DatasetBase {
   const UdfSpec* udf_;
 };
 
-// Sequential filter. With engine_batch_size > 1 a consumer claiming a
-// batch (a parallel map worker, batch assembly) drives the overridden
-// GetNextBatchInternal below, which claims whole batches from the input
-// in turn — one cancellation check and CPU scope per claimed batch on
-// both sides, and the predicate runs once per element either way.
-// Decisions are deterministic in (seed, element.sequence), so batching
-// never changes which elements survive.
+// Sequential filter. A consumer claiming many elements at once (a
+// parallel map worker, batch assembly) drives the overridden
+// GetNextBatchInternal below, which claims whole runs from the input in
+// turn — one cancellation check and CPU scope per claim on both sides,
+// and the predicate runs once per element either way. Decisions are
+// deterministic in (seed, element.sequence), so claim sizes never
+// change which elements survive.
 class FilterIterator : public IteratorBase {
  public:
   FilterIterator(PipelineContext* ctx, IteratorStats* stats,

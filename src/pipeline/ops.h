@@ -116,11 +116,6 @@ inline constexpr char kAttrDropRemainder[] = "drop_remainder";
 // When false, tuners must not touch this node's parallelism (models
 // stages the framework cannot parallelize, e.g. sequential packing).
 inline constexpr char kAttrTunable[] = "tunable";
-// Engine batch size recorded in the graph by the optimizer's batch
-// pass (set via rewriter::SetEngineBatchSize on the output node);
-// applies at instantiation when PipelineOptions leaves the knob unset
-// (an explicit options value wins).
-inline constexpr char kAttrEngineBatchSize[] = "engine_batch_size";
 // Traced per-core processing rate (minibatches/sec/core) recorded by
 // the optimizer after a successful trace (rewriter::SetTracedRate).
 // Consumed by the multi-job arbiter: DemandFromGraph prefers these
@@ -154,10 +149,5 @@ StorageDevice* ShardDeviceFor(const NodeDef& def, PipelineContext* ctx);
 bool OpSupportsParallelism(const std::string& op);
 // True if the op kind is a data source (reads from storage).
 bool OpIsSource(const std::string& op);
-// The engine batch size recorded in the graph (max over nodes'
-// kAttrEngineBatchSize); 0 if none was recorded. Shared by
-// Pipeline::Create (which honors it when PipelineOptions leaves the
-// knob unset) and the rewriter's Get/SetEngineBatchSize primitives.
-int GraphEngineBatchSize(const GraphDef& graph);
 
 }  // namespace plumber

@@ -1,7 +1,5 @@
 #include "src/pipeline/pipeline.h"
 
-#include <algorithm>
-
 #include "src/pipeline/ops.h"
 
 namespace plumber {
@@ -16,14 +14,7 @@ Pipeline::Pipeline(GraphDef graph, const PipelineOptions& options)
   ctx_.seed = options.seed;
   ctx_.tracing_enabled = options.tracing_enabled;
   ctx_.memory_budget_bytes = options.memory_budget_bytes;
-  // Engine batch precedence: an explicit options value (>0, including
-  // 1 = element-at-a-time) always wins; when the options leave the
-  // knob unset, a batch size recorded in the graph (the optimizer's
-  // batch pass, via rewriter::SetEngineBatchSize) travels with the
-  // program; otherwise the classic element-at-a-time engine.
-  int batch = options.engine_batch_size;
-  if (batch <= 0) batch = GraphEngineBatchSize(graph_);
-  ctx_.engine_batch_size = std::max(1, batch);
+  ctx_.max_claim = options.max_claim;
   ctx_.governor = options.governor;
   // Disk-tier scratch: only model the device when the tier is enabled
   // (a capacity and a bandwidth); disk caches degrade to unmetered

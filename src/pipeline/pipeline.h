@@ -23,12 +23,9 @@ struct PipelineOptions {
   uint64_t seed = 42;
   bool tracing_enabled = true;
   uint64_t memory_budget_bytes = 0;
-  // Elements parallel operators claim/hand off per lock acquisition.
-  // 0 = unset: element-at-a-time unless the graph carries a recorded
-  // batch size (the optimizer's batch pass). >0 = explicit choice
-  // (1 = classic element-at-a-time engine) that wins over any
-  // graph-recorded value. See PipelineContext::engine_batch_size.
-  int engine_batch_size = 0;
+  // Cap on the claims worker pools size for themselves; see
+  // PipelineContext::max_claim. Only tests and benches lower it.
+  int max_claim = 64;
   // Live parallelism control for multi-tenant execution (see
   // PipelineContext::governor). Null = fixed worker counts.
   GovernorPtr governor;

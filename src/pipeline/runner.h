@@ -27,11 +27,6 @@ struct RunOptions {
   // window (so caches fill and threads spin up), excluded from the
   // measurement. Runs after warmup_batches if both are set.
   double warmup_seconds = 0;
-  // Engine batch size for this run (see PipelineOptions). 0 keeps the
-  // pipeline's configured value. An iterator-creation knob: honored by
-  // entry points that build the pipeline (Flow::Run); RunIterator
-  // drives an already-built iterator tree and cannot apply it.
-  int engine_batch_size = 0;
 };
 
 struct RunResult {

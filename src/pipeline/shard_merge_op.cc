@@ -1,8 +1,8 @@
 // shard_merge: merges N shard sources produced by
 // rewriter::ShardSource into one stream.
 //
-// One worker per input pulls whole engine batches from its shard
-// subtree and pushes them into the merge channel, so N shards read
+// One worker per input pulls sized claims from its shard subtree and
+// pushes them into the merge channel, so N shards read
 // concurrently — each against its own modeled shard disk
 // (see ShardDeviceFor) — and their aggregate bandwidth is N x one
 // device. Merge order across shards is nondeterministic, exactly like
@@ -46,8 +46,9 @@ class ShardMergeIterator : public IteratorBase {
       : IteratorBase(ctx, stats), inputs_(std::move(inputs)),
         pool_(ctx, stats,
               PoolSpec{static_cast<int>(inputs_.size()), /*governed=*/false},
-              [this](int shard) {
-                return pool_.ForwardBatch(inputs_[shard].get());
+              [this](WorkerPool::Worker& worker) {
+                return pool_.ForwardBatch(worker,
+                                          inputs_[worker.index()].get());
               }) {}
 
  protected:

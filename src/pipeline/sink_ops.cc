@@ -1,5 +1,4 @@
 // Grouping and buffering operators: batch, prefetch, cache.
-#include <algorithm>
 #include <vector>
 
 #include "src/pipeline/ops.h"
@@ -39,19 +38,13 @@ class BatchIterator : public IteratorBase {
  protected:
   Status GetNextInternal(Element* out, bool* end) override {
     out->components.clear();
-    // Claim from the child in engine-batch chunks: one child call (one
-    // lock/scope) per chunk instead of per element. Chunk size 1 is
-    // the classic per-element pull.
-    const size_t chunk =
-        static_cast<size_t>(std::max(1, ctx_->engine_batch_size));
+    // The whole batch in one child call: one cancellation check and CPU
+    // scope per batch instead of per element.
     std::vector<Element> claimed;
     claimed.reserve(static_cast<size_t>(batch_size_));
     bool in_end = false;
-    while (static_cast<int64_t>(claimed.size()) < batch_size_ && !in_end) {
-      const size_t want =
-          std::min(chunk, static_cast<size_t>(batch_size_) - claimed.size());
-      RETURN_IF_ERROR(input_->GetNextBatch(&claimed, want, &in_end));
-    }
+    RETURN_IF_ERROR(input_->GetNextBatch(
+        &claimed, static_cast<size_t>(batch_size_), &in_end));
     if (!claimed.empty()) stats_->RecordConsumedBatch(claimed.size());
     const int64_t gathered = static_cast<int64_t>(claimed.size());
     if (gathered == 0 || (drop_remainder_ && gathered < batch_size_)) {
@@ -100,17 +93,17 @@ class PrefetchIterator : public IteratorBase {
                    std::unique_ptr<IteratorBase> input, size_t buffer_size)
       : IteratorBase(ctx, stats), input_(std::move(input)),
         // One fill worker, never governed: the structurally 1:1 edge
-        // (the lock-free SPSC ring), exactly buffer_size deep. The
-        // engine batch is clamped to that depth. Batching widens the
+        // (the lock-free SPSC ring), buffer_size deep, which also caps
+        // the fill worker's claims. A claim above one widens the
         // look-ahead bound: besides the buffer_size elements in the
-        // channel, up to one claimed batch sits in the fill worker and
-        // one drained batch in the consumer's local buffer — at most ~3x
-        // buffer_size elements materialized ahead, vs the classic
-        // engine's buffer_size + 1.
-        pool_(ctx, stats,
-              PoolSpec{1, /*governed=*/false, buffer_size,
-                       /*batch_headroom=*/false},
-              [this](int) { return pool_.ForwardBatch(input_.get()); }) {
+        // channel, up to one claim sits in the fill worker and one
+        // drained claim in the consumer — at most ~3x buffer_size
+        // elements materialized ahead, vs buffer_size + 1 at a claim of
+        // one.
+        pool_(ctx, stats, PoolSpec{1, /*governed=*/false, buffer_size},
+              [this](WorkerPool::Worker& worker) {
+                return pool_.ForwardBatch(worker, input_.get());
+              }) {
     // For a prefetch node the parallelism stat reports its depth.
     stats_->SetParallelism(static_cast<int>(buffer_size));
   }

@@ -1,12 +1,19 @@
 #include "src/pipeline/worker_pool.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "src/util/bounded_queue.h"
 #include "src/util/spsc_ring.h"
 
 namespace plumber {
 namespace {
+
+// The fixed cost of one claim (input-lock traffic plus the edge
+// handoff, from the bench_micro_engine cheap-UDF sweep) and the share
+// of a claim's work it may take (see "Claim sizing" in the header).
+constexpr double kClaimOverheadNs = 2000;
+constexpr double kMaxOverheadShare = 0.1;
 
 int InitialTarget(PipelineContext* ctx, IteratorStats* stats,
                   const PoolSpec& spec) {
@@ -24,13 +31,8 @@ int InitialTarget(PipelineContext* ctx, IteratorStats* stats,
 // explains the channel choice and PoolSpec the depth.
 template <typename T>
 std::unique_ptr<Channel<T>> MakeEdgeChannel(const PoolSpec& spec, int workers,
-                                            bool governed,
-                                            int engine_batch_size) {
-  size_t capacity = static_cast<size_t>(workers) * spec.depth_per_worker;
-  if (spec.batch_headroom) {
-    capacity = std::max(
-        capacity, 2 * static_cast<size_t>(std::max(1, engine_batch_size)));
-  }
+                                            bool governed) {
+  const size_t capacity = static_cast<size_t>(workers) * spec.depth_per_worker;
   if (workers == 1 && !governed) {
     return std::make_unique<SpscRing<T>>(capacity);
   }
@@ -47,10 +49,12 @@ WorkerPool::WorkerPool(PipelineContext* ctx, IteratorStats* stats,
       governed_(spec.governed && ctx->governor != nullptr),
       initial_(InitialTarget(ctx, stats, spec)),
       channel_(MakeEdgeChannel<Item>(spec, std::max(spec.workers, initial_),
-                                     governed_, ctx->engine_batch_size)),
-      batch_size_(
-          ClampBatchToCapacity(ctx->engine_batch_size, channel_->capacity())),
-      consumer_(channel_.get(), batch_size_) {
+                                     governed_)),
+      mpmc_(dynamic_cast<BoundedQueue<Item>*>(channel_.get())),
+      // An SPSC edge keeps its depth, so its claims clamp to it.
+      claim_cap_(std::min<size_t>(
+          std::max(1, ctx->max_claim),
+          mpmc_ != nullptr ? SIZE_MAX : channel_->capacity())) {
   stats_->SetParallelism(initial_);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -112,7 +116,8 @@ bool WorkerPool::AwaitActive(int index) {
 }
 
 void WorkerPool::Run(int index) {
-  while (!ctx_->is_cancelled() && AwaitActive(index) && claim_(index)) {
+  Worker worker(index, claim_cap_ > 1);
+  while (!ctx_->is_cancelled() && AwaitActive(index) && claim_(worker)) {
   }
   // Done-on-exit (see the header). Done is set before the count drops,
   // so once it reaches zero no Resize can spawn a worker that would
@@ -128,11 +133,40 @@ void WorkerPool::Run(int index) {
 }
 
 bool WorkerPool::Push(Element element) {
+  stats_->RecordClaim();
   return channel_->Push(Item{0, std::move(element), OkStatus(), false});
 }
 
-bool WorkerPool::PushBatch(std::vector<Item> items) {
-  return items.empty() || channel_->PushBatch(std::move(items));
+bool WorkerPool::PushBatch(Worker& worker, std::vector<Item> items) {
+  if (items.empty()) return true;
+  if (worker.sized_) SizeNextClaim(worker, items.size());
+  stats_->RecordClaim();
+  const bool pushed = channel_->PushBatch(std::move(items));
+  worker.StartWork();
+  return pushed;
+}
+
+void WorkerPool::SizeNextClaim(Worker& worker, size_t elements) {
+  const double ns_per_element =
+      static_cast<double>(WallNanos() - worker.work_start_ns_) / elements;
+  const double needed =
+      kClaimOverheadNs / (kMaxOverheadShare * std::max(ns_per_element, 1.0));
+  size_t claim = 1;
+  while (claim < claim_cap_ && static_cast<double>(claim) < needed) {
+    claim *= 2;
+  }
+  claim = std::min(claim, claim_cap_);
+  worker.claim_ = claim;
+  size_t widest = widest_claim_.load(std::memory_order_relaxed);
+  while (claim > widest) {
+    if (widest_claim_.compare_exchange_weak(widest, claim,
+                                            std::memory_order_relaxed)) {
+      // Room for two of the widest claims: a worker publishes a whole
+      // claim while the consumer drains the previous one.
+      if (mpmc_ != nullptr) mpmc_->RaiseCapacity(2 * claim);
+      break;
+    }
+  }
 }
 
 bool WorkerPool::Fail(Status status) {
@@ -140,25 +174,36 @@ bool WorkerPool::Fail(Status status) {
   return false;
 }
 
-bool WorkerPool::ForwardBatch(IteratorBase* input) {
+bool WorkerPool::ForwardBatch(Worker& worker, IteratorBase* input) {
   std::vector<Element> claimed;
-  claimed.reserve(batch_size_);
+  claimed.reserve(worker.claim());
   bool end = false;
-  const Status status = input->GetNextBatch(&claimed, batch_size_, &end);
+  const Status status = input->GetNextBatch(&claimed, worker.claim(), &end);
   if (!claimed.empty()) stats_->RecordConsumedBatch(claimed.size());
   std::vector<Item> items;
   items.reserve(claimed.size());
   for (Element& element : claimed) {
     items.push_back(Item{0, std::move(element), OkStatus(), false});
   }
-  if (!PushBatch(std::move(items))) return false;
+  if (!PushBatch(worker, std::move(items))) return false;
   if (!status.ok()) return Fail(status);
   return !end;
 }
 
+bool WorkerPool::NextItem(Item* item) {
+  if (drained_pos_ == drained_.size()) {
+    drained_.clear();
+    drained_pos_ = 0;
+    const size_t widest = widest_claim_.load(std::memory_order_relaxed);
+    if (channel_->PopBatch(widest, &drained_) == 0) return false;
+  }
+  *item = std::move(drained_[drained_pos_++]);
+  return true;
+}
+
 Status WorkerPool::Next(Element* out, bool* end, uint64_t* order) {
   Item item;
-  if (!ended_ && consumer_.Next(&item) && !item.end && item.status.ok()) {
+  if (!ended_ && NextItem(&item) && !item.end && item.status.ok()) {
     *out = std::move(item.element);
     if (order != nullptr) *order = item.order;
     *end = false;

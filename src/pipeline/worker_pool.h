@@ -3,20 +3,40 @@
 // shard_merge and prefetch).
 //
 // An op supplies only its claim body. One call claims a unit of work
-// (a batch of inputs, a file, a shard's next batch), does it, and hands
-// the results to Push/PushBatch; it returns false when the calling
-// worker should stop (input exhausted, an error reported through Fail,
-// or the edge cancelled). The pool owns everything else:
+// (a run of inputs, a file, a shard's next run), does it, and hands the
+// results to Push/PushBatch; it returns false when the calling worker
+// should stop (input exhausted, an error reported through Fail, or the
+// edge cancelled). The pool owns everything else:
 //
 //   * the threads and their joins;
 //   * the output edge: one Channel, picked per edge topology (below),
-//     drained by one BatchedChannelConsumer of {order, element, status,
-//     end} items;
+//     of {order, element, status, end} items, drained by the consumer
+//     up to the widest claim per pop;
+//   * the size of every claim (below);
 //   * the live target of a governed pool: the ParallelismGovernor
 //     registration, the initial Target() lookup, parking workers above
 //     the target at claim boundaries and growing up to it;
 //   * the end/error protocol: errors travel in-band and stay sticky at
 //     the consumer, and the last worker to exit sends the end sentinel.
+//
+// Claim sizing: each worker starts at a claim of one element and sizes
+// every next claim from the per-element work it just measured: the
+// smallest power of two n for which the fixed cost of a claim (input
+// lock traffic plus the edge handoff, ~2 us) is at most 10% of n
+// elements' work, capped at PipelineContext::max_claim. Work is the
+// wall time from Worker::StartWork, or from the previous handoff, up to
+// this handoff: the op's own per-element work (the map's UDF loop,
+// interleave's record reads) or, for a pass-through claim (prefetch,
+// shard_merge), the input pull that is all it does. Time blocked on
+// the output edge or waiting for the input lock never counts, so
+// backpressure and contention never shrink a claim, and per-claim costs
+// do not pass for per-element work. Stages at 20 us/element or more
+// stay at one element, and any larger claim holds under ~40 us of that
+// work, which bounds park and cancel latency (a map's input pull comes
+// on top). An MPMC edge deepens to twice a claim that passes half its
+// depth; an SPSC edge keeps its depth and clamps claims to it. Claim
+// sizes never change which elements are produced: the map claims its
+// order tickets under the input lock.
 //
 // Done-on-exit: a worker that leaves its loop for any reason marks the
 // pool done. Done wakes parked workers (which then exit) and stops
@@ -45,6 +65,7 @@
 
 #include "src/pipeline/dataset.h"
 #include "src/util/channel.h"
+#include "src/util/cpu_timer.h"
 
 namespace plumber {
 
@@ -56,18 +77,44 @@ struct PoolSpec {
   // carries one (map, interleave and map_and_batch).
   bool governed = false;
   // Output edge depth: this many items per starting worker (the larger
-  // of the configured count and the initial target) ...
+  // of the configured count and the initial target). An MPMC edge
+  // deepens as claims grow (see the header); an SPSC edge keeps it.
   size_t depth_per_worker = 4;
-  // ... and, when set, at least two engine batches, so a claimed batch
-  // is never clamped by the channel and a worker can publish a full
-  // batch while the consumer drains the previous one.
-  bool batch_headroom = true;
 };
+
+template <typename T>
+class BoundedQueue;
 
 class WorkerPool {
  public:
-  // One claim by worker `index` (0-based, stable for the thread's life).
-  using Claim = std::function<bool(int index)>;
+  // What one worker carries from claim to claim.
+  class Worker {
+   public:
+    // 0-based, stable for the thread's life.
+    int index() const { return index_; }
+    // Elements the next claim takes per input call and hands off per
+    // PushBatch (see "Claim sizing" in the header).
+    size_t claim() const { return claim_; }
+    // Starts the work clock; a claim calls it where its own per-element
+    // work begins, after its input pull. PushBatch restarts it after
+    // every handoff.
+    void StartWork() {
+      if (sized_) work_start_ns_ = WallNanos();
+    }
+
+   private:
+    friend class WorkerPool;
+    Worker(int index, bool sized) : index_(index), sized_(sized) {
+      StartWork();
+    }
+
+    const int index_;
+    const bool sized_;  // false when the cap pins every claim to one
+    size_t claim_ = 1;
+    int64_t work_start_ns_ = 0;
+  };
+
+  using Claim = std::function<bool(Worker& worker)>;
 
   // One output item. A claim sets `order` (the deterministic map's
   // ticket; 0 elsewhere) and `element`; status and end are the pool's
@@ -89,21 +136,20 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  // Elements a claim should take per input call and hand off per push:
-  // the engine batch size, clamped to the edge's capacity.
-  size_t batch_size() const { return batch_size_; }
   size_t capacity() const { return channel_->capacity(); }
 
   // Worker side. Push/PushBatch return false once the edge is cancelled
-  // (the pool is being torn down).
+  // (the pool is being torn down). Push hands off one item whose size
+  // the claim fixed (map_and_batch's batch); PushBatch hands off a
+  // sized claim and sizes `worker`'s next one.
   bool Push(Element element);
-  bool PushBatch(std::vector<Item> items);
+  bool PushBatch(Worker& worker, std::vector<Item> items);
   // Sends `status` to the consumer; returns false so a claim can end
   // with `return pool.Fail(status);`.
   bool Fail(Status status);
-  // A pass-through claim: the next engine batch of `input`, pushed
-  // unchanged (prefetch and shard_merge).
-  bool ForwardBatch(IteratorBase* input);
+  // A pass-through claim: the next claim of `input`, pushed unchanged
+  // (prefetch and shard_merge).
+  bool ForwardBatch(Worker& worker, IteratorBase* input);
 
   // Consumer side (one thread). Serves the next element in completion
   // order with the order ticket its claim assigned. Sets *end once every
@@ -119,6 +165,10 @@ class WorkerPool {
   bool AwaitActive(int index);
   void Resize(int target);
   void GrowLocked();
+  void SizeNextClaim(Worker& worker, size_t elements);
+  // Consumer side: the next drained item; false once the edge is
+  // cancelled and empty.
+  bool NextItem(Item* item);
 
   PipelineContext* const ctx_;
   IteratorStats* const stats_;
@@ -126,7 +176,11 @@ class WorkerPool {
   const bool governed_;
   const int initial_;
   const std::unique_ptr<Channel<Item>> channel_;
-  const size_t batch_size_;
+  // The edge when it is MPMC (null for SPSC), deepened as claims grow.
+  BoundedQueue<Item>* const mpmc_;
+  const size_t claim_cap_;
+  // The widest claim any worker has sized: the consumer's pop size.
+  std::atomic<size_t> widest_claim_{1};
 
   // Live worker control: workers_ grows under mu_ (initial spawn and
   // Resize) and never shrinks until destruction; workers indexed at or
@@ -140,7 +194,8 @@ class WorkerPool {
   std::vector<std::thread> workers_;
 
   // Consumer-side state (accessed only from Next).
-  BatchedChannelConsumer<Item> consumer_;
+  std::vector<Item> drained_;
+  size_t drained_pos_ = 0;
   bool ended_ = false;
   Status error_;
 };

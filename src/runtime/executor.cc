@@ -261,11 +261,6 @@ void Executor::AdmitLocked(JobPtr job) {
   ReplanLocked();
 
   PipelineOptions popts = pipeline_options_();
-  if (job->options().run.engine_batch_size > 0) {
-    // Explicit per-job override: wins over both the session value and
-    // any graph-recorded batch size, exactly like Flow::Run.
-    popts.engine_batch_size = job->options().run.engine_batch_size;
-  }
   popts.governor = job->governor_;
   auto pipeline_or = Pipeline::Create(job->graph_, popts);
   if (!pipeline_or.ok()) {

@@ -53,8 +53,8 @@ struct SchedulerSignal {
 };
 
 struct JobOptions {
-  // Stop conditions, warmup, simulated step time, engine batch override
-  // — exactly what Flow::Run accepts (Run is Submit + Wait).
+  // Stop conditions, warmup and simulated step time — exactly what
+  // Flow::Run accepts (Run is Submit + Wait).
   RunOptions run;
   // Label for reports/progress; "job-<id>" when empty.
   std::string name;

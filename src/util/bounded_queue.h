@@ -8,12 +8,14 @@
 // (idleness signal).
 //
 // Besides the classic one-item Push/Pop, the queue moves whole element
-// batches per lock acquisition (PushBatch/PopBatch) — the engine's
-// batched execution mode, where per-element mutex traffic would
-// otherwise dominate cheap UDF work at high parallelism. Wakeups are
-// waiter-counted: each side tracks how many threads are parked, and a
-// push/pop notifies only as many as can actually make progress, so a
-// large batch doesn't stampede every sleeping worker at once.
+// batches per lock acquisition (PushBatch/PopBatch) — a worker pool's
+// multi-element claims (src/pipeline/worker_pool.h), where per-element
+// mutex traffic would otherwise dominate cheap UDF work at high
+// parallelism; the pool deepens the bound (RaiseCapacity) as its claims
+// grow. Wakeups are waiter-counted: each side tracks how many threads
+// are parked, and a push/pop notifies only as many as can actually make
+// progress, so a large batch doesn't stampede every sleeping worker at
+// once.
 #pragma once
 
 #include <algorithm>
@@ -171,7 +173,19 @@ class BoundedQueue final : public Channel<T> {
     return items_.size();
   }
 
-  size_t capacity() const override { return capacity_; }
+  size_t capacity() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return capacity_;
+  }
+
+  // Deepens the queue to `capacity` items (never shrinks it) and wakes
+  // producers blocked on the old bound.
+  void RaiseCapacity(size_t capacity) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (capacity <= capacity_) return;
+    capacity_ = capacity;
+    not_full_.notify_all();
+  }
 
   // Fraction of Pop calls that found the queue empty (consumer stalls).
   double EmptyPopFraction() const override {
@@ -205,8 +219,8 @@ class BoundedQueue final : public Channel<T> {
     for (size_t i = 0; i < wake; ++i) not_full_.notify_one();
   }
 
-  const size_t capacity_;
   mutable std::mutex mu_;
+  size_t capacity_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;

@@ -23,7 +23,6 @@
 // exhaustion (nullopt / 0) only when cancelled AND empty.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -75,48 +74,6 @@ class Channel {
 
   // Mean occupancy observed at push time.
   virtual double MeanOccupancy() const = 0;
-};
-
-// Clamps an engine batch-size request to a channel's capacity (and to a
-// minimum of one element).
-inline size_t ClampBatchToCapacity(int requested, size_t capacity) {
-  return std::min(static_cast<size_t>(requested < 1 ? 1 : requested),
-                  capacity);
-}
-
-// Consumer-side batch drainer: pops whole batches off a Channel and
-// serves them one item at a time, keeping channel synchronization off
-// the per-element path. Single-consumer (the GetNext thread).
-template <typename T>
-class BatchedChannelConsumer {
- public:
-  BatchedChannelConsumer(Channel<T>* channel, size_t batch_size)
-      : channel_(channel), batch_size_(batch_size) {}
-
-  bool NeedsRefill() const { return pos_ >= local_.size(); }
-
-  // Blocks for the next batch; false when cancelled and drained.
-  bool Refill() {
-    local_.clear();
-    pos_ = 0;
-    return channel_->PopBatch(batch_size_, &local_) != 0;
-  }
-
-  // Precondition: !NeedsRefill().
-  void Take(T* out) { *out = std::move(local_[pos_++]); }
-
-  // Serves the next item; false when the channel is cancelled and empty.
-  bool Next(T* out) {
-    if (NeedsRefill() && !Refill()) return false;
-    Take(out);
-    return true;
-  }
-
- private:
-  Channel<T>* channel_;
-  const size_t batch_size_;
-  std::vector<T> local_;
-  size_t pos_ = 0;
 };
 
 }  // namespace plumber

@@ -1,5 +1,5 @@
 // Stress coverage for BoundedQueue's batched push/pop — the handoff
-// primitive of the batched execution engine. Exercises batch chunking
+// primitive of multi-element worker-pool claims. Exercises batch chunking
 // over capacity, multi-producer/multi-consumer interleaving, and
 // cancellation racing mid-stream; run under TSan in CI.
 #include <gtest/gtest.h>
@@ -39,6 +39,22 @@ TEST(BoundedQueueBatchTest, PushBatchLargerThanCapacityChunks) {
   }
   producer.join();
   EXPECT_EQ(out, in);
+}
+
+TEST(BoundedQueueBatchTest, RaiseCapacityReleasesBlockedProducer) {
+  // A producer blocked on the old bound proceeds once a worker pool
+  // deepens the queue, with no consumer draining; the bound never
+  // shrinks.
+  BoundedQueue<int> q(2);
+  ASSERT_TRUE(q.PushBatch({0, 1}));
+  std::thread producer([&] { EXPECT_TRUE(q.PushBatch({2, 3, 4})); });
+  q.RaiseCapacity(8);
+  producer.join();
+  q.RaiseCapacity(4);
+  EXPECT_EQ(q.capacity(), 8u);
+  std::vector<int> out;
+  EXPECT_EQ(q.PopBatch(8, &out), 5u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(BoundedQueueBatchTest, PopBatchReturnsAtMostMax) {

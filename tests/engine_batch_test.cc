@@ -1,8 +1,9 @@
-// Regression tests for the batched execution engine: engine_batch_size
-// must change throughput, never results. batch_size=1 is the classic
-// element-at-a-time engine; every pipeline here is checked
-// element-for-element across batch sizes (and against the sequential
-// reference where one exists).
+// Identity tests for worker-pool claim sizes: the max_claim cap must
+// change throughput, never results. Every pipeline here is checked
+// element for element (or by fingerprint where emission order is
+// nondeterministic) at each cap in kCaps against the cap-1 run, which
+// is the element-at-a-time engine, and against the sequential reference
+// where one exists.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/api/session.h"
-#include "src/core/rewriter.h"
 #include "tests/test_util.h"
 
 namespace plumber {
@@ -21,12 +20,49 @@ using testing_util::Drain;
 using testing_util::ExpectIdenticalOutput;
 using testing_util::PipelineTestEnv;
 
+// 1 is element-at-a-time and 64 the default. 7 divides none of the
+// batch sizes (4, 5) or record counts (20, 25, 100) below, so claims
+// straddle batch and file boundaries.
+constexpr int kCaps[] = {1, 7, 64};
+
 std::vector<Element> RunChain(PipelineTestEnv& env, const GraphDef& graph,
-                              int engine_batch_size) {
+                              int max_claim) {
   PipelineOptions options = env.Options();
-  options.engine_batch_size = engine_batch_size;
+  options.max_claim = max_claim;
   auto pipeline = std::move(Pipeline::Create(graph, options)).value();
   return Drain(*pipeline);
+}
+
+// Drains `graph` at every cap and compares each run with the cap-1 run.
+void ExpectIdenticalAtEveryCap(PipelineTestEnv& env, const GraphDef& graph) {
+  const auto reference = RunChain(env, graph, 1);
+  ASSERT_FALSE(reference.empty());
+  for (int cap : kCaps) {
+    SCOPED_TRACE("max_claim=" + std::to_string(cap));
+    ExpectIdenticalOutput(reference, RunChain(env, graph, cap));
+  }
+}
+
+// As above for pools whose emission order is nondeterministic: the
+// order-insensitive fingerprint plus totals.
+void ExpectSameFingerprintAtEveryCap(PipelineTestEnv& env,
+                                     const GraphDef& graph,
+                                     size_t expected_size) {
+  const auto reference = RunChain(env, graph, 1);
+  ASSERT_EQ(reference.size(), expected_size);
+  for (int cap : kCaps) {
+    EXPECT_EQ(testing_util::SizeFingerprint(reference),
+              testing_util::SizeFingerprint(RunChain(env, graph, cap)))
+        << "max_claim=" << cap;
+  }
+}
+
+IteratorStatsSnapshot FindStats(const Pipeline& pipeline,
+                                const std::string& name) {
+  for (const auto& s : pipeline.stats().Snapshot()) {
+    if (s.name == name) return s;
+  }
+  return IteratorStatsSnapshot{};
 }
 
 GraphDef DeterministicMapChain(int parallelism) {
@@ -37,51 +73,34 @@ GraphDef DeterministicMapChain(int parallelism) {
   return std::move(b.Build(n)).value();
 }
 
-TEST(EngineBatchTest, BatchSizeOneMatchesSequentialReference) {
-  // The pre-change path is parallelism with element-at-a-time claims;
-  // its contract is "deterministic parallel map == sequential map".
-  // batch_size=1 must preserve it exactly.
+TEST(EngineBatchTest, ParallelMapMatchesSequentialReferenceAtEveryCap) {
+  // The deterministic parallel map's contract is "identical to the
+  // sequential map", whatever size its claims take.
   PipelineTestEnv env(4, 25, 48);
   const auto sequential = RunChain(env, DeterministicMapChain(1), 1);
-  const auto parallel = RunChain(env, DeterministicMapChain(4), 1);
   ASSERT_FALSE(sequential.empty());
-  ExpectIdenticalOutput(sequential, parallel);
-}
-
-TEST(EngineBatchTest, BatchedParallelMapIdenticalToBatchSizeOne) {
-  PipelineTestEnv env(4, 25, 48);
-  const auto reference = RunChain(env, DeterministicMapChain(4), 1);
-  ASSERT_FALSE(reference.empty());
-  for (int batch : {2, 8, 64}) {
-    ExpectIdenticalOutput(reference, RunChain(env, DeterministicMapChain(4),
-                                              batch));
+  for (int cap : kCaps) {
+    SCOPED_TRACE("max_claim=" + std::to_string(cap));
+    ExpectIdenticalOutput(sequential,
+                          RunChain(env, DeterministicMapChain(4), cap));
   }
 }
 
-TEST(EngineBatchTest, BatchedPrefetchAndInterleaveIdentical) {
+TEST(EngineBatchTest, PrefetchAndInterleaveIdentical) {
   PipelineTestEnv env(4, 25, 48);
   GraphBuilder b;
   auto n = b.Interleave("il", b.FileList("files", "data/"), 4,
                         /*parallelism=*/3);
   n = b.Map("m", n, "double_size", 2, /*deterministic=*/true);
   n = b.Prefetch("pf", n, 8);
-  const GraphDef graph = std::move(b.Build(n)).value();
-  // Parallel interleave emits in nondeterministic order; compare the
-  // order-insensitive fingerprint plus totals.
-  const auto reference = RunChain(env, graph, 1);
-  ASSERT_EQ(reference.size(), 100u);
-  for (int batch : {4, 32}) {
-    const auto batched = RunChain(env, graph, batch);
-    EXPECT_EQ(testing_util::SizeFingerprint(reference),
-              testing_util::SizeFingerprint(batched));
-  }
+  ExpectSameFingerprintAtEveryCap(env, std::move(b.Build(n)).value(), 100);
 }
 
-TEST(EngineBatchTest, PrefetchSpscEdgeIdenticalAcrossBatchSizes) {
+TEST(EngineBatchTest, PrefetchSpscEdgeIdenticalAtEveryCap) {
   // Prefetch edges always ride the lock-free SPSC ring (the fill thread
-  // and the consumer are structurally 1:1). With a deterministic chain
-  // upstream, output must stay byte-identical to the batch_size=1
-  // reference across engine batch sizes — the ring's FIFO identity
+  // and the consumer are structurally 1:1), which also caps the fill
+  // worker's claims. With a deterministic chain upstream, output must
+  // stay byte-identical at every cap — the ring's FIFO identity
   // observed end to end, not just at the channel level.
   PipelineTestEnv env(4, 25, 48);
   GraphBuilder b;
@@ -89,29 +108,21 @@ TEST(EngineBatchTest, PrefetchSpscEdgeIdenticalAcrossBatchSizes) {
   n = b.Map("m", n, "double_size", 4, /*deterministic=*/true);
   n = b.Prefetch("pf", n, 4);
   n = b.Batch("bt", n, 4, /*drop_remainder=*/false);
-  const GraphDef graph = std::move(b.Build(n)).value();
-  const auto reference = RunChain(env, graph, 1);
-  ASSERT_FALSE(reference.empty());
-  for (int batch : {2, 8, 64}) {
-    ExpectIdenticalOutput(reference, RunChain(env, graph, batch));
-  }
+  ExpectIdenticalAtEveryCap(env, std::move(b.Build(n)).value());
 }
 
 TEST(EngineBatchTest, MapAndBatchSingleWorkerSpscIdentical) {
   // parallelism=1 map_and_batch is a genuine one-producer pool, so its
   // edge is an SpscRing; a single worker claims inputs in order, so the
-  // output is fully deterministic and must be byte-identical across
-  // engine batch sizes.
+  // output is fully deterministic and must be byte-identical at every
+  // cap.
   PipelineTestEnv env(2, 20, 32);
   GraphBuilder b;
   auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
   n = b.MapAndBatch("fused", n, "double_size", 5, /*parallelism=*/1);
   const GraphDef graph = std::move(b.Build(n)).value();
-  const auto reference = RunChain(env, graph, 1);
-  ASSERT_EQ(reference.size(), 8u);
-  for (int batch : {4, 32}) {
-    ExpectIdenticalOutput(reference, RunChain(env, graph, batch));
-  }
+  ASSERT_EQ(RunChain(env, graph, 1).size(), 8u);
+  ExpectIdenticalAtEveryCap(env, graph);
 }
 
 TEST(EngineBatchTest, GovernorRetargetUnderSpscEdgesIdentical) {
@@ -126,125 +137,111 @@ TEST(EngineBatchTest, GovernorRetargetUnderSpscEdgesIdentical) {
   n = b.Prefetch("pf", n, 8);
   n = b.Batch("bt", n, 4, /*drop_remainder=*/false);
   const GraphDef graph = std::move(b.Build(n)).value();
-  const auto reference = RunChain(env, graph, 8);
+  const auto reference = RunChain(env, graph, 1);
   ASSERT_FALSE(reference.empty());
 
-  PipelineOptions options = env.Options();
-  options.engine_batch_size = 8;
-  options.governor = std::make_shared<ParallelismGovernor>();
-  auto pipeline = std::move(Pipeline::Create(graph, options)).value();
-  std::atomic<bool> stop{false};
-  std::thread flipper([&] {
-    int target = 1;
-    while (!stop.load()) {
-      options.governor->SetTarget("m", target);
-      target = target % 6 + 1;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  const auto retargeted = Drain(*pipeline);
-  stop = true;
-  flipper.join();
-  ExpectIdenticalOutput(reference, retargeted);
+  for (int cap : kCaps) {
+    PipelineOptions options = env.Options();
+    options.max_claim = cap;
+    options.governor = std::make_shared<ParallelismGovernor>();
+    auto pipeline = std::move(Pipeline::Create(graph, options)).value();
+    std::atomic<bool> stop{false};
+    std::thread flipper([&] {
+      int target = 1;
+      while (!stop.load()) {
+        options.governor->SetTarget("m", target);
+        target = target % 6 + 1;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    const auto retargeted = Drain(*pipeline);
+    stop = true;
+    flipper.join();
+    SCOPED_TRACE("max_claim=" + std::to_string(cap));
+    ExpectIdenticalOutput(reference, retargeted);
+  }
 }
 
-TEST(EngineBatchTest, BatchedFilterIdentical) {
-  // The sequential filter claims whole batches from its input when a
-  // batching consumer (here: parallel map workers) drives it; dropped
-  // elements and survivors must be identical at any batch size.
+TEST(EngineBatchTest, FilterIdenticalAtEveryCap) {
+  // The sequential filter claims whole runs from its input when a
+  // multi-element consumer (here: parallel map workers) drives it;
+  // dropped elements and survivors must be identical at every cap.
   PipelineTestEnv env(4, 25, 48);
   for (const char* predicate : {"keep_half", "keep_all"}) {
+    SCOPED_TRACE(predicate);
     GraphBuilder b;
     auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
     n = b.Filter("flt", n, predicate);
     n = b.Map("m", n, "double_size", 4, /*deterministic=*/true);
     n = b.Batch("bt", n, 4, /*drop_remainder=*/false);
-    const GraphDef graph = std::move(b.Build(n)).value();
-    const auto reference = RunChain(env, graph, 1);
-    ASSERT_FALSE(reference.empty()) << predicate;
-    for (int batch : {2, 8, 64}) {
-      ExpectIdenticalOutput(reference, RunChain(env, graph, batch));
-    }
+    ExpectIdenticalAtEveryCap(env, std::move(b.Build(n)).value());
   }
 }
 
-TEST(EngineBatchTest, FilterStatsConservationUnderBatching) {
+TEST(EngineBatchTest, FilterStatsConservationAtEveryCap) {
   PipelineTestEnv env(4, 25, 48);
   GraphBuilder b;
   auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
   n = b.Filter("flt", n, "keep_half");
   n = b.Map("m", n, "noop", 4, /*deterministic=*/true);
   const GraphDef graph = std::move(b.Build(n)).value();
-  PipelineOptions options = env.Options();
-  options.engine_batch_size = 16;
-  auto pipeline = std::move(Pipeline::Create(graph, options)).value();
-  const size_t kept = Drain(*pipeline).size();
-  const auto snap = pipeline->stats().Snapshot();
-  auto find = [&](const std::string& name) {
-    for (const auto& s : snap) {
-      if (s.name == name) return s;
-    }
-    return IteratorStatsSnapshot{};
-  };
-  // The filter consumed everything the interleave produced and produced
-  // exactly what the map consumed (= what the drain kept).
-  EXPECT_EQ(find("il").elements_produced, 100u);
-  EXPECT_EQ(find("flt").elements_consumed, 100u);
-  EXPECT_EQ(find("flt").elements_produced, kept);
-  EXPECT_EQ(find("m").elements_consumed, kept);
-  EXPECT_GT(kept, 0u);
-  EXPECT_LT(kept, 100u);  // keep_half actually dropped elements
+  for (int cap : kCaps) {
+    SCOPED_TRACE("max_claim=" + std::to_string(cap));
+    PipelineOptions options = env.Options();
+    options.max_claim = cap;
+    auto pipeline = std::move(Pipeline::Create(graph, options)).value();
+    const size_t kept = Drain(*pipeline).size();
+    // The filter consumed everything the interleave produced and
+    // produced exactly what the map consumed (= what the drain kept).
+    EXPECT_EQ(FindStats(*pipeline, "il").elements_produced, 100u);
+    EXPECT_EQ(FindStats(*pipeline, "flt").elements_consumed, 100u);
+    EXPECT_EQ(FindStats(*pipeline, "flt").elements_produced, kept);
+    EXPECT_EQ(FindStats(*pipeline, "m").elements_consumed, kept);
+    EXPECT_GT(kept, 0u);
+    EXPECT_LT(kept, 100u);  // keep_half actually dropped elements
+  }
 }
 
-TEST(EngineBatchTest, ShuffleRefillClaimsBatchesIdentical) {
+TEST(EngineBatchTest, ShuffleRefillClaimsIdentical) {
   // The shuffle refill claims its whole buffer deficit from the input
   // per GetNextBatch call; elements arrive in the order repeated
   // GetNext would deliver, so draws — and therefore outputs — are
-  // identical at every engine batch size, including across a parallel
-  // (deterministic) producer.
+  // identical at every cap, including across a parallel (deterministic)
+  // producer.
   PipelineTestEnv env(4, 25, 48);
   for (const bool fused_repeat : {false, true}) {
+    SCOPED_TRACE(fused_repeat ? "shuffle_and_repeat" : "shuffle");
     GraphBuilder b;
     auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
     n = b.Map("m", n, "double_size", 4, /*deterministic=*/true);
     n = fused_repeat ? b.ShuffleAndRepeat("shf", n, 32, /*count=*/2)
                      : b.Shuffle("shf", n, 32, 7);
     n = b.Batch("bt", n, 4, /*drop_remainder=*/false);
-    const GraphDef graph = std::move(b.Build(n)).value();
-    const auto reference = RunChain(env, graph, 1);
-    ASSERT_FALSE(reference.empty());
-    for (int batch : {2, 8, 64}) {
-      ExpectIdenticalOutput(reference, RunChain(env, graph, batch));
-    }
+    ExpectIdenticalAtEveryCap(env, std::move(b.Build(n)).value());
   }
 }
 
-TEST(EngineBatchTest, ShuffleStatsConservationUnderBatching) {
+TEST(EngineBatchTest, ShuffleStatsConservationAtEveryCap) {
   PipelineTestEnv env(4, 25, 48);
   GraphBuilder b;
   auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
   n = b.Map("m", n, "double_size", 4, /*deterministic=*/true);
   n = b.Shuffle("shf", n, 32, 7);
   const GraphDef graph = std::move(b.Build(n)).value();
-  PipelineOptions options = env.Options();
-  options.engine_batch_size = 16;
-  auto pipeline = std::move(Pipeline::Create(graph, options)).value();
-  const size_t drained = Drain(*pipeline).size();
-  const auto snap = pipeline->stats().Snapshot();
-  auto find = [&](const std::string& name) {
-    for (const auto& s : snap) {
-      if (s.name == name) return s;
-    }
-    return IteratorStatsSnapshot{};
-  };
-  // Batched refill claims must count every element exactly once.
-  EXPECT_EQ(drained, 100u);
-  EXPECT_EQ(find("shf").elements_consumed, 100u);
-  EXPECT_EQ(find("shf").elements_produced, 100u);
-  EXPECT_EQ(find("m").elements_produced, 100u);
+  for (int cap : kCaps) {
+    SCOPED_TRACE("max_claim=" + std::to_string(cap));
+    PipelineOptions options = env.Options();
+    options.max_claim = cap;
+    auto pipeline = std::move(Pipeline::Create(graph, options)).value();
+    // Multi-element refill claims must count every element exactly once.
+    EXPECT_EQ(Drain(*pipeline).size(), 100u);
+    EXPECT_EQ(FindStats(*pipeline, "shf").elements_consumed, 100u);
+    EXPECT_EQ(FindStats(*pipeline, "shf").elements_produced, 100u);
+    EXPECT_EQ(FindStats(*pipeline, "m").elements_produced, 100u);
+  }
 }
 
-TEST(EngineBatchTest, BatchedCombineOpsIdentical) {
+TEST(EngineBatchTest, CombineOpsIdenticalAtEveryCap) {
   PipelineTestEnv env(4, 25, 48);
   GraphBuilder b;
   auto left = b.Map("lm", b.Interleave("il", b.FileList("f", "data/"), 2, 1),
@@ -253,109 +250,52 @@ TEST(EngineBatchTest, BatchedCombineOpsIdentical) {
   auto zipped = b.Zip("z", {left, right});
   auto n = b.Concatenate("cat", {zipped, b.Range("r2", 7)});
   n = b.Batch("bt", n, 5, /*drop_remainder=*/false);
-  const GraphDef graph = std::move(b.Build(n)).value();
-  const auto reference = RunChain(env, graph, 1);
-  ASSERT_FALSE(reference.empty());
-  for (int batch : {3, 16}) {
-    ExpectIdenticalOutput(reference, RunChain(env, graph, batch));
-  }
+  ExpectIdenticalAtEveryCap(env, std::move(b.Build(n)).value());
 }
 
-TEST(EngineBatchTest, BatchedMapAndBatchIdentical) {
+TEST(EngineBatchTest, MapAndBatchIdenticalAtEveryCap) {
+  // map_and_batch workers race for whole batches, so batch order is
+  // nondeterministic; compare fingerprints and batch count.
   PipelineTestEnv env(2, 20, 32);
   GraphBuilder b;
   auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
   n = b.MapAndBatch("fused", n, "double_size", 5, /*parallelism=*/2);
-  const GraphDef graph = std::move(b.Build(n)).value();
-  const auto reference = RunChain(env, graph, 1);
-  ASSERT_EQ(reference.size(), 8u);
-  for (int batch : {4, 32}) {
-    // map_and_batch workers race for whole batches, so batch order is
-    // nondeterministic; compare fingerprints and batch count.
-    const auto batched = RunChain(env, graph, batch);
-    EXPECT_EQ(testing_util::SizeFingerprint(reference),
-              testing_util::SizeFingerprint(batched));
-  }
+  ExpectSameFingerprintAtEveryCap(env, std::move(b.Build(n)).value(), 8);
 }
 
-TEST(EngineBatchTest, StatsConservationHoldsUnderBatching) {
-  // The LP planner consumes these counters; batching must not change
+TEST(EngineBatchTest, StatsConservationAtEveryCap) {
+  // The LP planner consumes these counters; claim sizes must not change
   // the sums (sharded counters aggregate exactly).
   PipelineTestEnv env(4, 25, 48);
-  PipelineOptions options = env.Options();
-  options.engine_batch_size = 16;
-  auto pipeline =
-      std::move(Pipeline::Create(DeterministicMapChain(4), options)).value();
-  Drain(*pipeline);
-  const auto snap = pipeline->stats().Snapshot();
-  auto find = [&](const std::string& name) {
-    for (const auto& s : snap) {
-      if (s.name == name) return s;
-    }
-    return IteratorStatsSnapshot{};
-  };
-  EXPECT_EQ(find("il").elements_produced, 100u);
-  EXPECT_EQ(find("m").elements_consumed, find("il").elements_produced);
-  EXPECT_EQ(find("m").elements_produced, 100u);
-  EXPECT_EQ(find("bt").elements_consumed, find("m").elements_produced);
-  EXPECT_EQ(find("bt").elements_produced, 25u);
-}
-
-TEST(EngineBatchTest, GraphRecordedBatchPrecedence) {
-  // Explicit options (>0, including 1 = element-at-a-time) beat the
-  // graph-recorded batch; only the unset default (0) defers to it.
-  PipelineTestEnv env(2, 10, 32);
-  GraphDef graph = DeterministicMapChain(4);
-  ASSERT_TRUE(rewriter::SetEngineBatchSize(&graph, 64).ok());
-  ASSERT_EQ(rewriter::GetEngineBatchSize(graph), 64);
-  struct Case {
-    int options_batch;
-    int expected;
-  };
-  for (const Case c : {Case{0, 64}, Case{1, 1}, Case{32, 32}}) {
+  for (int cap : kCaps) {
+    SCOPED_TRACE("max_claim=" + std::to_string(cap));
     PipelineOptions options = env.Options();
-    options.engine_batch_size = c.options_batch;
-    auto pipeline = std::move(Pipeline::Create(graph, options)).value();
-    EXPECT_EQ(pipeline->context()->engine_batch_size, c.expected)
-        << "options=" << c.options_batch;
+    options.max_claim = cap;
+    auto pipeline =
+        std::move(Pipeline::Create(DeterministicMapChain(4), options)).value();
+    Drain(*pipeline);
+    const auto il = FindStats(*pipeline, "il");
+    const auto m = FindStats(*pipeline, "m");
+    const auto bt = FindStats(*pipeline, "bt");
+    EXPECT_EQ(il.elements_produced, 100u);
+    EXPECT_EQ(m.elements_consumed, il.elements_produced);
+    EXPECT_EQ(m.elements_produced, 100u);
+    EXPECT_EQ(bt.elements_consumed, m.elements_produced);
+    EXPECT_EQ(bt.elements_produced, 25u);
   }
-  // Without a recording, unset behaves as the classic engine.
-  PipelineOptions options = env.Options();
-  auto plain = std::move(
-      Pipeline::Create(DeterministicMapChain(4), options)).value();
-  EXPECT_EQ(plain->context()->engine_batch_size, 1);
 }
 
-TEST(EngineBatchTest, SessionKnobAndRunOverrideProduceSameResults) {
-  Session make_session = Session();
-  SessionOptions so;
-  so.engine_batch_size = 32;
-  Session batched_session(so);
-  for (Session* session : {&make_session, &batched_session}) {
-    ASSERT_TRUE(session
-                    ->CreateRecordFiles("train/part-", 4, 50, 64)
-                    .ok());
-    UdfSpec decode;
-    decode.name = "decode";
-    decode.size_ratio = 2.0;
-    ASSERT_TRUE(session->RegisterUdf(decode).ok());
-  }
-  auto run = [](Session& session, int run_override) {
-    Flow flow = session.Files("train/")
-                    .Interleave(2)
-                    .Map("decode", 4)
-                    .Batch(10);
-    RunOptions window;
-    window.max_batches = 20;
-    window.engine_batch_size = run_override;
-    auto report = flow.Run(window);
-    EXPECT_TRUE(report.ok()) << report.status();
-    return report.ok() ? report->elements : 0;
-  };
-  const int64_t base = run(make_session, 0);
-  EXPECT_EQ(base, run(batched_session, 0));   // session-level knob
-  EXPECT_EQ(base, run(make_session, 16));     // per-run override
-  EXPECT_GT(base, 0);
+TEST(EngineBatchTest, RetiredEngineBatchAttrIsIgnored) {
+  // Graphs serialized when the engine batch size was a graph attr still
+  // parse and run; the attr no longer changes anything.
+  PipelineTestEnv env(4, 25, 48);
+  GraphDef graph = DeterministicMapChain(4);
+  graph.MutableNode(graph.output())->attrs["engine_batch_size"] =
+      AttrValue(64);
+  auto parsed = GraphDef::Parse(graph.Serialize());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ExpectIdenticalOutput(RunChain(env, DeterministicMapChain(4), 1),
+                        RunChain(env, *parsed, 1));
 }
 
 }  // namespace

@@ -37,9 +37,9 @@ OptimizeOptions MakeOptions(PipelineTestEnv& env) {
   return options;
 }
 
-double MeasureRate(PipelineTestEnv& env, const GraphDef& graph,
+double MeasureRate(const PipelineOptions& options, const GraphDef& graph,
                    double seconds = 0.4) {
-  auto pipeline = std::move(Pipeline::Create(graph, env.Options())).value();
+  auto pipeline = std::move(Pipeline::Create(graph, options)).value();
   RunOptions ropts;
   ropts.max_seconds = seconds;
   const RunResult result = RunPipeline(*pipeline, ropts);
@@ -54,38 +54,33 @@ TEST(OptimizerRegressionTest, OptimizedGraphNeverMeasuresSlowerThanInput) {
   ASSERT_TRUE(result.ok()) << result.status();
   double naive_rate = 0, tuned_rate = 0;
   EXPECT_TRUE(testing_util::EventuallyTrue([&] {
-    naive_rate = MeasureRate(env, MisconfiguredGraph());
-    tuned_rate = MeasureRate(env, result->graph);
+    naive_rate = MeasureRate(env.Options(), MisconfiguredGraph());
+    tuned_rate = MeasureRate(env.Options(), result->graph);
     return tuned_rate > naive_rate;
   })) << "Optimize() returned a slower graph: tuned=" << tuned_rate
       << " naive=" << naive_rate;
 }
 
-TEST(OptimizerRegressionTest, BatchSizePassNeverSlowerOnCheapUdfPipeline) {
-  // The acceptance case for the engine-batch autotuner: a cheap-UDF
-  // p=8 pipeline is engine-overhead-bound, so the batch pass must pick
-  // a batch > 1 and the rewritten graph must measure at least as fast
-  // as the element-at-a-time run (~2.4x in bench_micro_engine).
+TEST(OptimizerRegressionTest, DefaultClaimsNeverSlowerOnCheapUdfPipeline) {
+  // A cheap-UDF p=8 pipeline is engine-overhead-bound, so the worker
+  // pool sizes its claims up, and the default cap must measure at least
+  // as fast as element-at-a-time claims (max_claim = 1; ~2.4x in
+  // bench_micro_engine).
   PipelineTestEnv env(2, 20, 64);
   GraphBuilder b;
   auto n = b.Range("src", -1);
   n = b.Map("m", n, "noop", 8);
-  const GraphDef naive = std::move(b.Build(n)).value();
+  const GraphDef graph = std::move(b.Build(n)).value();
 
-  OptimizeOptions options = MakeOptions(env);
-  options.schedule = "batch";
-  PlumberOptimizer optimizer(options);
-  auto result = optimizer.Optimize(naive);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_GT(rewriter::GetEngineBatchSize(result->graph), 1);
-
-  double naive_rate = 0, tuned_rate = 0;
+  PipelineOptions one_at_a_time = env.Options();
+  one_at_a_time.max_claim = 1;
+  double single_rate = 0, default_rate = 0;
   EXPECT_TRUE(testing_util::EventuallyTrue([&] {
-    naive_rate = MeasureRate(env, naive);
-    tuned_rate = MeasureRate(env, result->graph);
-    return tuned_rate >= naive_rate;
-  })) << "batch pass made the pipeline slower: tuned=" << tuned_rate
-      << " naive=" << naive_rate;
+    single_rate = MeasureRate(one_at_a_time, graph);
+    default_rate = MeasureRate(env.Options(), graph);
+    return default_rate >= single_rate;
+  })) << "default claims made the pipeline slower: default=" << default_rate
+      << " max_claim=1: " << single_rate;
 }
 
 TEST(OptimizerRegressionTest, CachePassNeverSlowerOnDiskTier) {
@@ -112,7 +107,7 @@ TEST(OptimizerRegressionTest, CachePassNeverSlowerOnDiskTier) {
   popts.scratch_budget_bytes = options.machine.scratch_bytes;
   double naive_rate = 0, tuned_rate = 0;
   EXPECT_TRUE(testing_util::EventuallyTrue([&] {
-    naive_rate = MeasureRate(env, MisconfiguredGraph());
+    naive_rate = MeasureRate(env.Options(), MisconfiguredGraph());
     auto pipeline =
         std::move(Pipeline::Create(result->graph, popts)).value();
     RunOptions ropts;
@@ -150,8 +145,8 @@ TEST(OptimizerRegressionTest, ShardSourcesPassNeverSlowerWhenDiskBound) {
 
   double naive_rate = 0, tuned_rate = 0;
   EXPECT_TRUE(testing_util::EventuallyTrue([&] {
-    naive_rate = MeasureRate(env, naive);
-    tuned_rate = MeasureRate(env, result->graph);
+    naive_rate = MeasureRate(env.Options(), naive);
+    tuned_rate = MeasureRate(env.Options(), result->graph);
     return tuned_rate >= naive_rate;
   })) << "shard_sources made the pipeline slower: tuned=" << tuned_rate
       << " naive=" << naive_rate;

@@ -1,6 +1,5 @@
 // Pass framework tests: registry contents, schedule parsing, the
-// default schedule, the cache pass's tier dispatch, and the
-// BatchSizePass decision rule.
+// default schedule, and the cache pass's tier dispatch.
 #include "src/core/passes/pass_registry.h"
 
 #include <gtest/gtest.h>
@@ -18,12 +17,11 @@ using testing_util::PipelineTestEnv;
 
 TEST(PassRegistryTest, BuiltinsRegisteredInCanonicalOrder) {
   const std::vector<std::string> names = PassRegistry::Global().Names();
-  ASSERT_EQ(names.size(), 5u);
+  ASSERT_EQ(names.size(), 4u);
   EXPECT_EQ(names[0], "parallelism");
   EXPECT_EQ(names[1], "prefetch");
   EXPECT_EQ(names[2], "cache");
-  EXPECT_EQ(names[3], "batch");
-  EXPECT_EQ(names[4], "shard_sources");
+  EXPECT_EQ(names[3], "shard_sources");
   for (const std::string& name : names) {
     auto pass = PassRegistry::Global().Create(name);
     ASSERT_TRUE(pass.ok()) << name;
@@ -68,9 +66,10 @@ TEST(PassScheduleTest, ParsesDefaultSchedule) {
 }
 
 TEST(PassScheduleTest, TrimsWhitespaceAndAllowsRepeats) {
-  auto schedule = PassSchedule::Parse(" parallelism ,\tbatch , parallelism");
+  auto schedule =
+      PassSchedule::Parse(" parallelism ,\tprefetch , parallelism");
   ASSERT_TRUE(schedule.ok()) << schedule.status();
-  const std::vector<std::string> expected = {"parallelism", "batch",
+  const std::vector<std::string> expected = {"parallelism", "prefetch",
                                              "parallelism"};
   EXPECT_EQ(schedule->passes(), expected);
 }
@@ -173,70 +172,6 @@ TEST(PassFrameworkTest, DefaultScheduleProducesOneReportPerPass) {
             result->pass_reports[1].traced_rate);
   EXPECT_EQ(result->pass_reports[1].traced_rate,
             result->pass_reports[2].traced_rate);
-}
-
-// A cheap-UDF high-parallelism pipeline is engine-overhead-bound:
-// exactly the case the batch pass exists for.
-GraphDef CheapUdfGraph(int parallelism) {
-  GraphBuilder b;
-  auto n = b.Range("src", -1);
-  n = b.Map("m", n, "noop", parallelism);
-  return std::move(b.Build(n)).value();
-}
-
-TEST(BatchSizePassTest, PicksLargeBatchForCheapParallelStage) {
-  PipelineTestEnv env(2, 20, 64);
-  OptimizeOptions options = MakeOptions(env);
-  options.schedule = "batch";
-  PlumberOptimizer optimizer(options);
-  auto result = optimizer.Optimize(CheapUdfGraph(8));
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->pass_reports.size(), 1u);
-  EXPECT_TRUE(result->pass_reports[0].changed);
-  EXPECT_GT(result->pass_reports[0].engine_batch_size, 1);
-  EXPECT_EQ(rewriter::GetEngineBatchSize(result->graph),
-            result->pass_reports[0].engine_batch_size);
-}
-
-TEST(BatchSizePassTest, ExpensiveStageStaysAtBatchOne) {
-  PipelineTestEnv env(4, 50, 64);
-  OptimizeOptions options = MakeOptions(env);
-  // LP first so the 200us map becomes parallel, then the batch pass
-  // must still leave it element-at-a-time (work dwarfs the overhead).
-  options.schedule = "parallelism,batch";
-  PlumberOptimizer optimizer(options);
-  auto result = optimizer.Optimize(MisconfiguredGraph());
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_GT(*rewriter::GetParallelism(result->graph, "expensive"), 1);
-  EXPECT_EQ(rewriter::GetEngineBatchSize(result->graph), 0);
-  EXPECT_FALSE(result->pass_reports.back().changed);
-}
-
-TEST(BatchSizePassTest, SequentialPipelineStaysAtBatchOne) {
-  PipelineTestEnv env(2, 20, 64);
-  OptimizeOptions options = MakeOptions(env);
-  options.schedule = "batch";
-  PlumberOptimizer optimizer(options);
-  auto result = optimizer.Optimize(CheapUdfGraph(1));
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(rewriter::GetEngineBatchSize(result->graph), 0);
-}
-
-TEST(BatchSizePassTest, RespectsExplicitEngineBatchSize) {
-  PipelineTestEnv env(2, 20, 64);
-  // Any explicit choice is respected — including 1, the classic
-  // element-at-a-time engine; only the unset default (0) is autotuned.
-  for (int explicit_batch : {1, 16}) {
-    OptimizeOptions options = MakeOptions(env);
-    options.schedule = "batch";
-    options.engine_batch_size = explicit_batch;
-    PlumberOptimizer optimizer(options);
-    auto result = optimizer.Optimize(CheapUdfGraph(8));
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(rewriter::GetEngineBatchSize(result->graph), 0)
-        << "explicit " << explicit_batch;
-    EXPECT_FALSE(result->pass_reports[0].changed);
-  }
 }
 
 const NodeDef* FindCacheNode(const GraphDef& graph) {

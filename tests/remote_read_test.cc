@@ -1,5 +1,5 @@
 // remote_read op tests: element-for-element identity with a local
-// tfrecord read at every engine batch size, byte-exact NIC accounting
+// tfrecord read at every claim cap, byte-exact NIC accounting
 // (wire bytes == device counters == per-node network_bytes stats), and
 // the Session::AttachNic wiring.
 #include <gtest/gtest.h>
@@ -37,11 +37,11 @@ GraphDef RemoteGraph(double remote_bandwidth = 0, double remote_latency = 0) {
       .value();
 }
 
-TEST(RemoteReadTest, IdenticalToLocalReadAtEveryEngineBatchSize) {
-  for (int engine_batch : {0, 1, 2, 8}) {
+TEST(RemoteReadTest, IdenticalToLocalReadAtEveryClaimCap) {
+  for (int max_claim : {1, 2, 8, 64}) {
     PipelineTestEnv env(kNumFiles, kRecordsPerFile, kRecordBytes);
     PipelineOptions opts = env.Options();
-    opts.engine_batch_size = engine_batch;
+    opts.max_claim = max_claim;
     auto local = Pipeline::Create(LocalGraph(), opts);
     ASSERT_TRUE(local.ok()) << local.status();
     auto remote = Pipeline::Create(RemoteGraph(), opts);
@@ -50,7 +50,7 @@ TEST(RemoteReadTest, IdenticalToLocalReadAtEveryEngineBatchSize) {
     const auto remote_elems = Drain(**remote);
     ASSERT_EQ(local_elems.size(),
               static_cast<size_t>(kNumFiles * kRecordsPerFile))
-        << "engine_batch_size=" << engine_batch;
+        << "max_claim=" << max_claim;
     ExpectIdenticalOutput(local_elems, remote_elems);
   }
 }

@@ -132,7 +132,7 @@ TEST(RewriteEquivalenceTest, RewritesPreserveSignature) {
 }
 
 TEST(RewriteEquivalenceTest, PassOrderPermutationsPreserveSemantics) {
-  // Any pass schedule — reordered, repeated, batch-extended — must
+  // Any pass schedule — reordered, repeated, truncated — must
   // still produce a valid drop-in replacement graph: same multiset of
   // elements, validates, instantiates.
   PipelineTestEnv env(3, 20, 48);
@@ -141,9 +141,9 @@ TEST(RewriteEquivalenceTest, PassOrderPermutationsPreserveSemantics) {
   const char* kSchedules[] = {
       "parallelism,prefetch,cache,parallelism",  // default
       "cache,prefetch,parallelism",
-      "prefetch,parallelism,batch",
-      "batch,parallelism,prefetch,cache",
-      "cache,batch,prefetch",
+      "prefetch,parallelism",
+      "parallelism,prefetch,cache",
+      "cache,prefetch",
       "parallelism,parallelism,prefetch",
   };
   for (const char* schedule : kSchedules) {
@@ -181,7 +181,7 @@ TEST(RewriteEquivalenceTest, PlacementScheduleDropInsPreserveSemantics) {
       "shard_sources,parallelism",
       "shard_sources,cache,prefetch,parallelism",
       "cache,cache",
-      "batch,shard_sources,cache",
+      "shard_sources,cache",
   };
   for (const char* schedule : kSchedules) {
     OptimizeOptions options;

@@ -4,6 +4,7 @@
 // start, and no resize history changes the output: element for element
 // for the deterministic map, as a multiset for interleave and
 // map_and_batch (whose emission order is already nondeterministic).
+// Also the pool's claim sizing, observed through its claim counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -175,6 +176,41 @@ TEST_P(WorkerPoolTest, ParkToZeroTargetClampsToOneWorker) {
       std::chrono::microseconds(500), &observed);
   ExpectSameOutput(GetParam(), expected, flipped);
   EXPECT_GT(observed, 0) << "the pool never parked to the floor";
+}
+
+// elements_consumed / claims of the map "pool" after draining `graph`.
+double MeanClaim(PipelineTestEnv& env, const GraphDef& graph,
+                 uint64_t* claims) {
+  auto pipeline = std::move(Pipeline::Create(graph, env.Options())).value();
+  Drain(*pipeline);
+  const IteratorStats* stats = pipeline->stats().Find("pool");
+  *claims = stats->claims();
+  return *claims == 0 ? 0.0
+                      : static_cast<double>(stats->elements_consumed()) /
+                            static_cast<double>(*claims);
+}
+
+TEST(WorkerPoolClaimTest, CheapMapClaimsGrowPastFour) {
+  // A noop UDF's work is far below a claim's ~2 us fixed cost, so each
+  // worker's claims grow from one toward the default cap.
+  PipelineTestEnv env(0);
+  GraphBuilder b;
+  auto n = b.Map("pool", b.Range("src", 20000), "noop", 4);
+  uint64_t claims = 0;
+  EXPECT_GT(MeanClaim(env, std::move(b.Build(n)).value(), &claims), 4.0)
+      << claims << " claims for 20000 elements";
+}
+
+TEST(WorkerPoolClaimTest, ExpensiveMapClaimsOneElementAtATime) {
+  // serve_mixed's rpc job: 8 elements of 200 us work at p=2. Stages at
+  // 20 us/element or more stay at a claim of one, so the job spreads
+  // over both workers in eight claims.
+  PipelineTestEnv env(0);
+  GraphBuilder b;
+  auto n = b.Map("pool", b.Range("src", 8), "slow", 2);
+  uint64_t claims = 0;
+  EXPECT_EQ(MeanClaim(env, std::move(b.Build(n)).value(), &claims), 1.0);
+  EXPECT_EQ(claims, 8u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
