@@ -15,11 +15,11 @@ namespace {
 
 double MeasureWithTracing(const std::string& name,
                           const MachineSpec& machine, bool tracing) {
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(machine);
   auto workload = std::move(MakeWorkload(name)).value();
   const GraphDef tuned =
       HeuristicConfiguration(workload.graph, machine.num_cores);
-  PipelineOptions popts = env.MakePipelineOptions(machine.cpu_scale);
+  PipelineOptions popts = session.MakePipelineOptions();
   popts.tracing_enabled = tracing;
   auto pipeline = std::move(Pipeline::Create(tuned, popts)).value();
   RunOptions ropts;

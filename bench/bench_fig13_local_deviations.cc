@@ -14,10 +14,23 @@ using namespace plumber::bench;
 
 namespace {
 
+// Measures a configuration on a plain Pipeline, not Flow::Run: no
+// executor, so no governor, and the worker pools keep their SPSC edges.
+double MeasurePlain(Session& session, const GraphDef& graph) {
+  auto pipeline =
+      std::move(Pipeline::Create(graph, session.MakePipelineOptions()))
+          .value();
+  RunOptions window;
+  window.max_seconds = 0.12;
+  const double rate = RunPipeline(*pipeline, window).batches_per_second;
+  pipeline->Cancel();
+  return rate;
+}
+
 void RunSetup(const MachineSpec& machine, int steps) {
   PrintHeader("Figure 13: MultiBoxSSD one-step deviations (" +
               machine.name + ")");
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(machine);
   auto workload = std::move(MakeWorkload("multibox_ssd")).value();
   GraphDef graph = NaiveConfiguration(workload.graph);
   Rng rng(7);
@@ -27,16 +40,8 @@ void RunSetup(const MachineSpec& machine, int steps) {
                "deviation mb/s", "locally optimal"});
   for (int step = 0; step < steps; ++step) {
     // Trace current config.
-    auto pipeline = std::move(Pipeline::Create(
-                                  graph, env.MakePipelineOptions(
-                                             machine.cpu_scale)))
-                        .value();
-    TraceOptions topts;
-    topts.trace_seconds = 0.12;
-    topts.machine = machine;
-    const TraceSnapshot trace = CaptureTrace(*pipeline, topts);
-    pipeline->Cancel();
-    auto model = std::move(PipelineModel::Build(trace, &env.udfs)).value();
+    auto model =
+        std::move(session.FromGraph(graph).Diagnose(0.12)).value();
     TunerContext ctx;
     ctx.model = &model;
     ctx.machine = machine;
@@ -52,8 +57,7 @@ void RunSetup(const MachineSpec& machine, int steps) {
         choice = node;
       }
     }
-    const double plumber_rate =
-        MeasureRate(env, *plumber_next, machine, 0.12);
+    const double plumber_rate = MeasurePlain(session, *plumber_next);
 
     // Three random one-step deviations.
     double best_dev_rate = 0;
@@ -66,7 +70,7 @@ void RunSetup(const MachineSpec& machine, int steps) {
       if (p < machine.num_cores) {
         (void)rewriter::SetParallelism(&deviation, node, p + 1);
       }
-      const double rate = MeasureRate(env, deviation, machine, 0.12);
+      const double rate = MeasurePlain(session, deviation);
       if (rate > best_dev_rate) {
         best_dev_rate = rate;
         best_dev = node;

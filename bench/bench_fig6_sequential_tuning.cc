@@ -20,7 +20,6 @@ void RunSetup(const MachineSpec& machine, int steps, int reps) {
 
   StepSeriesOptions options;
   options.steps = steps;
-  options.machine = machine;
   options.measure_seconds = 0.12;
 
   // Reference lines: heuristic and autotune final configurations.

@@ -15,15 +15,14 @@ namespace {
 
 void RunSetup(const MachineSpec& machine, int steps) {
   PrintHeader("Figure 7: ResNet LP predictions (" + machine.name + ")");
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(machine);
   auto workload = std::move(MakeWorkload("resnet18")).value();
   const GraphDef naive = NaiveConfiguration(workload.graph);
   StepSeriesOptions options;
   options.steps = steps;
-  options.machine = machine;
   options.measure_seconds = 0.15;
   auto tuner = MakePlumberStepTuner();
-  const auto series = RunStepTuning(env, naive, tuner.get(), options);
+  const auto series = RunStepTuning(session, naive, tuner.get(), options);
 
   Table table({"step", "observed", "LP max", "local max", "autotune est",
                "LP/observed"});

@@ -13,20 +13,28 @@ using namespace plumber::bench;
 int main() {
   const MachineSpec machine = MachineSpec::SetupA();
   PrintHeader("Figure 8: RCNN convergence + predictions (setup_a)");
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(machine);
   auto workload = std::move(MakeWorkload("rcnn")).value();
   const GraphDef naive = NaiveConfiguration(workload.graph);
 
+  // Measured on a plain Pipeline, not Flow::Run: no executor, so no
+  // governor, and the worker pools keep their SPSC edges.
   const GraphDef heuristic =
       HeuristicConfiguration(workload.graph, machine.num_cores);
-  const double heuristic_rate = MeasureRate(env, heuristic, machine, 0.4);
+  auto pipeline = std::move(Pipeline::Create(
+                                heuristic, session.MakePipelineOptions()))
+                      .value();
+  RunOptions window;
+  window.max_seconds = 0.4;
+  const double heuristic_rate =
+      RunPipeline(*pipeline, window).batches_per_second;
+  pipeline->Cancel();
 
   StepSeriesOptions options;
   options.steps = 12;
-  options.machine = machine;
   options.measure_seconds = 0.15;
   auto tuner = MakePlumberStepTuner();
-  const auto series = RunStepTuning(env, naive, tuner.get(), options);
+  const auto series = RunStepTuning(session, naive, tuner.get(), options);
 
   Table table({"step", "observed", "LP max", "autotune est",
                "LP/observed"});

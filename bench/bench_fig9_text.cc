@@ -14,17 +14,15 @@ using namespace plumber::bench;
 namespace {
 
 void RunWorkload(const std::string& name, int steps) {
-  const MachineSpec machine = MachineSpec::SetupA();
   PrintHeader("Figure 9: " + name + " predictions (setup_a)");
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(MachineSpec::SetupA());
   auto workload = std::move(MakeWorkload(name)).value();
   const GraphDef naive = NaiveConfiguration(workload.graph);
   StepSeriesOptions options;
   options.steps = steps;
-  options.machine = machine;
   options.measure_seconds = 0.15;
   auto tuner = MakePlumberStepTuner();
-  const auto series = RunStepTuning(env, naive, tuner.get(), options);
+  const auto series = RunStepTuning(session, naive, tuner.get(), options);
 
   Table table({"step", "observed", "LP max", "local max", "autotune est",
                "LP/observed"});
@@ -41,16 +39,7 @@ void RunWorkload(const std::string& name, int steps) {
   // Report the final bottleneck according to Plumber's ranking (paper:
   // FilterDataset for Transformer, ShuffleAndRepeatDataset for GNMT —
   // stages Plumber cannot parallelize).
-  auto pipeline = std::move(Pipeline::Create(
-                                naive, env.MakePipelineOptions(
-                                           machine.cpu_scale)))
-                      .value();
-  TraceOptions topts;
-  topts.trace_seconds = 0.2;
-  topts.machine = machine;
-  const TraceSnapshot trace = CaptureTrace(*pipeline, topts);
-  pipeline->Cancel();
-  auto model = std::move(PipelineModel::Build(trace, &env.udfs)).value();
+  auto model = std::move(session.FromGraph(naive).Diagnose(0.2)).value();
   std::printf("highest-cost non-parallelizable stages:\n");
   for (const auto& node : model.nodes()) {
     if (!node.parallelizable && node.cpu_seconds > 1e-4) {

@@ -1,8 +1,9 @@
-// Network subsystem bench: the headline gate for src/net/.
+// Network model bench: the headline gate for NIC devices, remote_read
+// and costed migration.
 //
 // Phase A (remote-read throughput): a remote_read pipeline behind a
 // session NIC with a hard token-bucket cap must sustain a wire rate
-// within 15% of the modeled bandwidth bound — the NetworkDevice paces
+// within 15% of the modeled bandwidth bound — the NIC device paces
 // like the resource it models, and nothing else in the engine gets in
 // the way at NIC speed.
 //
@@ -31,7 +32,6 @@
 
 #include "bench/bench_util.h"
 #include "src/api/fleet_session.h"
-#include "src/net/network_device.h"
 #include "src/util/busy_work.h"
 
 using namespace plumber;
@@ -58,7 +58,7 @@ bool RunRemoteReadThroughput(double* out_frac) {
            .ok()) {
     return false;
   }
-  session.AttachNic(NicSpec::TokenBucketLimit(bandwidth));
+  session.AttachNic(DeviceSpec::TokenBucketLimit(bandwidth));
 
   RunOptions window;
   window.max_seconds = 30;  // safety stop; one epoch ends well before
@@ -69,7 +69,7 @@ bool RunRemoteReadThroughput(double* out_frac) {
                             : report.status().ToString().c_str());
     return false;
   }
-  const uint64_t wire_bytes = session.nic()->total_bytes();
+  const uint64_t wire_bytes = session.nic()->total_bytes_read();
   const double measured = wire_bytes / report->wall_seconds;
   const double frac = measured / bandwidth;
   *out_frac = frac;
@@ -91,7 +91,7 @@ bool RunOptimizerDiagnosis() {
   // the disk and the CPU bound, so the network owns the bottleneck
   // label and sharding must refuse.
   session.AttachStorage(DeviceSpec::Hdd());
-  session.AttachNic(NicSpec::TokenBucketLimit(2e6));
+  session.AttachNic(DeviceSpec::TokenBucketLimit(2e6));
 
   // The disk bound is an explicit planner knob: hand the pass the HDD's
   // bandwidth so it has a disk constraint to weigh against the wire.
@@ -128,7 +128,7 @@ bool RunOptimizerDiagnosis() {
 
 constexpr int kHosts = 4;
 
-std::unique_ptr<FleetSession> MakeFleet(bool stealing, const NicSpec& nic) {
+std::unique_ptr<FleetSession> MakeFleet(bool stealing, const DeviceSpec& nic) {
   FleetSessionOptions options;
   for (int h = 0; h < kHosts; ++h) {
     MachineSpec machine;
@@ -171,14 +171,14 @@ bool RunCostedStealing(fleet::FleetReport* nosteal, fleet::FleetReport* free,
                        fleet::FleetReport* costed, double* allowance_s) {
   PrintHeader("Phase C: work stealing with migration transfer costs");
   const fleet::ArrivalTrace trace = PinnedBacklog();
-  NicSpec cost_nic;
+  DeviceSpec cost_nic;
   cost_nic.name = "costed";
   cost_nic.max_bandwidth = 5e6;
-  cost_nic.latency_s = 0.5e-3;
+  cost_nic.read_latency_s = 0.5e-3;
 
-  auto a = MakeFleet(/*stealing=*/false, NicSpec::Unlimited());
+  auto a = MakeFleet(/*stealing=*/false, DeviceSpec::Unlimited());
   if (!ReplayBacklog(*a, trace, nosteal)) return false;
-  auto b = MakeFleet(/*stealing=*/true, NicSpec::Unlimited());
+  auto b = MakeFleet(/*stealing=*/true, DeviceSpec::Unlimited());
   if (!ReplayBacklog(*b, trace, free)) return false;
   auto c = MakeFleet(/*stealing=*/true, cost_nic);
   if (!ReplayBacklog(*c, trace, costed)) return false;
@@ -191,9 +191,10 @@ bool RunCostedStealing(fleet::FleetReport* nosteal, fleet::FleetReport* free,
       costed->steal_count > 0
           ? static_cast<double>(costed->transfer_bytes) / costed->steal_count
           : 0;
-  *allowance_s = costed->steal_count *
-                     2 * (cost_nic.latency_s + payload / cost_nic.max_bandwidth) +
-                 0.05;
+  *allowance_s =
+      costed->steal_count * 2 *
+          (cost_nic.read_latency_s + payload / cost_nic.max_bandwidth) +
+      0.05;
 
   Table table({"variant", "p95 s", "makespan s", "steals", "wire bytes"});
   table.AddRow({"no_steal", Table::Num(nosteal->p95_completion_s, 3),

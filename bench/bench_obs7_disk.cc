@@ -25,20 +25,11 @@ struct WorkloadCosts {
 
 WorkloadCosts LearnCosts(const std::string& name,
                          const MachineSpec& machine) {
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(machine);
   auto workload = std::move(MakeWorkload(name)).value();
   const GraphDef tuned =
       HeuristicConfiguration(workload.graph, machine.num_cores);
-  auto pipeline = std::move(Pipeline::Create(
-                                tuned, env.MakePipelineOptions(
-                                           machine.cpu_scale)))
-                      .value();
-  TraceOptions topts;
-  topts.trace_seconds = 0.3;
-  topts.machine = machine;
-  const TraceSnapshot trace = CaptureTrace(*pipeline, topts);
-  pipeline->Cancel();
-  auto model = std::move(PipelineModel::Build(trace, &env.udfs)).value();
+  auto model = std::move(session.FromGraph(tuned).Diagnose(0.3)).value();
   WorkloadCosts costs;
   costs.disk_bytes_per_minibatch = model.DiskBytesPerMinibatch();
   costs.cpu_bound_rate = model.observed_rate();
@@ -48,11 +39,21 @@ WorkloadCosts LearnCosts(const std::string& name,
 double MeasureAtBandwidth(const std::string& name,
                           const MachineSpec& machine, double bandwidth) {
   auto workload = std::move(MakeWorkload(name)).value();
-  StorageDevice device(DeviceSpec::TokenBucketLimit(bandwidth));
-  WorkloadEnv env(&device);
+  Session session =
+      MakeWorkloadSession(machine, DeviceSpec::TokenBucketLimit(bandwidth));
   const GraphDef tuned =
       HeuristicConfiguration(workload.graph, machine.num_cores);
-  return MeasureRate(env, tuned, machine, 0.4, 0, 0, /*warmup=*/0.15);
+  // Measured on a plain Pipeline, not Flow::Run: no executor, so no
+  // governor, and the worker pools keep their SPSC edges.
+  auto pipeline =
+      std::move(Pipeline::Create(tuned, session.MakePipelineOptions()))
+          .value();
+  RunOptions window;
+  window.max_seconds = 0.4;
+  window.warmup_seconds = 0.15;
+  const double rate = RunPipeline(*pipeline, window).batches_per_second;
+  pipeline->Cancel();
+  return rate;
 }
 
 void BandwidthSweep(const std::string& name) {

@@ -26,18 +26,20 @@ using namespace plumber::bench;
 
 namespace {
 
-PipelineModel TraceWorkload(WorkloadEnv& env, const GraphDef& graph,
+// Flow::Diagnose takes only a time budget; the subsampling section also
+// stops the trace after `max_batches`.
+PipelineModel TraceWorkload(Session& session, const GraphDef& graph,
                             double seconds, int64_t max_batches = 0) {
-  auto pipeline = std::move(Pipeline::Create(
-                                graph, env.MakePipelineOptions()))
-                      .value();
+  auto pipeline =
+      std::move(Pipeline::Create(graph, session.MakePipelineOptions()))
+          .value();
   TraceOptions topts;
   topts.trace_seconds = seconds;
   topts.max_batches = max_batches;
-  topts.machine = MachineSpec::SetupA();
+  topts.machine = session.machine();
   const TraceSnapshot trace = CaptureTrace(*pipeline, topts);
   pipeline->Cancel();
-  return std::move(PipelineModel::Build(trace, &env.udfs)).value();
+  return std::move(PipelineModel::Build(trace, &session.udfs())).value();
 }
 
 void SourceSizes() {
@@ -50,10 +52,10 @@ void SourceSizes() {
            {"rcnn", "coco/train-"},
            {"transformer", "wmt17/train-"},
            {"gnmt", "wmt16/train-"}}) {
-    WorkloadEnv env;
+    Session env = MakeWorkloadSession(MachineSpec::SetupA());
     auto workload = std::move(MakeWorkload(workload_name)).value();
     const double truth =
-        static_cast<double>(DatasetBytes(env.fs, prefix));
+        static_cast<double>(DatasetBytes(env.fs(), prefix));
     // Long trace sweeps the whole (scaled) dataset at least once.
     const GraphDef tuned = HeuristicConfiguration(workload.graph, 16);
     const PipelineModel model = TraceWorkload(env, tuned, 2.0);
@@ -76,10 +78,10 @@ void Subsampling() {
   Table table({"dataset", "batches traced", "files seen", "rel err"});
   double err_at_40 = 0;
   for (const int64_t batches : {2, 5, 10, 40}) {
-    WorkloadEnv env;
+    Session env = MakeWorkloadSession(MachineSpec::SetupA());
     auto workload = std::move(MakeWorkload("resnet18")).value();
     const double truth =
-        static_cast<double>(DatasetBytes(env.fs, "imagenet/train-"));
+        static_cast<double>(DatasetBytes(env.fs(), "imagenet/train-"));
     const PipelineModel model = TraceWorkload(
         env, NaiveConfiguration(workload.graph), 5.0, batches);
     const auto est = model.EstimateSourceSizes().at("imagenet/train-");
@@ -105,7 +107,7 @@ void Materialization() {
                "rel err", "ssd filter keep"});
   double err_at_longest = 0;
   for (const double seconds : {0.1, 0.25, 0.5, 1.5}) {
-    WorkloadEnv env;
+    Session env = MakeWorkloadSession(MachineSpec::SetupA());
     auto resnet = std::move(MakeWorkload("resnet18")).value();
     const double source_truth =
         64 * 120 * 1100.0;  // payload bytes (approx; excludes framing)
@@ -117,7 +119,7 @@ void Materialization() {
     const double err = std::abs(est - truth) / truth;
 
     // MultiBoxSSD filter reduction, same budget.
-    WorkloadEnv ssd_env;
+    Session ssd_env = MakeWorkloadSession(MachineSpec::SetupA());
     auto ssd = std::move(MakeWorkload("multibox_ssd")).value();
     const PipelineModel ssd_model = TraceWorkload(
         ssd_env, HeuristicConfiguration(ssd.graph, 16), seconds);
@@ -144,7 +146,7 @@ void Materialization() {
 
 void CachePlacements() {
   PrintHeader("Obs. 8: cache placement across memory budgets (resnet18)");
-  WorkloadEnv env;
+  Session env = MakeWorkloadSession(MachineSpec::SetupA());
   auto workload = std::move(MakeWorkload("resnet18")).value();
   const PipelineModel model = TraceWorkload(
       env, HeuristicConfiguration(workload.graph, 16), 1.0);

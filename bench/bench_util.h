@@ -72,7 +72,6 @@ struct StepPoint {
 struct StepSeriesOptions {
   int steps = 20;
   double measure_seconds = 0.12;
-  MachineSpec machine = MachineSpec::SetupA();
   uint64_t seed = 1;
 };
 
@@ -112,47 +111,6 @@ inline std::vector<StepPoint> RunStepTuning(Session& session, GraphDef graph,
   return series;
 }
 
-// Pre-Session variant kept for benches still on the hand-wired layer.
-inline std::vector<StepPoint> RunStepTuning(WorkloadEnv& env,
-                                            GraphDef graph, StepTuner* tuner,
-                                            const StepSeriesOptions& options) {
-  std::vector<StepPoint> series;
-  Rng rng(options.seed);
-  for (int step = 0; step < options.steps; ++step) {
-    auto pipeline_or = Pipeline::Create(
-        graph, env.MakePipelineOptions(options.machine.cpu_scale));
-    if (!pipeline_or.ok()) break;
-    auto& pipeline = **pipeline_or;
-    TraceOptions topts;
-    topts.trace_seconds = options.measure_seconds;
-    topts.machine = options.machine;
-    const TraceSnapshot trace = CaptureTrace(pipeline, topts);
-    pipeline.Cancel();
-    auto model_or = PipelineModel::Build(trace, &env.udfs);
-    if (!model_or.ok()) break;
-    const PipelineModel& model = *model_or;
-
-    StepPoint point;
-    point.step = step;
-    point.observed_rate = model.observed_rate();
-    point.lp_predicted = PlanAllocation(model).predicted_rate;
-    point.local_predicted = LocalEstimateMaxRate(model);
-    point.autotune_predicted = AutotuneEstimateRate(model);
-    series.push_back(point);
-
-    if (tuner != nullptr) {
-      TunerContext ctx;
-      ctx.model = &model;
-      ctx.machine = options.machine;
-      ctx.rng = &rng;
-      auto next = tuner->Step(graph, ctx);
-      if (!next.ok()) break;
-      graph = std::move(next).value();
-    }
-  }
-  return series;
-}
-
 // Measures the steady-state rate of a fixed configuration through the
 // unified API. The warmup window runs on the same iterator tree (so
 // caches fill) but is excluded from the measurement.
@@ -170,36 +128,6 @@ inline double MeasureRate(Session& session, const GraphDef& graph,
     return 0;
   }
   return report->batches_per_second;
-}
-
-// Pre-Session variant kept for benches still on the hand-wired layer.
-inline double MeasureRate(WorkloadEnv& env, const GraphDef& graph,
-                          const MachineSpec& machine, double seconds,
-                          double model_step_seconds = 0,
-                          uint64_t memory_budget = 0,
-                          double warmup_seconds = 0) {
-  auto pipeline_or = Pipeline::Create(
-      graph, env.MakePipelineOptions(machine.cpu_scale, memory_budget));
-  if (!pipeline_or.ok()) {
-    std::fprintf(stderr, "pipeline error: %s\n",
-                 pipeline_or.status().ToString().c_str());
-    return 0;
-  }
-  auto iterator_or = (*pipeline_or)->MakeIterator();
-  if (!iterator_or.ok()) return 0;
-  auto iterator = std::move(iterator_or).value();
-  if (warmup_seconds > 0) {
-    RunOptions warmup;
-    warmup.max_seconds = warmup_seconds;
-    warmup.model_step_seconds = model_step_seconds;
-    RunIterator(iterator.get(), warmup);
-  }
-  RunOptions ropts;
-  ropts.max_seconds = seconds;
-  ropts.model_step_seconds = model_step_seconds;
-  const RunResult result = RunIterator(iterator.get(), ropts);
-  (*pipeline_or)->Cancel();
-  return result.batches_per_second;
 }
 
 inline double MeanRate(const std::vector<StepPoint>& series, int from,

@@ -91,8 +91,8 @@ void Session::AttachStorage(const DeviceSpec& spec) {
   state_->fs.set_device(state_->storage.get());
 }
 
-void Session::AttachNic(const NicSpec& spec) {
-  state_->nic = std::make_unique<NetworkDevice>(spec);
+void Session::AttachNic(const DeviceSpec& spec) {
+  state_->nic = std::make_unique<StorageDevice>(spec);
   state_->options.machine.nic = spec;
 }
 

@@ -74,7 +74,7 @@ struct SessionState {
   // from this session meters its remote_read wire bytes through this
   // one device, so its counters aggregate across concurrent jobs the
   // way a real host's NIC would.
-  std::unique_ptr<NetworkDevice> nic;
+  std::unique_ptr<StorageDevice> nic;
   SimFilesystem fs;
   UdfRegistry udfs;
   // The shared multi-tenant runtime, created on first Submit (or the
@@ -116,12 +116,12 @@ class Session {
   // Attaches an owned storage device (bandwidth/latency modeling) to
   // the filesystem. Replaces any previously attached device.
   void AttachStorage(const DeviceSpec& spec);
-  // Attaches an owned network device modeling this host's NIC; every
-  // pipeline built from the session charges remote_read wire bytes
-  // through it. Also records the spec in machine().nic so the
-  // optimizer's network bound is derived from the same numbers.
-  // Replaces any previously attached device.
-  void AttachNic(const NicSpec& spec);
+  // Attaches an owned device modeling this host's NIC (e.g.
+  // DeviceSpec::Gigabit()); every pipeline built from the session
+  // charges remote_read wire bytes through it. Also records the spec
+  // in machine().nic so the optimizer's network bound is derived from
+  // the same numbers. Replaces any previously attached device.
+  void AttachNic(const DeviceSpec& spec);
 
   // -- Flow sources --------------------------------------------------
   // Files matching the prefix (a file_list node).
@@ -159,7 +159,7 @@ class Session {
   MachineSpec& machine() { return state_->options.machine; }
   const MachineSpec& machine() const { return state_->options.machine; }
   StorageDevice* storage() const { return state_->storage.get(); }
-  NetworkDevice* nic() const { return state_->nic.get(); }
+  StorageDevice* nic() const { return state_->nic.get(); }
   uint64_t seed() const { return state_->options.seed; }
   void set_seed(uint64_t seed) { state_->options.seed = seed; }
   CpuWorkModel work_model() const { return state_->options.work_model; }

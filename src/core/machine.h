@@ -1,7 +1,8 @@
 // Machine resource descriptions (paper §5 "Hardware").
 //
 // The analysis only needs core count, memory capacity, a CPU speed
-// scale, and the storage device behind the training data. The three
+// scale, and the metered devices: the storage behind the training
+// data, an optional scratch tier, and the host NIC. The three
 // evaluation setups are provided as presets; byte-denominated fields
 // are scaled by the same factor the synthetic datasets use (see
 // workloads/datagen.h) so every ratio the paper reports is preserved.
@@ -11,7 +12,6 @@
 #include <string>
 
 #include "src/io/storage_device.h"
-#include "src/net/network_device.h"
 
 namespace plumber {
 
@@ -29,10 +29,12 @@ struct MachineSpec {
   // DRAM.
   DeviceSpec scratch = DeviceSpec::Unlimited();
   uint64_t scratch_bytes = 0;
-  // Host NIC (src/net). Unlimited by default, so single-host machines
-  // without a network model behave exactly as before; fleet hosts and
-  // remote-read sessions set a real bandwidth/latency here.
-  NicSpec nic = NicSpec::Unlimited();
+  // Host NIC: a device with a per-transfer latency and no per-stream
+  // cap (DeviceSpec::Gigabit, TenGigabit or TokenBucketLimit).
+  // Unlimited by default, so single-host machines without a network
+  // model behave exactly as before; fleet hosts and remote-read
+  // sessions set a real bandwidth/latency here.
+  DeviceSpec nic = DeviceSpec::Unlimited();
 
   // Setup A: consumer-grade AMD 2700X, 16 cores, 32 GiB.
   static MachineSpec SetupA(double byte_scale = 1.0);

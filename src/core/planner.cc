@@ -3,52 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/lp/simplex.h"
+#include "src/lp/maximin_allocator.h"
 
 namespace plumber {
 namespace {
-
-// Encodes the max-min allocation as an explicit LP and solves it with
-// simplex:  max t  s.t.  t - theta_i * R_i <= 0, sum theta <= cores,
-// theta_seq <= 1, optional t <= disk_cap.
-MaxMinSolution SolveWithSimplex(const std::vector<MaxMinStage>& stages,
-                                double cores, double disk_cap) {
-  LpProblem lp;
-  const int t = lp.AddVariable("t", /*objective=*/1.0);
-  std::vector<int> theta(stages.size(), -1);
-  std::vector<std::pair<int, double>> budget;
-  for (size_t i = 0; i < stages.size(); ++i) {
-    const double upper = stages[i].sequential
-                             ? 1.0
-                             : std::numeric_limits<double>::infinity();
-    theta[i] = lp.AddVariable("theta:" + stages[i].name, 0.0, upper);
-    lp.AddConstraint({{t, 1.0}, {theta[i], -stages[i].rate_per_core}},
-                     ConstraintSense::kLe, 0.0, "rate:" + stages[i].name);
-    budget.push_back({theta[i], 1.0});
-  }
-  lp.AddConstraint(budget, ConstraintSense::kLe, cores, "cores");
-  if (disk_cap >= 0) {
-    lp.AddConstraint({{t, 1.0}}, ConstraintSense::kLe, disk_cap, "disk");
-  }
-  const LpSolution solution = SolveSimplex(lp);
-  MaxMinSolution out;
-  if (!solution.feasible || !solution.bounded) return out;
-  out.throughput = solution.x[t];
-  out.theta.resize(stages.size());
-  for (size_t i = 0; i < stages.size(); ++i) {
-    out.theta[i] = solution.x[theta[i]];
-    out.cores_used += out.theta[i];
-  }
-  out.core_limited = out.cores_used >= cores - 1e-6;
-  double max_theta = -1;
-  for (size_t i = 0; i < stages.size(); ++i) {
-    if (out.theta[i] > max_theta) {
-      max_theta = out.theta[i];
-      out.bottleneck = static_cast<int>(i);
-    }
-  }
-  return out;
-}
 
 LpPlan PlanFromStages(const std::vector<MaxMinStage>& stages,
                       const PipelineModel& model,
@@ -65,18 +23,8 @@ LpPlan PlanFromStages(const std::vector<MaxMinStage>& stages,
     plan.network_bound_rate = options.network_bandwidth / network_demand;
   }
 
-  MaxMinSolution solution;
-  if (options.use_simplex) {
-    solution = SolveWithSimplex(stages, cores,
-                                options.disk_bandwidth > 0 && disk_demand > 0
-                                    ? plan.disk_bound_rate
-                                    : -1.0);
-  } else {
-    solution = SolveMaxMin(stages, cores);
-  }
-  plan.cpu_bound_rate = options.use_simplex && plan.disk_bound_rate >= 0
-                            ? SolveMaxMin(stages, cores).throughput
-                            : solution.throughput;
+  const MaxMinSolution solution = SolveMaxMin(stages, cores);
+  plan.cpu_bound_rate = solution.throughput;
   plan.cores_used = solution.cores_used;
   plan.core_limited = solution.core_limited;
   if (solution.bottleneck >= 0) {

@@ -24,9 +24,6 @@ struct LpPlanOptions {
   // Optional empirical parallelism -> bandwidth curve for the source
   // (fit by the I/O profiler); used to pick minimal read parallelism.
   PiecewiseLinear io_curve;
-  // Solve with the dense simplex instead of the closed form (identical
-  // results on linear pipelines; kept for generality + cross-checks).
-  bool use_simplex = false;
 };
 
 struct LpPlan {

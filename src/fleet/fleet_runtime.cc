@@ -53,6 +53,10 @@ namespace {
 // Sliding-window depth for per-host interactive queue-latency samples:
 // enough for a stable p95, small enough to track load shifts.
 constexpr size_t kLatencyWindow = 64;
+// Extra jobs handed to an executor beyond host_concurrent_jobs so a
+// host never idles between completions; everything past this stays in
+// the (stealable) fleet queue.
+constexpr int kDispatchDepth = 1;
 }  // namespace
 
 Status FleetJobHandle::Wait() const {
@@ -103,10 +107,9 @@ FleetRuntime::FleetRuntime(
       pipeline_options_(std::move(pipeline_options)) {
   if (options_.hosts.empty()) options_.hosts.push_back(MachineSpec{});
   options_.host_concurrent_jobs = std::max(1, options_.host_concurrent_jobs);
-  options_.dispatch_depth = std::max(0, options_.dispatch_depth);
   nics_.reserve(options_.hosts.size());
   for (const MachineSpec& machine : options_.hosts) {
-    nics_.push_back(std::make_unique<NetworkDevice>(machine.nic));
+    nics_.push_back(std::make_unique<StorageDevice>(machine.nic));
   }
   executors_.reserve(options_.hosts.size());
   for (size_t h = 0; h < options_.hosts.size(); ++h) {
@@ -284,17 +287,8 @@ int FleetRuntime::LeastLoadedLocked() const {
   return best;
 }
 
-void FleetRuntime::DispatchLocked(RecordPtr record, int host, int from) {
-  uint64_t payload = 0;
-  if (from >= 0 && from != host) {
-    // Migration is not free: the serialized program crosses the wire
-    // from the host that held it to the one that runs it, paying both
-    // endpoints' NIC latency and bandwidth before the job can start.
-    payload = record->graph.Serialize().size();
-    nics_[from]->Transfer(payload);
-    nics_[host]->Transfer(payload);
-    transfer_bytes_.fetch_add(payload, std::memory_order_relaxed);
-  }
+void FleetRuntime::DispatchLocked(RecordPtr record, int host,
+                                  uint64_t transfer_bytes) {
   runtime::JobPtr job =
       executors_[host]->Submit(record->graph, record->options);
   const bool interactive =
@@ -302,7 +296,7 @@ void FleetRuntime::DispatchLocked(RecordPtr record, int host, int from) {
   {
     std::lock_guard<std::mutex> rlock(record->mu);
     record->host = host;
-    record->transfer_bytes = payload;
+    record->transfer_bytes = transfer_bytes;
     record->dispatch_ns = WallNanos();
     record->job = std::move(job);
     record->terminal = true;
@@ -327,7 +321,7 @@ void FleetRuntime::PumpLoop() {
   // Each host's executor is kept topped up to cap jobs (running +
   // queued inside the executor); the surplus stays in the fleet queue
   // where the stealing pass below can still re-route it.
-  const int cap = options_.host_concurrent_jobs + options_.dispatch_depth;
+  const int cap = options_.host_concurrent_jobs + kDispatchDepth;
   for (;;) {
     if (stop_) return;
     SampleInteractiveLatencyLocked();
@@ -343,11 +337,15 @@ void FleetRuntime::PumpLoop() {
       }
       any_queued = any_queued || !queues_[h].empty();
     }
+    bool stole = false;
     if (options_.work_stealing && any_queued) {
       for (int h = 0; h < num_hosts(); ++h) {
         if (!queues_[h].empty()) continue;  // has local work
         runtime::ExecutorLoadSnapshot snap = executors_[h]->LoadSnapshot();
-        while (snap.queued_jobs + snap.running_jobs < cap) {
+        // A Submit may queue local work while a steal's transfer runs
+        // unlocked; the host stops stealing then.
+        while (queues_[h].empty() &&
+               snap.queued_jobs + snap.running_jobs < cap) {
           // Steal from the deepest backlog; take the newest arrival so
           // the victim's oldest jobs keep their locality.
           int victim = -1;
@@ -367,11 +365,28 @@ void FleetRuntime::PumpLoop() {
             record->stolen = true;
           }
           steal_count_.fetch_add(1, std::memory_order_relaxed);
-          DispatchLocked(std::move(record), h, /*from=*/victim);
+          // Migration is not free: the serialized program crosses the
+          // wire from the victim to the thief, paying both NICs'
+          // latency and bandwidth before the job can start. Charge it
+          // with mu_ released so Submit and HostLoad on every host
+          // never wait out a transfer. The record sits in no queue
+          // meanwhile and the pump is the only dispatcher, so nothing
+          // else can reach it.
+          lock.unlock();
+          const uint64_t payload = record->graph.Serialize().size();
+          nics_[victim]->Charge(payload);
+          nics_[h]->Charge(payload);
+          transfer_bytes_.fetch_add(payload, std::memory_order_relaxed);
+          lock.lock();
+          DispatchLocked(std::move(record), h, payload);
           ++snap.queued_jobs;
+          stole = true;
         }
       }
     }
+    // A Submit during a steal's unlocked transfer notified no waiter:
+    // make another pass instead of sleeping on its job.
+    if (stole) continue;
     // Executor completions have no wakeup channel into the pump, so
     // poll on a short tick while work is waiting; otherwise sleep
     // until a Submit (or shutdown) notifies.

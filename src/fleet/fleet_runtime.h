@@ -17,12 +17,14 @@
 //                 dispatch least-loaded
 //
 // Jobs wait in per-host fleet queues; a pump thread feeds each host's
-// executor only as many jobs as it can admit (plus a small dispatch
-// depth), keeping the remainder visible for cross-host work stealing:
+// executor only as many jobs as it can admit (plus one), keeping the
+// remainder visible for cross-host work stealing:
 // when a host drains while another is backlogged, the pump re-routes
 // the victim's newest queued job to the idle host (pins are a locality
 // preference, not a placement constraint — stealing overrides them and
-// counts each override in steal_count()).
+// counts each override in steal_count()). A stolen job's serialized
+// program is charged through the victim's and the thief's NICs before
+// it runs, outside the fleet lock.
 //
 // Timing model of one job's life:
 //   Submit -> dispatch (fleet queue)          FleetJobStats.fleet_queue_s
@@ -41,7 +43,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/net/network_device.h"
+#include "src/io/storage_device.h"
 #include "src/runtime/executor.h"
 
 namespace plumber {
@@ -59,10 +61,6 @@ struct FleetOptions {
   // Jobs one host's executor runs concurrently (its modeled cores are
   // arbitrated across them). Fleet-level queueing happens beyond this.
   int host_concurrent_jobs = 2;
-  // Extra jobs handed to an executor beyond the concurrency cap so a
-  // host never idles between completions; everything past this stays
-  // in the (stealable) fleet queue.
-  int dispatch_depth = 1;
   // Forwarded to every host executor (see runtime::ExecutorOptions):
   // SLO class tiers within each host's core arbitration, and per-class
   // admission backpressure.
@@ -161,7 +159,7 @@ class FleetRuntime {
   // This host's modeled NIC (never null): remote_read wire bytes and
   // migration payloads all land on its counters, so per-host network
   // utilization comes from one place.
-  NetworkDevice* host_nic(int host) const { return nics_[host].get(); }
+  StorageDevice* host_nic(int host) const { return nics_[host].get(); }
   // Total serialized program bytes moved between hosts by stealing.
   uint64_t transfer_bytes() const {
     return transfer_bytes_.load(std::memory_order_relaxed);
@@ -181,18 +179,17 @@ class FleetRuntime {
   // Sweeps dispatched interactive jobs whose queueing has ended into
   // the per-host latency windows (mu_ held).
   void SampleInteractiveLatencyLocked();
-  // Hands one queued record to a host's executor (mu_ held). A
-  // non-negative `from` different from `host` means the job is
-  // migrating: its serialized graph is charged through both endpoints'
-  // NICs before it runs.
-  void DispatchLocked(RecordPtr record, int host, int from = -1);
+  // Hands one queued record to a host's executor (mu_ held).
+  // `transfer_bytes` is what the pump already charged through both
+  // NICs to migrate a stolen record here; 0 when it runs where queued.
+  void DispatchLocked(RecordPtr record, int host, uint64_t transfer_bytes = 0);
 
   FleetOptions options_;
   const std::function<PipelineOptions(int host)> pipeline_options_;
   // Per-host NICs, built from hosts[h].nic; declared before the
   // executors so running pipelines (which borrow the pointers) are
   // torn down first.
-  std::vector<std::unique_ptr<NetworkDevice>> nics_;
+  std::vector<std::unique_ptr<StorageDevice>> nics_;
   std::vector<std::unique_ptr<runtime::Executor>> executors_;
 
   mutable std::mutex mu_;

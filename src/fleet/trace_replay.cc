@@ -68,7 +68,7 @@ StatusOr<FleetReport> TraceReplayDriver::Replay(
   // against a baseline so back-to-back replays report their own bytes.
   std::vector<uint64_t> nic_bytes_before(fleet_->num_hosts(), 0);
   for (int h = 0; h < fleet_->num_hosts(); ++h) {
-    nic_bytes_before[h] = fleet_->host_nic(h)->total_bytes();
+    nic_bytes_before[h] = fleet_->host_nic(h)->total_bytes_read();
   }
   const uint64_t transfer_bytes_before = fleet_->transfer_bytes();
   const int64_t steals_before = fleet_->steal_count();
@@ -212,7 +212,7 @@ StatusOr<FleetReport> TraceReplayDriver::Replay(
     // counter remote_read metering and migration charging feed.
     const double nic_bw = fleet_->host_nic(h)->spec().max_bandwidth;
     const uint64_t nic_bytes =
-        fleet_->host_nic(h)->total_bytes() - nic_bytes_before[h];
+        fleet_->host_nic(h)->total_bytes_read() - nic_bytes_before[h];
     double net_util = 0;
     if (nic_bw > 0 && report.makespan_s > 0) {
       net_util = std::min(

@@ -78,7 +78,7 @@ struct FleetReport {
   std::vector<double> host_utilization;
   double mean_utilization = 0;
   // Modeled NIC busy fraction per host over the makespan — bytes the
-  // host's NetworkDevice carried during the replay divided by
+  // host's NIC device carried during the replay divided by
   // (makespan x NIC bandwidth); 0 for unlimited NICs. Sits next to
   // host_utilization so a network-bound fleet is as visible as a
   // CPU-bound one.

@@ -41,6 +41,22 @@ DeviceSpec DeviceSpec::TokenBucketLimit(double bytes_per_sec) {
   return s;
 }
 
+DeviceSpec DeviceSpec::Gigabit() {
+  DeviceSpec s;
+  s.name = "1gbe";
+  s.max_bandwidth = 125e6;
+  s.read_latency_s = 100e-6;
+  return s;
+}
+
+DeviceSpec DeviceSpec::TenGigabit() {
+  DeviceSpec s;
+  s.name = "10gbe";
+  s.max_bandwidth = 1.25e9;
+  s.read_latency_s = 50e-6;
+  return s;
+}
+
 ReadStream::ReadStream(StorageDevice* device) : device_(device) {
   if (device_->spec().per_stream_bandwidth > 0) {
     // Small burst (20ms of tokens) so short-lived probes measure the

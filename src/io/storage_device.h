@@ -1,10 +1,15 @@
-// Simulated storage devices.
+// Simulated storage devices and NICs.
 //
 // A StorageDevice models the bandwidth behaviour the paper evaluates
 // against: a device-wide bandwidth cap (HDD ~180MB/s, NVMe ~2GB/s, or a
 // token-bucket-limited sweep), an optional per-stream cap (cloud object
 // stores serve each connection at a fraction of aggregate bandwidth, so
 // read parallelism matters), and a fixed per-read latency.
+//
+// A host NIC is the same resource with a per-transfer latency and no
+// per-stream cap (the Gigabit and TenGigabit presets), charged directly
+// through Charge(): remote_read charges every record through both
+// endpoints' NICs, and fleet work stealing the migrated program.
 #pragma once
 
 #include <atomic>
@@ -24,14 +29,21 @@ struct DeviceSpec {
   double max_bandwidth = 0;
   // Per-stream bandwidth cap in bytes/sec; 0 = no per-stream cap.
   double per_stream_bandwidth = 0;
-  // Fixed latency charged per read call, seconds.
+  // Fixed latency charged per read call (per transfer, on a NIC),
+  // seconds.
   double read_latency_s = 0;
 
+  // Unlimited device: charges are free and only counted (the default,
+  // so machines without a device model behave as if there were none).
   static DeviceSpec Unlimited();
   static DeviceSpec Hdd();           // ~180 MB/s sequential
   static DeviceSpec NvmeSsd();       // ~2 GB/s
   static DeviceSpec CloudStorage(double aggregate, double per_stream);
   static DeviceSpec TokenBucketLimit(double bytes_per_sec);
+  // NICs: ~125 MB/s commodity gigabit Ethernet and ~1.25 GB/s
+  // datacenter 10GbE.
+  static DeviceSpec Gigabit();
+  static DeviceSpec TenGigabit();
 };
 
 // One logical read stream (e.g. one open file being read by one
@@ -57,6 +69,13 @@ class StorageDevice {
 
   const DeviceSpec& spec() const { return spec_; }
 
+  // Blocks to charge `bytes` against the device: the fixed per-read
+  // latency (a modeled block, excluded from CPU attribution), then the
+  // device-wide token bucket, then the counters. Reads through a
+  // ReadStream also pay its per-stream cap first; a NIC has none and
+  // is charged here directly.
+  void Charge(uint64_t bytes);
+
   // Changes the aggregate bandwidth cap (token-bucket sweeps).
   void SetBandwidth(double bytes_per_sec);
 
@@ -69,9 +88,6 @@ class StorageDevice {
   void ResetCounters();
 
  private:
-  friend class ReadStream;
-  void Charge(uint64_t bytes);
-
   DeviceSpec spec_;
   TokenBucket global_bucket_;
   std::atomic<uint64_t> total_bytes_{0};

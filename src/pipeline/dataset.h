@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/io/sim_filesystem.h"
-#include "src/net/network_device.h"
 #include "src/pipeline/element.h"
 #include "src/pipeline/graph_def.h"
 #include "src/pipeline/iterator_stats.h"
@@ -55,11 +54,12 @@ struct PipelineContext {
   // shard_devices->DeviceFor(shard) so every shard gets its own
   // modeled disk. Null = all reads go through fs->device().
   ShardDevicePool* shard_devices = nullptr;
-  // This host's NIC (src/net): remote_read charges every record's bytes
-  // through it (the receive side of the wire), in addition to the
-  // remote endpoint's NIC. Null = the local endpoint is unmetered,
-  // matching machines that never set MachineSpec::nic.
-  NetworkDevice* nic = nullptr;
+  // This host's NIC (a StorageDevice built from MachineSpec::nic):
+  // remote_read charges every record's bytes through it (the receive
+  // side of the wire), in addition to the remote endpoint's NIC. Null =
+  // the local endpoint is unmetered, matching machines that never set
+  // MachineSpec::nic.
+  StorageDevice* nic = nullptr;
   // The largest claim a worker pool sizes: how many elements one worker
   // takes from its input and hands off per lock acquisition (see
   // src/pipeline/worker_pool.h). 1 is element-at-a-time execution.

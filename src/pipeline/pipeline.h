@@ -38,7 +38,7 @@ struct PipelineOptions {
   // This host's NIC, borrowed like `fs` so a Session or FleetRuntime
   // can share one device (and its byte counters) across pipelines.
   // Null = local transfers are unmetered (no network model).
-  NetworkDevice* nic = nullptr;
+  StorageDevice* nic = nullptr;
 };
 
 class Pipeline {

@@ -232,20 +232,21 @@ StatusOr<std::unique_ptr<IteratorBase>> TfRecordDataset::MakeIterator(
 // Like tfrecord, but the files live on a remote host: every record's
 // bytes are metered through the remote host's storage device (the
 // filesystem/shard device, exactly as a local read would be), then
-// through the remote host's NIC (owned by the dataset, modeled from the
-// node's remote-NIC attrs), then through this host's NIC (ctx->nic).
-// Element content and order are identical to a local tfrecord read —
-// the network model only adds time and accounting.
+// through the remote host's NIC (a StorageDevice owned by the dataset,
+// modeled from the node's remote-NIC attrs: bandwidth, and latency per
+// transfer), then through this host's NIC (ctx->nic). Element content
+// and order are identical to a local tfrecord read — the network model
+// only adds time and accounting.
 class RemoteReadDataset : public DatasetBase {
  public:
   RemoteReadDataset(NodeDef def, std::vector<DatasetPtr> inputs,
                     PipelineContext* ctx)
       : DatasetBase(std::move(def), std::move(inputs)) {
-    NicSpec remote;
+    DeviceSpec remote;
     remote.name = "remote";
     remote.max_bandwidth = def_.GetDouble(kAttrRemoteNicBandwidth, 0);
-    remote.latency_s = def_.GetDouble(kAttrRemoteNicLatency, 0);
-    remote_nic_ = std::make_unique<NetworkDevice>(remote);
+    remote.read_latency_s = def_.GetDouble(kAttrRemoteNicLatency, 0);
+    remote_nic_ = std::make_unique<StorageDevice>(remote);
     if (auto* fl = dynamic_cast<const FileListDataset*>(inputs_[0].get())) {
       int64_t total = 0;
       for (const auto& f : fl->files()) {
@@ -262,15 +263,13 @@ class RemoteReadDataset : public DatasetBase {
 
   int64_t Cardinality() const override { return cardinality_; }
 
-  NetworkDevice* remote_nic() const { return remote_nic_.get(); }
-
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;
 
  private:
   // The remote endpoint's NIC: shared by every iterator of this dataset
   // (all readers of one remote source contend for one remote uplink).
-  std::unique_ptr<NetworkDevice> remote_nic_;
+  std::unique_ptr<StorageDevice> remote_nic_;
   int64_t cardinality_ = kUnknownCardinality;
 };
 
@@ -278,7 +277,7 @@ class RemoteReadIterator : public IteratorBase {
  public:
   RemoteReadIterator(PipelineContext* ctx, IteratorStats* stats,
                      std::unique_ptr<IteratorBase> input,
-                     StorageDevice* shard_device, NetworkDevice* remote_nic)
+                     StorageDevice* shard_device, StorageDevice* remote_nic)
       : IteratorBase(ctx, stats), input_(std::move(input)),
         shard_device_(shard_device), remote_nic_(remote_nic) {}
 
@@ -314,8 +313,8 @@ class RemoteReadIterator : public IteratorBase {
       const uint64_t wire_bytes = payload.size() + kRecordFramingBytes;
       stats_->AddBytesRead(wire_bytes);
       // The record crosses the wire once; both endpoints' NICs carry it.
-      remote_nic_->Transfer(wire_bytes);
-      if (ctx_->nic != nullptr) ctx_->nic->Transfer(wire_bytes);
+      remote_nic_->Charge(wire_bytes);
+      if (ctx_->nic != nullptr) ctx_->nic->Charge(wire_bytes);
       stats_->AddNetworkBytes(wire_bytes);
       *out = Element::FromBuffer(std::move(payload), sequence_++);
       *end = false;
@@ -326,7 +325,7 @@ class RemoteReadIterator : public IteratorBase {
  private:
   std::unique_ptr<IteratorBase> input_;
   StorageDevice* shard_device_;  // null = the filesystem's device
-  NetworkDevice* remote_nic_;
+  StorageDevice* remote_nic_;
   std::unique_ptr<RecordReader> reader_;
   uint64_t sequence_ = 0;
   size_t last_payload_bytes_ = 64;

@@ -307,21 +307,4 @@ Session MakeWorkloadSession(const MachineSpec& machine,
   return session;
 }
 
-WorkloadEnv::WorkloadEnv(StorageDevice* device) : fs(device) {
-  Status status = RegisterStandardDatasets(&fs);
-  (void)status;
-  status = RegisterWorkloadUdfs(&udfs);
-  (void)status;
-}
-
-PipelineOptions WorkloadEnv::MakePipelineOptions(double cpu_scale,
-                                                 uint64_t memory_budget) {
-  PipelineOptions options;
-  options.fs = &fs;
-  options.udfs = &udfs;
-  options.cpu_scale = cpu_scale;
-  options.memory_budget_bytes = memory_budget;
-  return options;
-}
-
 }  // namespace plumber

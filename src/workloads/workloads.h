@@ -26,7 +26,6 @@
 
 #include "src/api/session.h"
 #include "src/pipeline/graph_def.h"
-#include "src/pipeline/pipeline.h"
 #include "src/pipeline/udf.h"
 #include "src/workloads/datagen.h"
 
@@ -73,17 +72,5 @@ std::vector<std::string> AllWorkloadNames();
 Session MakeWorkloadSession(const MachineSpec& machine);
 Session MakeWorkloadSession(const MachineSpec& machine,
                             const DeviceSpec& storage);
-
-// Convenience: one-call environment = filesystem with standard datasets
-// + registry with all UDFs (the pre-Session, hand-wired layer).
-struct WorkloadEnv {
-  SimFilesystem fs;
-  UdfRegistry udfs;
-
-  explicit WorkloadEnv(StorageDevice* device = nullptr);
-
-  PipelineOptions MakePipelineOptions(double cpu_scale = 1.0,
-                                      uint64_t memory_budget = 0);
-};
 
 }  // namespace plumber

@@ -94,19 +94,6 @@ TEST(LpPlanTest, CpuBoundPredictionMatchesWaterFilling) {
   EXPECT_GE(plan.parallelism.at("decode"), 10);
 }
 
-TEST(LpPlanTest, SimplexAgreesWithClosedForm) {
-  const auto udfs = EmptyUdfs();
-  auto model = std::move(PipelineModel::Build(StandardTrace(
-                             MachineSpec::SetupA()), &udfs))
-                   .value();
-  LpPlanOptions closed_opts, simplex_opts;
-  simplex_opts.use_simplex = true;
-  const LpPlan a = PlanAllocation(model, closed_opts);
-  const LpPlan b = PlanAllocation(model, simplex_opts);
-  EXPECT_NEAR(a.predicted_rate, b.predicted_rate,
-              1e-4 * a.predicted_rate);
-}
-
 TEST(LpPlanTest, DiskConstraintCapsRate) {
   const auto udfs = EmptyUdfs();
   auto model = std::move(PipelineModel::Build(StandardTrace(

@@ -9,7 +9,7 @@
 
 #include "src/api/session.h"
 #include "src/io/sim_filesystem.h"
-#include "src/net/network_device.h"
+#include "src/io/storage_device.h"
 #include "src/pipeline/ops.h"
 #include "tests/test_util.h"
 
@@ -57,7 +57,7 @@ TEST(RemoteReadTest, IdenticalToLocalReadAtEveryClaimCap) {
 
 TEST(RemoteReadTest, NicAccountingIsByteExact) {
   PipelineTestEnv env(kNumFiles, kRecordsPerFile, kRecordBytes);
-  NetworkDevice local_nic(NicSpec::Unlimited());
+  StorageDevice local_nic(DeviceSpec::Unlimited());
   PipelineOptions opts = env.Options();
   opts.nic = &local_nic;
   auto pipeline = Pipeline::Create(RemoteGraph(), opts);
@@ -68,8 +68,8 @@ TEST(RemoteReadTest, NicAccountingIsByteExact) {
   // Every record crosses the wire once, framing included; the local
   // NIC's counters must equal the sum of transfer sizes exactly.
   const uint64_t wire_bytes = records * (kRecordBytes + kRecordFramingBytes);
-  EXPECT_EQ(local_nic.total_bytes(), wire_bytes);
-  EXPECT_EQ(local_nic.total_transfers(), records);
+  EXPECT_EQ(local_nic.total_bytes_read(), wire_bytes);
+  EXPECT_EQ(local_nic.total_reads(), records);
   // The per-node stat agrees with the device.
   uint64_t stat_network_bytes = 0;
   for (const auto& s : (*pipeline)->stats().Snapshot()) {
@@ -80,13 +80,13 @@ TEST(RemoteReadTest, NicAccountingIsByteExact) {
 
 TEST(RemoteReadTest, LocalReadReportsNoNetworkBytes) {
   PipelineTestEnv env(kNumFiles, kRecordsPerFile, kRecordBytes);
-  NetworkDevice local_nic(NicSpec::Unlimited());
+  StorageDevice local_nic(DeviceSpec::Unlimited());
   PipelineOptions opts = env.Options();
   opts.nic = &local_nic;
   auto pipeline = Pipeline::Create(LocalGraph(), opts);
   ASSERT_TRUE(pipeline.ok()) << pipeline.status();
   (void)Drain(**pipeline);
-  EXPECT_EQ(local_nic.total_bytes(), 0u);
+  EXPECT_EQ(local_nic.total_bytes_read(), 0u);
   for (const auto& s : (*pipeline)->stats().Snapshot()) {
     EXPECT_EQ(s.network_bytes, 0u);
   }
@@ -110,7 +110,7 @@ TEST(RemoteReadTest, SessionAttachNicMetersAcrossRuns) {
                   .CreateRecordFiles("data/f", kNumFiles, kRecordsPerFile,
                                      kRecordBytes)
                   .ok());
-  session.AttachNic(NicSpec::Unlimited());
+  session.AttachNic(DeviceSpec::Unlimited());
   ASSERT_NE(session.nic(), nullptr);
   EXPECT_DOUBLE_EQ(session.machine().nic.max_bandwidth, 0);
 
@@ -121,11 +121,11 @@ TEST(RemoteReadTest, SessionAttachNicMetersAcrossRuns) {
   const uint64_t per_run = static_cast<uint64_t>(kNumFiles) *
                            kRecordsPerFile *
                            (kRecordBytes + kRecordFramingBytes);
-  EXPECT_EQ(session.nic()->total_bytes(), per_run);
+  EXPECT_EQ(session.nic()->total_bytes_read(), per_run);
   // A second run accumulates on the same session device, the way a
   // host NIC counter would.
   ASSERT_TRUE(flow.Run(run).ok());
-  EXPECT_EQ(session.nic()->total_bytes(), 2 * per_run);
+  EXPECT_EQ(session.nic()->total_bytes_read(), 2 * per_run);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/io/storage_device.h"
-#include "src/util/cpu_timer.h"
 
 namespace plumber {
 namespace {
@@ -111,43 +110,6 @@ TEST(SimFilesystemTest, DeviceChargedForReads) {
   ASSERT_TRUE(reader->ReadRecord(&payload, &end).ok());
   EXPECT_EQ(device.total_bytes_read(), 100 + kRecordFramingBytes);
   EXPECT_EQ(device.total_reads(), 1u);
-}
-
-TEST(StorageDeviceTest, TokenBucketLimitsReadBandwidth) {
-  StorageDevice device(DeviceSpec::TokenBucketLimit(1e6));  // 1MB/s
-  device.SetBandwidth(1e6);
-  SimFilesystem fs(&device);
-  ASSERT_TRUE(fs.CreateRawFile("x", 7, 10 << 20).ok());
-  auto reader = std::move(fs.OpenRaw("x")).value();
-  const int64_t t0 = WallNanos();
-  uint64_t total = 0;
-  // Read 1.2MB beyond the 1MB burst: should take >=0.15s.
-  while (total < 1'200'000 + 1'000'000) {
-    total += reader->Read(100'000, /*loop=*/true);
-  }
-  EXPECT_GT((WallNanos() - t0) * 1e-9, 0.1);
-}
-
-TEST(StorageDeviceTest, PerStreamCapScalesWithParallelism) {
-  DeviceSpec spec = DeviceSpec::CloudStorage(/*aggregate=*/1e12,
-                                             /*per_stream=*/1e6);
-  StorageDevice device(spec);
-  auto s1 = device.OpenStream();
-  auto s2 = device.OpenStream();
-  // Each stream has an independent 1e6/s budget with 1e6 burst:
-  // acquiring 1e6 on both immediately must succeed without waiting on a
-  // shared limit.
-  const int64_t t0 = WallNanos();
-  s1->Charge(1'000'000);
-  s2->Charge(1'000'000);
-  EXPECT_LT((WallNanos() - t0) * 1e-9, 0.2);
-}
-
-TEST(StorageDeviceTest, PresetSpecs) {
-  EXPECT_GT(DeviceSpec::Hdd().max_bandwidth, 0);
-  EXPECT_GT(DeviceSpec::NvmeSsd().max_bandwidth,
-            DeviceSpec::Hdd().max_bandwidth);
-  EXPECT_EQ(DeviceSpec::Unlimited().max_bandwidth, 0);
 }
 
 }  // namespace

@@ -77,10 +77,10 @@ TEST(WorkloadsTest, RandomnessClosureMatchesPaperStructure) {
 class WorkloadRunTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(WorkloadRunTest, ProducesBatchesEndToEnd) {
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(MachineSpec::SetupA());
   auto w = std::move(MakeWorkload(GetParam())).value();
   auto pipeline =
-      std::move(Pipeline::Create(w.graph, env.MakePipelineOptions()))
+      std::move(Pipeline::Create(w.graph, session.MakePipelineOptions()))
           .value();
   RunOptions options;
   options.max_batches = 3;
@@ -98,12 +98,12 @@ INSTANTIATE_TEST_SUITE_P(
                       "transformer", "transformer_small", "gnmt"));
 
 TEST(WorkloadsTest, ResNetVariantsShareSignature) {
-  WorkloadEnv env;
+  Session session = MakeWorkloadSession(MachineSpec::SetupA());
   auto w = std::move(MakeWorkload("resnet18")).value();
   ASSERT_EQ(w.variants.size(), 2u);
   for (const auto& variant : w.variants) {
     auto pipeline =
-        std::move(Pipeline::Create(variant, env.MakePipelineOptions()))
+        std::move(Pipeline::Create(variant, session.MakePipelineOptions()))
             .value();
     RunOptions options;
     options.max_batches = 1;
