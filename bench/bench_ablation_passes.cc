@@ -60,7 +60,6 @@ double MeasureConfig(const Workload& workload, const MachineSpec& machine,
     Session session = MakeWorkloadSession(machine, workload.storage);
     OptimizeOptions options;
     options.trace_seconds = 0.25;
-    options.evaluate_warmup_seconds = 0.8;
     options.lp_options.disk_bandwidth = workload.storage.max_bandwidth;
     auto result = session.FromGraph(graph).OptimizeWith(config.schedule,
                                                         options);

@@ -72,7 +72,6 @@ Row RunWorkload(const std::string& name, int num_cores) {
     Session session = MakeWorkloadSession(machine, workload.storage);
     OptimizeOptions oopts;
     oopts.trace_seconds = 0.25;
-    oopts.evaluate_warmup_seconds = 0.8;
     oopts.lp_options.disk_bandwidth = workload.storage.max_bandwidth;
     auto result = workload.variants.size() > 1
                       ? session.OptimizeBest(workload.variants, oopts)

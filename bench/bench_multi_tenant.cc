@@ -7,8 +7,8 @@
 // concurrency. Expected shape: each job's configured demand (2-4
 // workers) underuses the 8 cores alone, so overlapping the four jobs
 // under the maximin arbiter lifts aggregate throughput well above the
-// serialized baseline (the acceptance bar is >= 1.3x; the modeled
-// kTimed UDFs make the ratio host-independent).
+// serialized baseline (the acceptance bar is >= 1.3x; modeled UDF cost
+// runs as a timed wait, which makes the ratio host-independent).
 //
 // A second scenario exercises SLO-aware scheduling: three long batch
 // jobs share the machine with a closed-loop stream of short

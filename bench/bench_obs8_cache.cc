@@ -199,7 +199,6 @@ StatusOr<GraphDef> OptimizeSchedule(const Workload& workload,
   Session session = MakeWorkloadSession(machine, workload.storage);
   OptimizeOptions options;
   options.trace_seconds = 0.25;
-  options.evaluate_warmup_seconds = 0.8;
   options.lp_options.disk_bandwidth = workload.storage.max_bandwidth;
   auto result = session.FromGraph(NaiveConfiguration(workload.graph))
                     .OptimizeWith(schedule, options);

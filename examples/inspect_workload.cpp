@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
     Session session = MakeWorkloadSession(machine, workload.storage);
     OptimizeOptions options;
     options.trace_seconds = 0.25;
-    options.evaluate_warmup_seconds = 0.8;
     options.lp_options.disk_bandwidth = workload.storage.max_bandwidth;
     auto result =
         session.FromGraph(workload.variants[v]).Optimize(options);

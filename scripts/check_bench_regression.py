@@ -38,7 +38,7 @@ Two portability mechanisms, by what differs between the hosts:
   gate. Rates within the noise band mean the same host class, where
   raw gating is valid and noise-free. Wrapper benches (fig10,
   ablation) are deliberately NOT normalized: their UDF cost executes
-  as timed occupancy of a modeled machine (kTimed, see
+  as timed occupancy of a modeled machine (see ExecuteMapUdf in
   src/pipeline/udf.h), so their rates are largely host-clock-
   independent and dividing by the spin rate would introduce the very
   skew it removes elsewhere; they record host_spin_rounds_per_ns for
@@ -135,7 +135,7 @@ def load_metrics(path):
     None) for one BENCH_*.json file. host_speed is the calibrated spin
     rate (rounds/ns) — only returned for google-benchmark files, whose
     workloads burn real CPU and therefore scale with it; wrapper-bench
-    rates are kTimed-simulated (host-clock-independent), so their
+    rates come from timed waits (host-clock-independent), so their
     recorded spin rate is context, not a normalizer."""
     with open(path) as f:
         data = json.load(f)

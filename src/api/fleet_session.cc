@@ -9,7 +9,6 @@ FleetSession::FleetSession(FleetSessionOptions options)
       env_([&] {
         SessionOptions so;
         so.seed = options_.seed;
-        so.work_model = options_.work_model;
         return so;
       }()) {
   fleet::FleetOptions fopts = options_.fleet;
@@ -19,9 +18,9 @@ FleetSession::FleetSession(FleetSessionOptions options)
   runtime_ = std::make_unique<fleet::FleetRuntime>(
       std::move(fopts), [this](int host) {
         // Start from the environment Session's options (filesystem,
-        // UDFs, seed, work model), then overlay the host's own
-        // hardware: its core speed and memory budget. Per-host seeds
-        // decorrelate modeled randomness across hosts.
+        // UDFs, seed), then overlay the host's own hardware: its core
+        // speed and memory budget. Per-host seeds decorrelate modeled
+        // randomness across hosts.
         PipelineOptions popts = env_.MakePipelineOptions();
         const MachineSpec& machine = options_.hosts[host];
         popts.cpu_scale = machine.cpu_scale;

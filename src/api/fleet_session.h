@@ -2,11 +2,11 @@
 //
 // A FleetSession is to FleetRuntime what Session is to Executor: it
 // owns the shared environment (one Session supplies the simulated
-// filesystem, UDF registry, seed, and work model for every host) and
-// wires a per-host PipelineOptions factory that overrides cpu_scale
-// and the memory budget from each host's own MachineSpec, so a
-// heterogeneous fleet models heterogeneous hardware while serving one
-// program namespace.
+// filesystem, UDF registry, and seed for every host) and wires a
+// per-host PipelineOptions factory that overrides cpu_scale and the
+// memory budget from each host's own MachineSpec, so a heterogeneous
+// fleet models heterogeneous hardware while serving one program
+// namespace.
 //
 //   FleetSessionOptions fo;
 //   fo.hosts = {MachineSpec::SetupA(), MachineSpec::SetupA(),
@@ -38,7 +38,6 @@ struct FleetSessionOptions {
   // over fleet.hosts).
   fleet::FleetOptions fleet;
   uint64_t seed = 42;
-  CpuWorkModel work_model = CpuWorkModel::kTimed;
 };
 
 class FleetSession {

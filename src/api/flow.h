@@ -129,9 +129,9 @@ class Flow {
   JobHandle Submit(JobOptions options = {}) const;
 
   // Hands the pipeline to the Plumber optimizer. The Session is the
-  // source of truth for the environment: machine, fs, udfs, seed, and
-  // work model in `options` are overwritten from it; pass only tuning
-  // knobs (trace windows, schedule, lp_options).
+  // source of truth for the environment: machine, fs, udfs and seed in
+  // `options` are overwritten from it; pass only tuning knobs (trace
+  // window, schedule, lp_options).
   StatusOr<OptimizedFlow> Optimize(OptimizeOptions options = {}) const;
 
   // Optimize with an explicit pass schedule, e.g.

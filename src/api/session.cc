@@ -11,12 +11,8 @@ PipelineOptions MakePipelineOptions(SessionState& state) {
   popts.fs = &state.fs;
   popts.udfs = &state.udfs;
   popts.cpu_scale = so.machine.cpu_scale;
-  popts.work_model = so.work_model;
   popts.seed = so.seed;
-  popts.tracing_enabled = so.tracing_enabled;
-  popts.memory_budget_bytes = so.memory_budget_bytes > 0
-                                  ? so.memory_budget_bytes
-                                  : so.machine.memory_bytes;
+  popts.memory_budget_bytes = so.machine.memory_bytes;
   popts.scratch = so.machine.scratch;
   popts.scratch_budget_bytes = so.machine.scratch_bytes;
   popts.nic = state.nic.get();
@@ -26,15 +22,9 @@ PipelineOptions MakePipelineOptions(SessionState& state) {
 void ApplyEnvironment(SessionState& state, OptimizeOptions* options) {
   const SessionOptions& so = state.options;
   options->machine = so.machine;
-  // The memory cap bounds the planning budget too, so the optimizer
-  // never plans a cache the runtime budget would reject.
-  if (so.memory_budget_bytes > 0) {
-    options->machine.memory_bytes = so.memory_budget_bytes;
-  }
   options->fs = &state.fs;
   options->udfs = &state.udfs;
   options->seed = so.seed;
-  options->work_model = so.work_model;
   // The planner's network constraint defaults to the machine's NIC so
   // attaching one device keeps runtime metering and planning aligned;
   // an explicit per-call bandwidth wins.
@@ -52,7 +42,6 @@ runtime::Executor& GetExecutor(SessionState& state) {
     runtime::ExecutorOptions eopts;
     eopts.max_concurrent_jobs = state.options.max_concurrent_jobs;
     eopts.slo_preemption = state.options.slo_preemption;
-    eopts.admission = state.options.admission;
     state.executor = std::make_unique<runtime::Executor>(
         [raw] { return MakePipelineOptions(*raw); },
         [raw] { return raw->options.machine; }, eopts);

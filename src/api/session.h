@@ -2,11 +2,11 @@
 //
 // A Session owns everything a pipeline needs to exist — the simulated
 // filesystem (optionally backed by an owned StorageDevice), the UDF
-// registry, the MachineSpec being modeled, the seed, and the CPU work
-// model — and is the one source of truth for all of them: Flow::Run and
-// Flow::Optimize derive their PipelineOptions/OptimizeOptions from the
-// Session, so cpu_scale/seed/memory can no longer be wired twice and
-// drift (formerly: MachineSpec vs PipelineOptions vs OptimizeOptions).
+// registry, the MachineSpec being modeled, and the seed — and is the
+// one source of truth for all of them: Flow::Run and Flow::Optimize
+// derive their PipelineOptions/OptimizeOptions from the Session, so
+// cpu_scale/seed/memory can no longer be wired twice and drift
+// (formerly: MachineSpec vs PipelineOptions vs OptimizeOptions).
 //
 //   Session session;
 //   session.machine().num_cores = 8;
@@ -20,7 +20,6 @@
 // bridges a hand-built GraphDef into the Session world.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,20 +32,9 @@
 
 namespace plumber {
 
-// Api-level aliases for the admission vocabulary (SloClass is aliased
-// in job_handle.h next to the other job types).
-using AdmissionPolicy = runtime::AdmissionPolicy;
-using ClassAdmission = runtime::ClassAdmission;
-
 struct SessionOptions {
   MachineSpec machine = MachineSpec::SetupA();
   uint64_t seed = 42;
-  CpuWorkModel work_model = CpuWorkModel::kTimed;
-  bool tracing_enabled = true;
-  // Memory cap override: bounds both the runtime cache budget of
-  // instantiated pipelines and the optimizer's planning budget. 0
-  // derives both from machine.memory_bytes.
-  uint64_t memory_budget_bytes = 0;
   // Jobs the session's executor runs concurrently; 0 = unlimited
   // (every Submit is admitted immediately and the maximin arbiter
   // splits the modeled cores). >0 queues excess submissions, which
@@ -57,9 +45,6 @@ struct SessionOptions {
   // park batch worker pools to their floor and queued interactive jobs
   // jump the admission queue. False = flat single-tier fair share.
   bool slo_preemption = true;
-  // Per-SLO-class admission backpressure (queue / reject / shed),
-  // indexed by runtime::SloClass ordinal. Default: queue unbounded.
-  std::array<runtime::ClassAdmission, runtime::kNumSloClasses> admission = {};
 };
 
 namespace internal {
@@ -89,7 +74,7 @@ struct SessionState {
 // PipelineOptions. (Non-const: pipelines mutate the filesystem.)
 PipelineOptions MakePipelineOptions(SessionState& state);
 // Overwrites the environment half of OptimizeOptions (machine, fs,
-// udfs, seed, work model, memory cap) from the session state.
+// udfs, seed) from the session state.
 void ApplyEnvironment(SessionState& state, OptimizeOptions* options);
 // The session's executor, lazily created (thread-safe).
 runtime::Executor& GetExecutor(SessionState& state);
@@ -162,8 +147,6 @@ class Session {
   StorageDevice* nic() const { return state_->nic.get(); }
   uint64_t seed() const { return state_->options.seed; }
   void set_seed(uint64_t seed) { state_->options.seed = seed; }
-  CpuWorkModel work_model() const { return state_->options.work_model; }
-  void set_work_model(CpuWorkModel m) { state_->options.work_model = m; }
 
   // Derives instantiation options from the session state.
   PipelineOptions MakePipelineOptions() const {

@@ -8,14 +8,24 @@
 
 namespace plumber {
 
+namespace {
+
+// PickBest's evaluation window per variant.
+constexpr double kEvaluateSeconds = 0.3;
+// Warmup run on the same iterator before each PickBest evaluation. The
+// paper (§B) notes cache cold-start masks the benefit of a cacheable
+// variant during one epoch; Plumber compares variants at steady state,
+// which the warmup establishes here.
+constexpr double kEvaluateWarmupSeconds = 0.8;
+
+}  // namespace
+
 PipelineOptions OptimizeOptions::MakePipelineOptions() const {
   PipelineOptions popts;
   popts.fs = fs;
   popts.udfs = udfs;
   popts.cpu_scale = machine.cpu_scale;
-  popts.work_model = work_model;
   popts.seed = seed;
-  popts.tracing_enabled = true;
   popts.memory_budget_bytes = machine.memory_bytes;
   popts.scratch = machine.scratch;
   popts.scratch_budget_bytes = machine.scratch_bytes;
@@ -132,17 +142,15 @@ StatusOr<OptimizeResult> PlumberOptimizer::PickBest(
       continue;
     }
     auto iterator = std::move(iterator_or).value();
-    if (options_.evaluate_warmup_seconds > 0) {
-      // Warm any injected cache on the same iterator tree, then freeze
-      // it (§B truncation trick) so variants are compared at steady
-      // state, not during cache fill.
-      RunOptions warmup;
-      warmup.max_seconds = options_.evaluate_warmup_seconds;
-      RunIterator(iterator.get(), warmup);
-      (*pipeline_or)->SimulateSteadyState();
-    }
+    // Warm any injected cache on the same iterator tree, then freeze it
+    // (§B truncation trick) so variants are compared at steady state,
+    // not during cache fill.
+    RunOptions warmup;
+    warmup.max_seconds = kEvaluateWarmupSeconds;
+    RunIterator(iterator.get(), warmup);
+    (*pipeline_or)->SimulateSteadyState();
     RunOptions ropts;
-    ropts.max_seconds = options_.evaluate_seconds;
+    ropts.max_seconds = kEvaluateSeconds;
     const RunResult run = RunIterator(iterator.get(), ropts);
     (*pipeline_or)->Cancel();
     if (run.batches_per_second > best_rate) {

@@ -34,23 +34,12 @@ struct OptimizeOptions {
   SimFilesystem* fs = nullptr;
   const UdfRegistry* udfs = nullptr;
   uint64_t seed = 42;
-  CpuWorkModel work_model = CpuWorkModel::kTimed;
   double trace_seconds = 0.3;
   // Pass schedule, e.g. "parallelism,prefetch,cache,parallelism"
   // (names resolved through PassRegistry::Global()). "" runs no passes:
   // the input is traced once and returned unchanged.
   std::string schedule = kDefaultPassSchedule;
   LpPlanOptions lp_options;
-  // Evaluation window used by PickBest to compare variants.
-  double evaluate_seconds = 0.3;
-  // Warmup window run on the same iterator before the PickBest
-  // evaluation. The paper (§B) notes cache cold-start masks the benefit
-  // of a cacheable variant during one epoch; Plumber compares variants
-  // at steady state, which the warmup establishes here.
-  double evaluate_warmup_seconds = 0.3;
-  // Cache-fill window before a steady-state re-trace of a pipeline
-  // with an injected cache (§B truncation trick).
-  double cache_warmup_seconds = 0.4;
 
   // The single place instantiation options are derived from the
   // machine + environment (tracing on, cache budget = machine memory).

@@ -5,6 +5,14 @@
 
 namespace plumber {
 
+namespace {
+
+// Cache-fill window before a steady-state re-trace of a pipeline with
+// an injected cache (§B truncation trick).
+constexpr double kCacheWarmupSeconds = 0.4;
+
+}  // namespace
+
 OptimizationContext::OptimizationContext(GraphDef graph,
                                          const OptimizeOptions& options)
     : options_(&options), graph_(std::move(graph)) {
@@ -19,7 +27,7 @@ OptimizationContext::OptimizationContext(GraphDef graph,
       // then freeze the cache so the trace reflects steady state and
       // the LP can redistribute the cores the cached subtree frees
       // (paper §4.1 "Optimizer" / §B truncation trick).
-      topts.warmup_seconds = options_->cache_warmup_seconds;
+      topts.warmup_seconds = kCacheWarmupSeconds;
       topts.simulate_cache_steady_state = true;
     }
     TraceSnapshot trace = CaptureTrace(*pipeline, topts);

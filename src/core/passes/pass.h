@@ -57,8 +57,8 @@ class OptimizationContext {
   // options.MakePipelineOptions() and captures a bounded trace,
   // reproducing the cache-steady-state semantics of the pre-framework
   // optimizer: once the graph contains a cache, re-traces warm it for
-  // options.cache_warmup_seconds and freeze it (§B truncation trick) so
-  // the LP can redistribute the cores the cached subtree frees.
+  // 0.4 s and freeze it (§B truncation trick) so the LP can
+  // redistribute the cores the cached subtree frees.
   OptimizationContext(GraphDef graph, const OptimizeOptions& options);
 
   OptimizationContext(const OptimizationContext&) = delete;

@@ -136,8 +136,6 @@ CacheDecision PlanCache(const PipelineModel& model,
                         const CachePlanOptions& options,
                         const LpPlanOptions& lp_options) {
   CacheDecision decision;
-  const double memory_budget = options.memory_bytes * options.safety_factor;
-  const double disk_budget = options.disk_free_bytes * options.safety_factor;
   const bool has_disk =
       options.disk_free_bytes > 0 && options.disk_read_bandwidth > 0;
   // The disk guard's reference: the LP's prediction for the current,
@@ -152,9 +150,10 @@ CacheDecision PlanCache(const PipelineModel& model,
     candidate.node = node.name;
     candidate.materialized_bytes = node.materialized_bytes;
     const bool fits_memory = options.memory_bytes > 0 &&
-                             node.materialized_bytes <= memory_budget;
+                             node.materialized_bytes <= options.memory_bytes;
     double serve_rate = 0;
-    if (!fits_memory && has_disk && node.materialized_bytes <= disk_budget &&
+    if (!fits_memory && has_disk &&
+        node.materialized_bytes <= options.disk_free_bytes &&
         node.visit_ratio > 0 && node.bytes_per_element > 0) {
       // Serving the materialization re-reads visit_ratio elements of
       // bytes_per_element for every root minibatch.

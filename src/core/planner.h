@@ -67,8 +67,6 @@ struct CachePlanOptions {
   // the scratch device. The tier is tried only when both are > 0.
   uint64_t disk_free_bytes = 0;
   double disk_read_bandwidth = 0;  // bytes/sec
-  // Shrinks both budgets to leave headroom (1.0 = use them all).
-  double safety_factor = 1.0;
 };
 
 struct CacheCandidate {

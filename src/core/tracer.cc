@@ -71,11 +71,11 @@ TraceSnapshot CaptureTrace(Pipeline& pipeline, const TraceOptions& options) {
   if (options.simulate_cache_steady_state) {
     pipeline.SimulateSteadyState();
   }
-  if (options.reset_stats) {
-    pipeline.stats().ResetAll();
-    if (pipeline.context()->fs != nullptr) {
-      pipeline.context()->fs->ClearReadLog();
-    }
+  // The trace window starts clean: counters and the read log cover the
+  // same interval as the snapshot's wall_seconds.
+  pipeline.stats().ResetAll();
+  if (pipeline.context()->fs != nullptr) {
+    pipeline.context()->fs->ClearReadLog();
   }
   RunOptions run;
   run.max_seconds = options.trace_seconds;

@@ -43,8 +43,6 @@ struct TraceOptions {
   double trace_seconds = 0.25;
   int64_t max_batches = 0;  // optional cap
   MachineSpec machine;
-  // Clear accumulated stats and read log before tracing.
-  bool reset_stats = true;
   // Run the pipeline for this long before the trace window (excluded
   // from the trace) — e.g. to start filling an injected cache.
   double warmup_seconds = 0;

@@ -276,13 +276,7 @@ ArrivalTrace MakeTimeVaryingTrace(std::vector<TraceJobClass> classes,
   const double duration = std::max(1e-9, options.duration_s);
   const double period = std::max(1e-9, options.period_s);
   const auto rate_at = [&](double t) {
-    switch (options.shape) {
-      case TimeVaryingShape::kSinusoid:
-        return base * (1.0 + amplitude * std::sin(2.0 * M_PI * t / period));
-      case TimeVaryingShape::kRamp:
-        return base * (1.0 - amplitude + 2.0 * amplitude * t / duration);
-    }
-    return base;
+    return base * (1.0 + amplitude * std::sin(2.0 * M_PI * t / period));
   };
   // Thinning: homogeneous candidates at the peak rate, each kept with
   // probability rate(t)/peak — the standard exact sampler for a

@@ -117,23 +117,14 @@ struct BurstyTraceOptions {
 ArrivalTrace MakeBurstyTrace(std::vector<TraceJobClass> classes,
                              const BurstyTraceOptions& options);
 
-// Deterministic rate shapes for the time-varying generator.
-enum class TimeVaryingShape {
-  // rate(t) = base * (1 + amplitude * sin(2*pi * t / period_s))
-  kSinusoid,
-  // rate(t) climbs linearly from base*(1-amplitude) at t=0 to
-  // base*(1+amplitude) at t=duration_s.
-  kRamp,
-};
-
 struct TimeVaryingTraceOptions {
   uint64_t seed = 1;
   double duration_s = 10;
-  TimeVaryingShape shape = TimeVaryingShape::kSinusoid;
-  // Mean arrival rate, jobs/sec, and the swing around it (in [0, 1]).
+  // Mean arrival rate, jobs/sec, and the swing around it (in [0, 1]):
+  // rate(t) = base_rate * (1 + amplitude * sin(2*pi * t / period_s)).
   double base_rate = 100;
   double amplitude = 0.8;
-  double period_s = 2;  // sinusoid only
+  double period_s = 2;
   double pin_fraction = 0;
   int num_hosts = 1;
 };

@@ -115,8 +115,6 @@ FleetRuntime::FleetRuntime(
   for (size_t h = 0; h < options_.hosts.size(); ++h) {
     runtime::ExecutorOptions eopts;
     eopts.max_concurrent_jobs = options_.host_concurrent_jobs;
-    eopts.slo_preemption = options_.slo_preemption;
-    eopts.admission = options_.admission;
     const int host = static_cast<int>(h);
     executors_.push_back(std::make_unique<runtime::Executor>(
         [this, host] {

@@ -4,7 +4,8 @@
 // runtime::Executor — the exact Submit/JobHandle machinery a
 // single-host Session uses, unchanged; a host's executor still
 // arbitrates its own modeled cores across its live jobs with the
-// maximin planner. On top, a Dispatcher routes every submitted job to
+// maximin planner, and tiers both that split and its queue by SLO
+// class. On top, a Dispatcher routes every submitted job to
 // a host by pluggable policy:
 //
 //   kRoundRobin   next host in line, load-oblivious (the baseline)
@@ -33,7 +34,6 @@
 // completion_s is the sum: what a caller waits end to end.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -61,11 +61,6 @@ struct FleetOptions {
   // Jobs one host's executor runs concurrently (its modeled cores are
   // arbitrated across them). Fleet-level queueing happens beyond this.
   int host_concurrent_jobs = 2;
-  // Forwarded to every host executor (see runtime::ExecutorOptions):
-  // SLO class tiers within each host's core arbitration, and per-class
-  // admission backpressure.
-  bool slo_preemption = true;
-  std::array<runtime::ClassAdmission, runtime::kNumSloClasses> admission = {};
 };
 
 struct FleetJobOptions {

@@ -10,9 +10,10 @@
 //
 // Utilization is modeled, not measured: a host's busy core-seconds are
 // the sum over its jobs of elements x class cost x the host's
-// cpu_scale, divided by (makespan x modeled cores). Under the kTimed
-// work model that equals what a real host would have burned, while
-// staying exact on any build machine.
+// cpu_scale, divided by (makespan x modeled cores). Because modeled
+// UDF cost runs as a timed wait on the modeled machine (udf.h), that
+// equals what a real host would have burned, while staying exact on
+// any build machine.
 #pragma once
 
 #include <string>
@@ -45,8 +46,8 @@ struct FleetClassLatency {
   // Deadline scoring for the slice of this class's jobs that carried a
   // latency target (trace classes with latency_target_s > 0):
   // attainment = completed within target / jobs with a target, and
-  // shed_jobs counts admissions the executors refused because the
-  // deadline was already hopeless. 0/0 attainment reports as 1.
+  // shed_jobs counts queued jobs the executors shed because their
+  // deadline expired in the queue. 0/0 attainment reports as 1.
   int64_t target_jobs = 0;
   int64_t shed_jobs = 0;
   double attainment = 1.0;

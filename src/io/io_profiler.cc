@@ -9,9 +9,15 @@
 
 namespace plumber {
 
+namespace {
+
+// Read size per call.
+constexpr uint64_t kChunkBytes = 1 << 16;
+
+}  // namespace
+
 double MeasureBandwidth(SimFilesystem* fs, const std::string& prefix,
-                        int parallelism, double seconds,
-                        uint64_t chunk_bytes) {
+                        int parallelism, double seconds) {
   const std::vector<std::string> files = fs->List(prefix);
   if (files.empty()) return 0;
   std::atomic<uint64_t> bytes{0};
@@ -25,7 +31,7 @@ double MeasureBandwidth(SimFilesystem* fs, const std::string& prefix,
       if (!reader_or.ok()) return;
       auto reader = std::move(reader_or).value();
       while (!stop.load(std::memory_order_relaxed)) {
-        const uint64_t n = reader->Read(chunk_bytes, /*loop=*/true);
+        const uint64_t n = reader->Read(kChunkBytes, /*loop=*/true);
         if (n == 0) break;
         bytes.fetch_add(n, std::memory_order_relaxed);
       }
@@ -45,9 +51,8 @@ IoProfileResult ProfileReadBandwidth(SimFilesystem* fs,
   if (levels.empty()) levels = {1, 2, 4, 8, 16};
   IoProfileResult result;
   for (int p : levels) {
-    const double bw = MeasureBandwidth(fs, prefix, p,
-                                       options.seconds_per_probe,
-                                       options.chunk_bytes);
+    const double bw =
+        MeasureBandwidth(fs, prefix, p, options.seconds_per_probe);
     result.parallelism_to_bandwidth.AddPoint(p, bw);
     PLOG(Debug) << "io_profile parallelism=" << p << " bw=" << bw / 1e6
                 << " MB/s";

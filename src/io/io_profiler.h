@@ -19,8 +19,6 @@ struct IoProfileOptions {
   std::vector<int> parallelism_levels;
   // Wall-clock budget per probe.
   double seconds_per_probe = 0.05;
-  // Read chunk size per call.
-  uint64_t chunk_bytes = 1 << 16;
 };
 
 struct IoProfileResult {
@@ -35,8 +33,8 @@ IoProfileResult ProfileReadBandwidth(SimFilesystem* fs,
                                      const std::string& prefix,
                                      const IoProfileOptions& options = {});
 
-// Single-parallelism probe; returns bytes/sec.
+// Single-parallelism probe in 64 KiB reads; returns bytes/sec.
 double MeasureBandwidth(SimFilesystem* fs, const std::string& prefix,
-                        int parallelism, double seconds, uint64_t chunk_bytes);
+                        int parallelism, double seconds);
 
 }  // namespace plumber

@@ -292,8 +292,8 @@ class MapAndBatchIterator : public IteratorBase {
       batch.sequence = raw.front().sequence;
       for (Element& in : raw) {
         const uint64_t seed = SplitMix64(seed_ ^ in.sequence);
-        Element mapped = ExecuteMapUdf(*udf_, std::move(in), ctx_->cpu_scale,
-                                       seed, ctx_->work_model);
+        Element mapped =
+            ExecuteMapUdf(*udf_, std::move(in), ctx_->cpu_scale, seed);
         for (auto& c : mapped.components) {
           batch.components.push_back(std::move(c));
         }

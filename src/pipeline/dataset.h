@@ -34,8 +34,6 @@ struct PipelineContext {
   StatsRegistry* stats = nullptr;
   // Multiplies every UDF's CPU cost; models slower/faster cores.
   double cpu_scale = 1.0;
-  // How modeled UDF cost executes (see CpuWorkModel in udf.h).
-  CpuWorkModel work_model = CpuWorkModel::kTimed;
   uint64_t seed = 42;
   // When false, CPU accounting scopes are skipped (the paper's
   // "tracing disabled" baseline for overhead measurements).

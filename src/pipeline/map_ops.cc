@@ -52,8 +52,7 @@ class SequentialMapIterator : public IteratorBase {
     if (*end) return OkStatus();
     stats_->RecordConsumed();
     const uint64_t seed = SplitMix64(seed_ ^ in.sequence);
-    *out = ExecuteMapUdf(*udf_, std::move(in), ctx_->cpu_scale, seed,
-                         ctx_->work_model);
+    *out = ExecuteMapUdf(*udf_, std::move(in), ctx_->cpu_scale, seed);
     return OkStatus();
   }
 
@@ -129,7 +128,7 @@ class ParallelMapIterator : public IteratorBase {
       for (size_t i = 0; i < claimed.size(); ++i) {
         const uint64_t seed = SplitMix64(seed_ ^ claimed[i].sequence);
         Element result = ExecuteMapUdf(*udf_, std::move(claimed[i]),
-                                       ctx_->cpu_scale, seed, ctx_->work_model);
+                                       ctx_->cpu_scale, seed);
         results.push_back(WorkerPool::Item{order_base + i, std::move(result),
                                            OkStatus(), false});
       }
@@ -208,8 +207,7 @@ class FilterIterator : public IteratorBase {
       RETURN_IF_ERROR(input_->GetNext(&in, end));
       if (*end) return OkStatus();
       stats_->RecordConsumed();
-      if (ExecuteFilterUdf(*udf_, in, ctx_->cpu_scale, seed_,
-                           ctx_->work_model)) {
+      if (ExecuteFilterUdf(*udf_, in, ctx_->cpu_scale, seed_)) {
         *out = std::move(in);
         return OkStatus();
       }
@@ -229,8 +227,7 @@ class FilterIterator : public IteratorBase {
           &claimed_, max_elements - produced, &input_end));
       if (!claimed_.empty()) stats_->RecordConsumedBatch(claimed_.size());
       for (Element& element : claimed_) {
-        if (ExecuteFilterUdf(*udf_, element, ctx_->cpu_scale, seed_,
-                             ctx_->work_model)) {
+        if (ExecuteFilterUdf(*udf_, element, ctx_->cpu_scale, seed_)) {
           out->push_back(std::move(element));
           ++produced;
         }

@@ -10,7 +10,6 @@ Pipeline::Pipeline(GraphDef graph, const PipelineOptions& options)
   ctx_.udfs = options.udfs;
   ctx_.stats = &stats_;
   ctx_.cpu_scale = options.cpu_scale;
-  ctx_.work_model = options.work_model;
   ctx_.seed = options.seed;
   ctx_.tracing_enabled = options.tracing_enabled;
   ctx_.memory_budget_bytes = options.memory_budget_bytes;

@@ -15,11 +15,9 @@ namespace plumber {
 struct PipelineOptions {
   SimFilesystem* fs = nullptr;
   const UdfRegistry* udfs = nullptr;
+  // Multiplies every UDF's modeled cost (see ExecuteMapUdf in udf.h
+  // for how that cost executes).
   double cpu_scale = 1.0;
-  // How modeled UDF cost executes (see CpuWorkModel in udf.h). kTimed
-  // keeps measurements faithful to the modeled machine on any host;
-  // kPhysical burns real cores for contention experiments.
-  CpuWorkModel work_model = CpuWorkModel::kTimed;
   uint64_t seed = 42;
   bool tracing_enabled = true;
   uint64_t memory_budget_bytes = 0;

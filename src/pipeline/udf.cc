@@ -53,7 +53,7 @@ double TotalCostNs(const UdfSpec& spec, size_t input_bytes, double cpu_scale) {
          (spec.cost_ns_per_element + spec.cost_ns_per_byte * input_bytes);
 }
 
-// Under kTimed, costs below this still spin: a timed wait cannot hit
+// Costs below this spin rather than wait: a timed wait cannot hit
 // sub-100us targets precisely (timer slack), and costs that small
 // cannot meaningfully oversubscribe a host either.
 constexpr double kTimedWorkMinNs = 100e3;
@@ -67,12 +67,11 @@ void ExecuteCostNs(double ns, uint64_t seed, bool timed) {
 }
 
 void ExecuteWithInternalParallelism(const UdfSpec& spec, double total_ns,
-                                    uint64_t seed, CpuWorkModel model) {
+                                    uint64_t seed) {
   // Timed-vs-spin is decided on the call's total cost, not the
   // per-thread slice: an internally-parallel UDF must not fall back to
   // burning k physical cores just because each slice is small.
-  const bool timed =
-      model == CpuWorkModel::kTimed && total_ns >= kTimedWorkMinNs;
+  const bool timed = total_ns >= kTimedWorkMinNs;
   const int k = std::max(1, spec.internal_parallelism);
   if (k == 1) {
     ExecuteCostNs(total_ns, seed, timed);
@@ -96,13 +95,13 @@ namespace {
 // any concat scratch) from the BufferPool; the transform itself is
 // byte-identical either way.
 Element ExecuteMapUdfImpl(const UdfSpec& spec, const Element& input,
-                          double cpu_scale, uint64_t seed, CpuWorkModel model,
+                          double cpu_scale, uint64_t seed,
                           bool pooled_output) {
   const size_t input_bytes = input.TotalBytes();
   ExecuteWithInternalParallelism(
-      spec, TotalCostNs(spec, input_bytes, cpu_scale), seed, model);
-  const size_t output_bytes = static_cast<size_t>(
-      std::max(0.0, input_bytes * spec.size_ratio + spec.size_offset_bytes));
+      spec, TotalCostNs(spec, input_bytes, cpu_scale), seed);
+  const size_t output_bytes =
+      static_cast<size_t>(std::max(0.0, input_bytes * spec.size_ratio));
   Element out;
   out.sequence = input.sequence;
   // TransformBuffer fully overwrites [0, output_bytes), so a recycled
@@ -129,23 +128,23 @@ Element ExecuteMapUdfImpl(const UdfSpec& spec, const Element& input,
 }  // namespace
 
 Element ExecuteMapUdf(const UdfSpec& spec, const Element& input,
-                      double cpu_scale, uint64_t seed, CpuWorkModel model) {
-  return ExecuteMapUdfImpl(spec, input, cpu_scale, seed, model,
+                      double cpu_scale, uint64_t seed) {
+  return ExecuteMapUdfImpl(spec, input, cpu_scale, seed,
                            /*pooled_output=*/false);
 }
 
 Element ExecuteMapUdf(const UdfSpec& spec, Element&& input, double cpu_scale,
-                      uint64_t seed, CpuWorkModel model) {
-  Element out = ExecuteMapUdfImpl(spec, input, cpu_scale, seed, model,
+                      uint64_t seed) {
+  Element out = ExecuteMapUdfImpl(spec, input, cpu_scale, seed,
                                   /*pooled_output=*/true);
   BufferPool::Get()->ReleaseElement(std::move(input));
   return out;
 }
 
 bool ExecuteFilterUdf(const UdfSpec& spec, const Element& input,
-                      double cpu_scale, uint64_t seed, CpuWorkModel model) {
+                      double cpu_scale, uint64_t seed) {
   ExecuteWithInternalParallelism(
-      spec, TotalCostNs(spec, input.TotalBytes(), cpu_scale), seed, model);
+      spec, TotalCostNs(spec, input.TotalBytes(), cpu_scale), seed);
   if (spec.keep_fraction >= 1.0) return true;
   const uint64_t h = SplitMix64(seed ^ (input.sequence * 0x9e3779b97f4a7c15ULL));
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;

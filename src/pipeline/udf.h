@@ -20,32 +20,13 @@
 
 namespace plumber {
 
-// How modeled UDF cost executes at runtime.
-//
-// kTimed (default): the cost occupies one core of the *modeled* machine
-// for its duration, implemented as a timed wait. Concurrent modeled
-// work overlaps on any host — including hosts with fewer physical cores
-// than MachineSpec::num_cores — so measured speedups reflect the
-// machine being simulated, not the machine running the simulation. The
-// wait is charged to the virtual thread-CPU clock (it is not a
-// BlockedRegion), so tracing and the LP see the same per-element cost
-// a physical burn would produce. Costs too small to wait on precisely
-// still spin.
-//
-// kPhysical: the cost burns a physical core (calibrated spin rounds).
-// Use for experiments that need real core contention (oversubscription
-// and affinity studies); requires the host to actually have the cores
-// the machine spec claims.
-enum class CpuWorkModel { kTimed, kPhysical };
-
 struct UdfSpec {
   std::string name;
   // CPU cost model: burned thread-CPU nanoseconds per call.
   double cost_ns_per_element = 0;
   double cost_ns_per_byte = 0;
-  // Output bytes = input bytes * size_ratio + size_offset.
+  // Output bytes = input bytes * size_ratio.
   double size_ratio = 1.0;
-  double size_offset_bytes = 0;
   // The UDF's own internal parallelism: a single logical call fans its
   // work out over this many threads (>=1).
   int internal_parallelism = 1;
@@ -73,12 +54,22 @@ class UdfRegistry {
   std::map<std::string, UdfSpec> udfs_;
 };
 
+// How modeled UDF cost executes: a cost of 100 us or more occupies one
+// core of the *modeled* machine for its duration, implemented as a
+// timed wait. Concurrent modeled work overlaps on any host — including
+// hosts with fewer physical cores than MachineSpec::num_cores — so
+// measured speedups reflect the machine being simulated, not the
+// machine running the simulation. The wait is charged to the virtual
+// thread-CPU clock (it is not a BlockedRegion), so tracing and the LP
+// see the same per-element cost a physical burn would produce. Smaller
+// costs cannot be waited on precisely and burn a physical core
+// (calibrated spin rounds) instead.
+
 // Executes a map-style UDF: executes the modeled CPU cost (splitting it
 // over internal_parallelism threads) and produces the transformed
 // element. `cpu_scale` multiplies the cost (machine speed modeling).
 Element ExecuteMapUdf(const UdfSpec& spec, const Element& input,
-                      double cpu_scale, uint64_t seed,
-                      CpuWorkModel model = CpuWorkModel::kTimed);
+                      double cpu_scale, uint64_t seed);
 
 // Move-aware variant for hot paths that own their input: the output
 // buffer is drawn from the BufferPool arena and the consumed input's
@@ -86,14 +77,12 @@ Element ExecuteMapUdf(const UdfSpec& spec, const Element& input,
 // stream stops hitting the global allocator. Identical output bytes to
 // the const& overload.
 Element ExecuteMapUdf(const UdfSpec& spec, Element&& input, double cpu_scale,
-                      uint64_t seed,
-                      CpuWorkModel model = CpuWorkModel::kTimed);
+                      uint64_t seed);
 
 // Executes a filter-style UDF; returns the keep decision. Executes the
 // modeled predicate cost. Decisions are deterministic in (seed,
 // element.sequence) so reruns keep the same elements.
 bool ExecuteFilterUdf(const UdfSpec& spec, const Element& input,
-                      double cpu_scale, uint64_t seed,
-                      CpuWorkModel model = CpuWorkModel::kTimed);
+                      double cpu_scale, uint64_t seed);
 
 }  // namespace plumber

@@ -13,18 +13,6 @@
 namespace plumber {
 namespace runtime {
 
-const char* AdmissionPolicyName(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kQueue:
-      return "queue";
-    case AdmissionPolicy::kReject:
-      return "reject";
-    case AdmissionPolicy::kShed:
-      return "shed";
-  }
-  return "unknown";
-}
-
 Executor::Executor(std::function<PipelineOptions()> pipeline_options,
                    std::function<MachineSpec()> machine,
                    ExecutorOptions options)
@@ -68,7 +56,8 @@ JobPtr Executor::Submit(GraphDef graph, JobOptions options) {
                          CancelledError("executor shut down"));
     return job;
   }
-  if (AdmitToQueueLocked(job)) signal_->cv.notify_all();
+  EnqueuePendingLocked(job);
+  signal_->cv.notify_all();
   return job;
 }
 
@@ -98,55 +87,6 @@ void Executor::EnqueuePendingLocked(JobPtr job) {
         });
   }
   pending_.insert(pos, std::move(job));
-}
-
-bool Executor::AdmitToQueueLocked(JobPtr job) {
-  const SloClass slo = job->options().slo;
-  const ClassAdmission& admission =
-      options_.admission[static_cast<size_t>(slo)];
-  const auto queued_of_class = [&] {
-    int count = 0;
-    for (const JobPtr& queued : pending_) {
-      if (queued->options().slo == slo) ++count;
-    }
-    return count;
-  };
-  // "Must queue" means the running cap is full counting everything
-  // already ahead of this submission — with an unlimited cap every
-  // pending job is admitted on the scheduler's next pass, so
-  // backpressure never engages.
-  const bool must_queue =
-      options_.max_concurrent_jobs > 0 &&
-      static_cast<int>(live_.size() + pending_.size()) >=
-          options_.max_concurrent_jobs;
-  if (admission.policy == AdmissionPolicy::kReject && must_queue &&
-      queued_of_class() >= admission.max_queued) {
-    FinishWithoutRunning(
-        job.get(), JobPhase::kFailed,
-        ResourceExhaustedError(
-            std::string("admission rejected: class '") + SloClassName(slo) +
-            "' is at capacity (policy reject, " +
-            std::to_string(queued_of_class()) + " queued)"));
-    return false;
-  }
-  EnqueuePendingLocked(std::move(job));
-  if (admission.policy == AdmissionPolicy::kShed && admission.max_queued > 0) {
-    while (queued_of_class() > admission.max_queued) {
-      // Shed the oldest queued job of the class (the head of its FIFO
-      // run): under overload, fresher requests carry fresher intent.
-      auto oldest = std::find_if(
-          pending_.begin(), pending_.end(),
-          [slo](const JobPtr& queued) { return queued->options().slo == slo; });
-      FinishWithoutRunning(
-          oldest->get(), JobPhase::kFailed,
-          ResourceExhaustedError(
-              std::string("shed from admission queue: class '") +
-              SloClassName(slo) + "' exceeded max_queued=" +
-              std::to_string(admission.max_queued)));
-      pending_.erase(oldest);
-    }
-  }
-  return true;
 }
 
 int Executor::live_jobs() const {

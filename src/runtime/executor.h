@@ -17,12 +17,11 @@
 //
 // Scheduling is SLO-aware (see docs/scheduling.md): jobs carry an SLO
 // class and a priority weight (JobOptions), the arbitration allocates
-// class tiers in order with work-conserving redistribution, queued
-// interactive jobs jump ahead of queued batch work, and each class has
-// an admission backpressure policy (queue / reject / shed) evaluated
-// at Submit. With defaults everywhere — every job kBatch at priority
-// 1, kQueue admission — the behavior is exactly the flat fair-share
-// scheduler this replaced.
+// class tiers in order with work-conserving redistribution, and a job
+// that cannot start waits in the queue in class-tier, then deadline
+// (EDF), order; it is shed only when its latency_target_s runs out
+// there. With defaults everywhere — every job kBatch at priority 1 —
+// the behavior is exactly the flat fair-share scheduler this replaced.
 //
 // Lifetime: the Executor owns the scheduler and driver threads and
 // keeps every unfinished job alive; destruction cancels all jobs and
@@ -46,32 +45,6 @@
 namespace plumber {
 namespace runtime {
 
-// Backpressure applied at Submit time, per SLO class.
-enum class AdmissionPolicy {
-  // Queue without bound until the running cap frees up (historical
-  // behavior; the default for every class).
-  kQueue,
-  // Refuse jobs that cannot start: a submission that would have to
-  // queue behind the running cap finishes immediately as kFailed with
-  // a kResourceExhausted status. `max_queued > 0` relaxes this to
-  // allow that many queued jobs of the class before refusing.
-  kReject,
-  // Admit the newcomer, drop the oldest: the submission always enters
-  // the queue, and if the class's queue depth then exceeds
-  // `max_queued` the oldest queued job of the same class finishes as
-  // kFailed / kResourceExhausted. `max_queued == 0` never sheds
-  // (equivalent to kQueue).
-  kShed,
-};
-
-const char* AdmissionPolicyName(AdmissionPolicy policy);
-
-struct ClassAdmission {
-  AdmissionPolicy policy = AdmissionPolicy::kQueue;
-  // Queue-depth bound for kReject / kShed; see AdmissionPolicy.
-  int max_queued = 0;
-};
-
 struct ExecutorOptions {
   // Jobs allowed to run concurrently; 0 = unlimited (the scheduler
   // admits every submission as soon as it wakes for it, cores
@@ -86,8 +59,6 @@ struct ExecutorOptions {
   // is strict FIFO (the pre-SLO scheduler, the bench's control arm).
   // JobOptions::priority weights apply either way.
   bool slo_preemption = true;
-  // Per-class admission backpressure, indexed by SloClass ordinal.
-  std::array<ClassAdmission, kNumSloClasses> admission = {};
 };
 
 // Point-in-time load view of one Executor: the dispatch signal a
@@ -141,9 +112,6 @@ class Executor {
   // Absolute completion deadline (submit + latency_target_s) in wall
   // nanos; int64 max for jobs without a target.
   static int64_t DeadlineNs(const Job& job);
-  // Applies the submitting class's AdmissionPolicy. Returns false when
-  // the job was refused (already finished as kFailed).
-  bool AdmitToQueueLocked(JobPtr job);
   void AdmitLocked(JobPtr job);
   // Recomputes the multi-job core split over the live set and applies
   // it (planned graphs + governor targets). Single survivor gets its

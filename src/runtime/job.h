@@ -35,9 +35,9 @@ const char* JobPhaseName(JobPhase phase);
 // contended. Classes are allocation *tiers* — the executor plans
 // interactive jobs first (parking batch/best-effort worker pools down
 // to their floor of one worker per stage), batch next, best-effort
-// last — and each class carries its own admission backpressure policy
-// (ExecutorOptions::admission). Within a class, JobOptions::priority
-// weights the water-fill share. The enum order IS the tier order.
+// last — and queued jobs wait in class-tier order. Within a class,
+// JobOptions::priority weights the water-fill share. The enum order IS
+// the tier order.
 enum class SloClass { kInteractive = 0, kBatch = 1, kBestEffort = 2 };
 inline constexpr int kNumSloClasses = 3;
 

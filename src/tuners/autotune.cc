@@ -10,6 +10,13 @@
 namespace plumber {
 namespace {
 
+// Assumed producer/consumer rate ratio for the M/M/1/k overlap term.
+constexpr double kAssumedRho = 0.95;
+// Hill climbing stops when the relative latency improvement of the
+// best single move falls below this plateau threshold.
+constexpr double kPlateauThreshold = 1e-3;
+constexpr int kMaxIterations = 512;
+
 int KnobParallelism(const std::map<std::string, int>& parallelism,
                     const NodeModel& node) {
   auto it = parallelism.find(node.name);
@@ -20,8 +27,7 @@ int KnobParallelism(const std::map<std::string, int>& parallelism,
 }  // namespace
 
 double AutotuneEstimateLatency(const PipelineModel& model,
-                               const std::map<std::string, int>& parallelism,
-                               const AutotuneOptions& options) {
+                               const std::map<std::string, int>& parallelism) {
   // Output latency = sum over nodes of (service time per element x
   // elements per minibatch / parallelism), where any node strictly
   // below an async boundary contributes only the M/M/1/k-empty
@@ -46,11 +52,11 @@ double AutotuneEstimateLatency(const PipelineModel& model,
       if (parent->op == "prefetch") {
         const int k = std::max<int64_t>(
             1, parent_def->GetInt(kAttrBufferSize, 2));
-        term = Mm1kOverlappedLatency(term, options.assumed_rho, k);
+        term = Mm1kOverlappedLatency(term, kAssumedRho, k);
       } else if (parent->parallelizable &&
                  KnobParallelism(parallelism, *parent) > 1) {
         const int k = 2 * KnobParallelism(parallelism, *parent);
-        term = Mm1kOverlappedLatency(term, options.assumed_rho, k);
+        term = Mm1kOverlappedLatency(term, kAssumedRho, k);
       }
       current = parent;
     }
@@ -59,9 +65,8 @@ double AutotuneEstimateLatency(const PipelineModel& model,
   return latency;
 }
 
-double AutotuneEstimateRate(const PipelineModel& model,
-                            const AutotuneOptions& options) {
-  const double latency = AutotuneEstimateLatency(model, {}, options);
+double AutotuneEstimateRate(const PipelineModel& model) {
+  const double latency = AutotuneEstimateLatency(model, {});
   return latency > 0 ? 1.0 / latency : 0.0;
 }
 
@@ -76,16 +81,15 @@ StatusOr<AutotuneResult> AutotuneConfiguration(
   for (const std::string& node : rewriter::TunableNodes(graph)) {
     result.parallelism[node] = 1;
   }
-  double latency =
-      AutotuneEstimateLatency(traced_model, result.parallelism, options);
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  double latency = AutotuneEstimateLatency(traced_model, result.parallelism);
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     std::string best_knob;
     double best_latency = latency;
     for (auto& [knob, value] : result.parallelism) {
       if (value >= options.max_parallelism) continue;
       ++value;
       const double candidate =
-          AutotuneEstimateLatency(traced_model, result.parallelism, options);
+          AutotuneEstimateLatency(traced_model, result.parallelism);
       --value;
       if (candidate < best_latency) {
         best_latency = candidate;
@@ -93,7 +97,7 @@ StatusOr<AutotuneResult> AutotuneConfiguration(
       }
     }
     if (best_knob.empty() ||
-        (latency - best_latency) < options.plateau_threshold * latency) {
+        (latency - best_latency) < kPlateauThreshold * latency) {
       break;
     }
     ++result.parallelism[best_knob];

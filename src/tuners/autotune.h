@@ -26,12 +26,6 @@ struct AutotuneOptions {
   // Per-knob parallelism cap (the real implementation caps each knob at
   // the core count — a heuristic constraint, not a resource model).
   int max_parallelism = 16;
-  // Hill climbing stops when the relative latency improvement of the
-  // best single move falls below this plateau threshold.
-  double plateau_threshold = 1e-3;
-  int max_iterations = 512;
-  // Assumed producer/consumer rate ratio for the M/M/1/k overlap term.
-  double assumed_rho = 0.95;
 };
 
 struct AutotuneResult {
@@ -46,13 +40,11 @@ struct AutotuneResult {
 // times and visit ratios. Subtrees below an async boundary (prefetch /
 // parallel stages) are discounted by the M/M/1/k empty probability.
 double AutotuneEstimateLatency(const PipelineModel& model,
-                               const std::map<std::string, int>& parallelism,
-                               const AutotuneOptions& options = {});
+                               const std::map<std::string, int>& parallelism);
 
 // Estimate for the model's *current* parallelism settings — the
 // "Estimated AUTOTUNE Rate" series of Fig. 7-9.
-double AutotuneEstimateRate(const PipelineModel& model,
-                            const AutotuneOptions& options = {});
+double AutotuneEstimateRate(const PipelineModel& model);
 
 // Full AUTOTUNE: hill-climb parallelism knobs against the latency model.
 StatusOr<AutotuneResult> AutotuneConfiguration(

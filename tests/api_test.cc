@@ -353,26 +353,11 @@ TEST(FlowTest, FlowsSurviveSessionMove) {
   EXPECT_EQ(report->batches, 5);
 }
 
-TEST(SessionTest, MemoryBudgetOverrideBoundsOptimizerPlanning) {
-  SessionOptions so;
-  so.machine.memory_bytes = 64 << 20;
-  so.memory_budget_bytes = 1 << 20;
-  Session session(std::move(so));
-  // The cap flows into both the planner budget (machine.memory_bytes)
-  // and the runtime cache budget, so Optimize and Run agree.
-  OptimizeOptions oopts;
-  session.ApplyTo(&oopts);
-  EXPECT_EQ(oopts.machine.memory_bytes, 1u << 20);
-  EXPECT_EQ(oopts.MakePipelineOptions().memory_budget_bytes, 1u << 20);
-  EXPECT_EQ(session.MakePipelineOptions().memory_budget_bytes, 1u << 20);
-}
-
 TEST(SessionTest, IsTheSingleSourceOfTruthForEnvironment) {
   SessionOptions so;
   so.machine.cpu_scale = 1.5;
   so.machine.memory_bytes = 123;
   so.seed = 7;
-  so.work_model = CpuWorkModel::kPhysical;
   Session session(std::move(so));
 
   const PipelineOptions popts = session.MakePipelineOptions();
@@ -380,7 +365,6 @@ TEST(SessionTest, IsTheSingleSourceOfTruthForEnvironment) {
   EXPECT_EQ(popts.udfs, &session.udfs());
   EXPECT_EQ(popts.cpu_scale, 1.5);
   EXPECT_EQ(popts.seed, 7u);
-  EXPECT_EQ(popts.work_model, CpuWorkModel::kPhysical);
   // Cache budget falls back to the machine's memory.
   EXPECT_EQ(popts.memory_budget_bytes, 123u);
 

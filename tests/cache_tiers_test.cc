@@ -91,25 +91,6 @@ TEST_F(CacheTiersTest, DisabledTiersYieldNoDecision) {
   EXPECT_EQ(std::string(CacheTierName(decision.tier)), "none");
 }
 
-TEST_F(CacheTiersTest, SafetyFactorShrinksBudget) {
-  // Find the smallest memory budget that fits at factor 1.0, then show
-  // a 0.5 factor rejects the same budget.
-  CachePlanOptions options;
-  const NodeModel* work = model_->Find("work");
-  ASSERT_NE(work, nullptr);
-  ASSERT_GT(work->materialized_bytes, 0);
-  options.memory_bytes =
-      static_cast<uint64_t>(work->materialized_bytes * 1.05);
-  options.safety_factor = 1.0;
-  EXPECT_TRUE(PlanCache(*model_, options).feasible);
-  options.safety_factor = 0.5;
-  const CacheDecision tight = PlanCache(*model_, options);
-  // Either infeasible or a smaller (deeper) placement than "work".
-  if (tight.feasible) {
-    EXPECT_LT(tight.materialized_bytes, work->materialized_bytes);
-  }
-}
-
 TEST_F(CacheTiersTest, DiskPlacementHonorsClosestToRootRule) {
   // With a disk tier that can hold the source but not the doubled
   // "grow" output, the decision moves deeper into the pipeline.

@@ -4,25 +4,13 @@
 // is shed with kResourceExhausted instead of running a guaranteed miss.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <functional>
-#include <thread>
-
 #include "src/core/plumber.h"
 #include "tests/test_util.h"
 
 namespace plumber {
 namespace {
 
-bool PollUntil(const std::function<bool()>& cond, double seconds = 20) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cond()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return cond();
-}
+using testing_util::PollUntil;
 
 Session MakeSession(SessionOptions so = {}) {
   so.machine.num_cores = 4;

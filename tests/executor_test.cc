@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -19,19 +18,8 @@ namespace {
 
 using testing_util::Drain;
 using testing_util::PipelineTestEnv;
+using testing_util::PollUntil;
 using testing_util::SizeFingerprint;
-
-// Polls a condition until it holds or the deadline passes. Executor
-// scheduling runs on its own threads, so state assertions poll.
-bool PollUntil(const std::function<bool()>& cond, double seconds = 20) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cond()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return cond();
-}
 
 Session MakeSession(int num_cores, int max_concurrent = 0) {
   SessionOptions so;

@@ -17,7 +17,9 @@
 namespace plumber {
 namespace {
 
+using testing_util::CountOwnThreads;
 using testing_util::PipelineTestEnv;
+using testing_util::PollUntil;
 
 GraphDef InfiniteGraph(const std::string& udf = "noop") {
   GraphBuilder b;
@@ -80,7 +82,7 @@ TEST(FailureInjectionTest, CancelUnblocksConsumerOnParkedPool) {
   // consumer, and teardown must join every worker.
   PipelineTestEnv env(4, 50, 64);
   const GraphDef graph = ParkableInfiniteGraph();
-  const int baseline_threads = testing_util::CountOwnThreads();
+  const int baseline_threads = CountOwnThreads();
   std::mt19937 rng(17);
   std::uniform_int_distribution<int> offset_us(0, 999);
   for (int round = 0; round < 200; ++round) {
@@ -114,7 +116,12 @@ TEST(FailureInjectionTest, CancelUnblocksConsumerOnParkedPool) {
   }
   // No worker outlives its pool (a sanitizer runtime thread present at
   // the baseline may have exited since, so the count may also drop).
-  EXPECT_LE(testing_util::CountOwnThreads(), baseline_threads);
+  // A joined thread can linger in /proc/self/task for a moment after
+  // join() returns, so poll; a leaked thread never leaves.
+  EXPECT_TRUE(PollUntil(
+      [&] { return CountOwnThreads() <= baseline_threads; }, 10))
+      << "threads before: " << baseline_threads
+      << " after: " << CountOwnThreads();
 }
 
 TEST(FailureInjectionTest, CancelDuringDestructionIsSafe) {

@@ -4,26 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <functional>
-#include <thread>
 #include <vector>
 
 #include "src/api/fleet_session.h"
 #include "src/pipeline/ops.h"
+#include "tests/test_util.h"
 
 namespace plumber {
 namespace fleet {
 namespace {
 
-bool PollUntil(const std::function<bool()>& cond, double seconds = 20) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cond()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return cond();
-}
+using testing_util::PollUntil;
 
 // A fleet of small identical hosts sharing one registered UDF.
 std::unique_ptr<FleetSession> MakeFleet(int hosts, DispatchPolicy policy,

@@ -54,7 +54,7 @@ TEST(IoProfilerTest, MeasuresUnlimitedBandwidth) {
   SimFilesystem fs;
   ASSERT_TRUE(fs.CreateRawFile("probe/x", 1, 64 << 20).ok());
   const double bw =
-      MeasureBandwidth(&fs, "probe/", /*parallelism=*/2, 0.03, 1 << 16);
+      MeasureBandwidth(&fs, "probe/", /*parallelism=*/2, 0.03);
   EXPECT_GT(bw, 1e6);  // ought to be far beyond 1MB/s with no limiter
 }
 

@@ -210,20 +210,6 @@ TEST(CachePlanTest, InfeasibleWhenNothingFits) {
   EXPECT_FALSE(decision.candidates.empty());
 }
 
-TEST(CachePlanTest, SafetyFactorShrinksBudget) {
-  const auto udfs = CacheUdfs();
-  auto model = std::move(
-                   PipelineModel::Build(CacheTrace(MachineSpec::SetupA()),
-                                        &udfs))
-                   .value();
-  CachePlanOptions options;
-  options.memory_bytes = 650000;  // decode fits without safety factor
-  options.safety_factor = 0.5;    // but not with it
-  const CacheDecision decision = PlanCache(model, options);
-  ASSERT_TRUE(decision.feasible);
-  EXPECT_EQ(decision.node, "source");
-}
-
 TEST(CachePlanTest, ZeroMemoryBudgetMeansNoMemoryTier) {
   // Without a read log the source size estimate is 0 bytes, so every
   // candidate materializes to 0 bytes. A 0-byte budget is still no

@@ -1,13 +1,12 @@
 // SLO-aware scheduling tests: tiered weighted water-fill planning,
 // live preemption (interactive arrivals parking batch worker pools to
-// their floor and restoring them on departure), per-class admission
-// backpressure, class-ordered queueing, the partial-traced-rate
-// warning contract, and the governor's park/restore cycle under load
-// (element identity, no worker-thread leak).
+// their floor and restoring them on departure), class-ordered
+// queueing, the partial-traced-rate warning contract, and the
+// governor's park/restore cycle under load (element identity, no
+// worker-thread leak).
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -23,18 +22,7 @@ using testing_util::CountOwnThreads;
 using testing_util::Drain;
 using testing_util::ExpectIdenticalOutput;
 using testing_util::PipelineTestEnv;
-
-// Polls a condition until it holds or the deadline passes. Executor
-// scheduling runs on its own threads, so state assertions poll.
-bool PollUntil(const std::function<bool()>& cond, double seconds = 20) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cond()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return cond();
-}
+using testing_util::PollUntil;
 
 Session MakeSession(int num_cores, SessionOptions so = {}) {
   so.machine.num_cores = num_cores;
@@ -289,68 +277,6 @@ TEST(SloSchedulerTest, PriorityWeightsSharesWithinClass) {
 }
 
 // ------------------------------------------------------- admission
-
-TEST(SloSchedulerTest, RejectPolicyFailsFastWhenClassMustQueue) {
-  SessionOptions so;
-  so.max_concurrent_jobs = 1;
-  so.admission[static_cast<size_t>(SloClass::kBatch)] = {
-      AdmissionPolicy::kReject, 0};
-  Session session = MakeSession(8, std::move(so));
-  RunOptions window;
-  window.max_seconds = 60;
-  JobHandle blocker = session.Submit(session.Range(1 << 30).Map("work", 2),
-                                     JobOptions{window, ""});
-  ASSERT_TRUE(PollUntil([&] { return blocker.Progress().batches > 0; }));
-  // The cap is full: a batch submission that would queue is rejected
-  // at Submit time instead of waiting.
-  JobHandle rejected = session.Submit(session.Range(100).Map("work", 2),
-                                      JobOptions{window, ""});
-  const auto report = rejected.Wait();
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(rejected.phase(), JobPhase::kFailed);
-  // An interactive submission is governed by its own class policy
-  // (default: queue unbounded), so it queues fine.
-  JobOptions inter_opts{window, "inter"};
-  inter_opts.slo = SloClass::kInteractive;
-  JobHandle inter =
-      session.Submit(session.Range(100).Map("work", 2), inter_opts);
-  EXPECT_EQ(inter.phase(), JobPhase::kQueued);
-  blocker.Cancel();
-  (void)blocker.Wait();
-  const auto inter_report = inter.Wait();
-  EXPECT_TRUE(inter_report.ok()) << inter_report.status();
-}
-
-TEST(SloSchedulerTest, ShedPolicyDropsOldestQueuedJobOfClass) {
-  SessionOptions so;
-  so.max_concurrent_jobs = 1;
-  so.admission[static_cast<size_t>(SloClass::kBatch)] = {
-      AdmissionPolicy::kShed, 1};
-  Session session = MakeSession(8, std::move(so));
-  RunOptions window;
-  window.max_seconds = 60;
-  JobHandle blocker = session.Submit(session.Range(1 << 30).Map("work", 2),
-                                     JobOptions{window, ""});
-  ASSERT_TRUE(PollUntil([&] { return blocker.Progress().batches > 0; }));
-  JobHandle stale = session.Submit(session.Range(50).Map("work", 2),
-                                   JobOptions{window, "stale"});
-  EXPECT_EQ(stale.phase(), JobPhase::kQueued);
-  // Depth would hit 2 > max_queued=1: the newcomer is admitted and the
-  // OLDEST queued batch job is shed (fresher requests carry fresher
-  // intent).
-  JobHandle fresh = session.Submit(session.Range(50).Map("work", 2),
-                                   JobOptions{window, "fresh"});
-  const auto stale_report = stale.Wait();
-  EXPECT_FALSE(stale_report.ok());
-  EXPECT_EQ(stale_report.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(stale.phase(), JobPhase::kFailed);
-  EXPECT_EQ(fresh.phase(), JobPhase::kQueued);
-  blocker.Cancel();
-  (void)blocker.Wait();
-  const auto fresh_report = fresh.Wait();
-  EXPECT_TRUE(fresh_report.ok()) << fresh_report.status();
-}
 
 TEST(SloSchedulerTest, InteractiveJumpsTheAdmissionQueue) {
   SessionOptions so;

@@ -99,8 +99,10 @@ TEST(StorageDeviceTest, TokenBucketLimitsReadBandwidth) {
   auto reader = std::move(fs.OpenRaw("x")).value();
   const int64_t t0 = WallNanos();
   uint64_t total = 0;
-  // Read 1.2MB beyond the 1MB burst: should take >=0.15s.
-  while (total < 1'200'000 + 1'000'000) {
+  // The bucket holds 20ms of tokens (20KB). The first 100KB read is
+  // granted from the full burst and leaves 80KB of debt, so each of the
+  // two reads after it waits ~0.1s: 300KB takes >= 0.2s.
+  while (total < 300'000) {
     total += reader->Read(100'000, /*loop=*/true);
   }
   EXPECT_GT((WallNanos() - t0) * 1e-9, 0.1);

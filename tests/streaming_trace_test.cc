@@ -53,25 +53,15 @@ TEST(TimeVaryingTraceTest, SeedDeterministicAndWithinWindow) {
   EXPECT_LT(a.events.size(), 650u);
 }
 
-TEST(TimeVaryingTraceTest, RampShapeShiftsArrivalsLate) {
-  // A steep ramp (20 -> 180 jobs/sec) must put most arrivals in the
-  // second half of the window; the sinusoid with period == duration
-  // peaks in the first half instead, so the two shapes differ.
+TEST(TimeVaryingTraceTest, SinusoidWithFullPeriodPeaksEarly) {
+  // With period == duration the rate is above its mean for the first
+  // half of the window and below it for the second, so more arrivals
+  // land early.
   TimeVaryingTraceOptions options;
   options.seed = 5;
   options.duration_s = 4;
   options.base_rate = 100;
   options.amplitude = 0.8;
-  options.shape = TimeVaryingShape::kRamp;
-  const ArrivalTrace ramp =
-      MakeTimeVaryingTrace(CalibratedJobClasses(), options);
-  int early = 0, late = 0;
-  for (const ArrivalEvent& e : ramp.events) {
-    (e.arrival_s < options.duration_s / 2 ? early : late)++;
-  }
-  EXPECT_GT(late, 2 * early) << early << " early vs " << late << " late";
-
-  options.shape = TimeVaryingShape::kSinusoid;
   options.period_s = options.duration_s;
   const ArrivalTrace sine =
       MakeTimeVaryingTrace(CalibratedJobClasses(), options);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -96,6 +97,20 @@ inline bool EventuallyTrue(Fn&& check, int attempts = 3) {
     if (check()) return true;
   }
   return false;
+}
+
+// Polls a condition every 10 ms until it holds or `seconds` pass; true
+// if it held. For state that changes on other threads (executor
+// scheduling, thread teardown) and has no event to wait on.
+inline bool PollUntil(const std::function<bool()>& cond,
+                      double seconds = 20) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (cond()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return cond();
 }
 
 // This process's live thread count, from /proc/self/task.

@@ -63,14 +63,6 @@ TEST(ExecuteMapUdfTest, SizeRatioApplied) {
   EXPECT_EQ(out.sequence, 5u);
 }
 
-TEST(ExecuteMapUdfTest, SizeOffsetApplied) {
-  UdfSpec spec = Spec("pad");
-  spec.size_ratio = 0.0;
-  spec.size_offset_bytes = 64;
-  Element in = Element::FromBuffer(Buffer(100, 1));
-  EXPECT_EQ(ExecuteMapUdf(spec, in, 1.0, 9).TotalBytes(), 64u);
-}
-
 TEST(ExecuteMapUdfTest, DeterministicForSameSeed) {
   UdfSpec spec = Spec("t");
   spec.size_ratio = 2.0;
