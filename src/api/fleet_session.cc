@@ -11,18 +11,14 @@ FleetSession::FleetSession(FleetSessionOptions options)
         so.seed = options_.seed;
         return so;
       }()) {
-  fleet::FleetOptions fopts = options_.fleet;
-  fopts.hosts = options_.hosts;
-  if (fopts.hosts.empty()) fopts.hosts.push_back(MachineSpec{});
-  options_.hosts = fopts.hosts;
   runtime_ = std::make_unique<fleet::FleetRuntime>(
-      std::move(fopts), [this](int host) {
+      options_.hosts, options_.fleet, [this](int host) {
         // Start from the environment Session's options (filesystem,
         // UDFs, seed), then overlay the host's own hardware: its core
         // speed and memory budget. Per-host seeds decorrelate modeled
         // randomness across hosts.
         PipelineOptions popts = env_.MakePipelineOptions();
-        const MachineSpec& machine = options_.hosts[host];
+        const MachineSpec& machine = runtime_->host_machine(host);
         popts.cpu_scale = machine.cpu_scale;
         popts.memory_budget_bytes = machine.memory_bytes;
         popts.scratch = machine.scratch;
@@ -40,8 +36,7 @@ fleet::FleetJobHandle FleetSession::Submit(GraphDef graph,
     // pin (>= 0) always wins.
     const int shard = rewriter::GraphShardIndex(graph);
     if (shard >= 0) {
-      options.pinned_host =
-          shard % static_cast<int>(options_.hosts.size());
+      options.pinned_host = shard % runtime_->num_hosts();
     }
   }
   return runtime_->Submit(std::move(graph), std::move(options));

@@ -31,11 +31,9 @@
 namespace plumber {
 
 struct FleetSessionOptions {
-  // One modeled machine per host; empty gets one default host. The
-  // machine of fleet.hosts is ignored — set hosts here.
+  // One modeled machine per host; empty gets one default host.
   std::vector<MachineSpec> hosts;
-  // Dispatch policy, stealing, per-host concurrency (hosts above wins
-  // over fleet.hosts).
+  // Dispatch policy, stealing, per-host concurrency.
   fleet::FleetOptions fleet;
   uint64_t seed = 42;
 };

@@ -301,8 +301,9 @@ OptimizedFlow Flow::MakeOptimizedFlow(
 
 StatusOr<OptimizedFlow> Flow::Optimize(OptimizeOptions options) const {
   ASSIGN_OR_RETURN(GraphDef graph, Graph());
-  internal::ApplyEnvironment(*state_, &options);
-  PlumberOptimizer optimizer(std::move(options));
+  PlumberOptimizer optimizer(std::move(options),
+                             internal::MakePipelineOptions(*state_),
+                             state_->options.machine);
   ASSIGN_OR_RETURN(OptimizeResult result, optimizer.Optimize(graph));
   return MakeOptimizedFlow(state_, std::move(result));
 }

@@ -128,10 +128,10 @@ class Flow {
   // gone. Equivalent to Session::Submit(flow, options).
   JobHandle Submit(JobOptions options = {}) const;
 
-  // Hands the pipeline to the Plumber optimizer. The Session is the
-  // source of truth for the environment: machine, fs, udfs and seed in
-  // `options` are overwritten from it; pass only tuning knobs (trace
-  // window, schedule, lp_options).
+  // Hands the pipeline to the Plumber optimizer. `options` holds only
+  // tuning knobs (trace window, schedule, lp_options); every trace runs
+  // on the Session's pipeline options, NIC included, and plans for the
+  // Session's machine.
   StatusOr<OptimizedFlow> Optimize(OptimizeOptions options = {}) const;
 
   // Optimize with an explicit pass schedule, e.g.

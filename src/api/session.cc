@@ -19,20 +19,6 @@ PipelineOptions MakePipelineOptions(SessionState& state) {
   return popts;
 }
 
-void ApplyEnvironment(SessionState& state, OptimizeOptions* options) {
-  const SessionOptions& so = state.options;
-  options->machine = so.machine;
-  options->fs = &state.fs;
-  options->udfs = &state.udfs;
-  options->seed = so.seed;
-  // The planner's network constraint defaults to the machine's NIC so
-  // attaching one device keeps runtime metering and planning aligned;
-  // an explicit per-call bandwidth wins.
-  if (options->lp_options.network_bandwidth <= 0) {
-    options->lp_options.network_bandwidth = so.machine.nic.max_bandwidth;
-  }
-}
-
 runtime::Executor& GetExecutor(SessionState& state) {
   std::lock_guard<std::mutex> lock(state.executor_mu);
   if (state.executor == nullptr) {
@@ -118,8 +104,9 @@ JobHandle Session::Submit(const Flow& flow, JobOptions options) {
 
 StatusOr<OptimizedFlow> Session::OptimizeBest(
     const std::vector<GraphDef>& variants, OptimizeOptions options) {
-  internal::ApplyEnvironment(*state_, &options);
-  PlumberOptimizer optimizer(std::move(options));
+  PlumberOptimizer optimizer(std::move(options),
+                             internal::MakePipelineOptions(*state_),
+                             state_->options.machine);
   ASSIGN_OR_RETURN(OptimizeResult result, optimizer.PickBest(variants));
   return Flow::MakeOptimizedFlow(state_, std::move(result));
 }

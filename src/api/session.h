@@ -2,11 +2,13 @@
 //
 // A Session owns everything a pipeline needs to exist — the simulated
 // filesystem (optionally backed by an owned StorageDevice), the UDF
-// registry, the MachineSpec being modeled, and the seed — and is the
-// one source of truth for all of them: Flow::Run and Flow::Optimize
-// derive their PipelineOptions/OptimizeOptions from the Session, so
-// cpu_scale/seed/memory can no longer be wired twice and drift
-// (formerly: MachineSpec vs PipelineOptions vs OptimizeOptions).
+// registry, the MachineSpec being modeled, the seed and the NIC — and
+// is the one source of truth for all of them: every pipeline a Flow
+// runs, traces, or hands the optimizer is created with the one
+// PipelineOptions internal::MakePipelineOptions derives from the
+// Session, and the optimizer plans for the Session's machine.
+// OptimizeOptions carries only tuning knobs, so no second derivation
+// exists to drift.
 //
 //   Session session;
 //   session.machine().num_cores = 8;
@@ -73,9 +75,6 @@ struct SessionState {
 // The only place the unified API turns session state into
 // PipelineOptions. (Non-const: pipelines mutate the filesystem.)
 PipelineOptions MakePipelineOptions(SessionState& state);
-// Overwrites the environment half of OptimizeOptions (machine, fs,
-// udfs, seed) from the session state.
-void ApplyEnvironment(SessionState& state, OptimizeOptions* options);
 // The session's executor, lazily created (thread-safe).
 runtime::Executor& GetExecutor(SessionState& state);
 
@@ -146,16 +145,10 @@ class Session {
   StorageDevice* storage() const { return state_->storage.get(); }
   StorageDevice* nic() const { return state_->nic.get(); }
   uint64_t seed() const { return state_->options.seed; }
-  void set_seed(uint64_t seed) { state_->options.seed = seed; }
 
   // Derives instantiation options from the session state.
   PipelineOptions MakePipelineOptions() const {
     return internal::MakePipelineOptions(*state_);
-  }
-  // Fills the environment half of OptimizeOptions from the session,
-  // keeping the tuning knobs.
-  void ApplyTo(OptimizeOptions* options) {
-    internal::ApplyEnvironment(*state_, options);
   }
 
  private:

@@ -39,8 +39,7 @@ StatusOr<PipelineModel> PipelineModel::Build(const TraceSnapshot& trace,
     node.inputs = def->inputs;
     node.parallelizable =
         OpSupportsParallelism(def->op) && def->GetBool(kAttrTunable, true);
-    node.is_source = def->op == "tfrecord" || def->op == "remote_read" ||
-                     def->op == "interleave";
+    node.is_source = OpReadsRecords(def->op);
     node.parallelism = 1;
     if (const auto* s = trace.FindStats(name)) {
       node.completions = s->elements_produced;
@@ -283,14 +282,6 @@ PipelineModel::EstimateSourceSizes() const {
     out.emplace(prefix, est);
   }
   return out;
-}
-
-double PipelineModel::EstimateTotalSourceBytes() const {
-  double total = 0;
-  for (const auto& [prefix, est] : EstimateSourceSizes()) {
-    total += est.estimated_bytes;
-  }
-  return total;
 }
 
 std::string PipelineModel::ToString() const {

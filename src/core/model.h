@@ -87,14 +87,13 @@ class PipelineModel {
   double NetworkBytesPerMinibatch() const;
 
   // Dataset-size estimate for a source prefix via subsampled file
-  // sizes rescaled by m/n (App. A); also an aggregate over all sources.
+  // sizes rescaled by m/n (App. A).
   struct SourceSizeEstimate {
     double estimated_bytes = 0;
     uint64_t files_seen = 0;
     uint64_t files_total = 0;
   };
   std::map<std::string, SourceSizeEstimate> EstimateSourceSizes() const;
-  double EstimateTotalSourceBytes() const;
 
   std::string ToString() const;
 

@@ -20,31 +20,23 @@ constexpr double kEvaluateWarmupSeconds = 0.8;
 
 }  // namespace
 
-PipelineOptions OptimizeOptions::MakePipelineOptions() const {
-  PipelineOptions popts;
-  popts.fs = fs;
-  popts.udfs = udfs;
-  popts.cpu_scale = machine.cpu_scale;
-  popts.seed = seed;
-  popts.memory_budget_bytes = machine.memory_bytes;
-  popts.scratch = machine.scratch;
-  popts.scratch_budget_bytes = machine.scratch_bytes;
-  return popts;
-}
-
-PlumberOptimizer::PlumberOptimizer(OptimizeOptions options)
-    : options_(std::move(options)) {}
-
-StatusOr<std::unique_ptr<Pipeline>> PlumberOptimizer::MakePipeline(
-    GraphDef graph) const {
-  return Pipeline::Create(std::move(graph), options_.MakePipelineOptions());
+PlumberOptimizer::PlumberOptimizer(OptimizeOptions options,
+                                   PipelineOptions pipeline_options,
+                                   MachineSpec machine)
+    : options_(std::move(options)),
+      pipeline_options_(std::move(pipeline_options)),
+      machine_(std::move(machine)) {
+  // An explicit per-call bandwidth wins.
+  if (options_.lp_options.network_bandwidth <= 0) {
+    options_.lp_options.network_bandwidth = machine_.nic.max_bandwidth;
+  }
 }
 
 StatusOr<OptimizeResult> PlumberOptimizer::Optimize(
     const GraphDef& input) const {
   ASSIGN_OR_RETURN(PassSchedule schedule,
                    PassSchedule::Parse(options_.schedule));
-  OptimizationContext ctx(input, options_);
+  OptimizationContext ctx(input, options_, pipeline_options_, machine_);
   OptimizeResult result;
   result.pass_reports.reserve(schedule.passes().size());
   for (const std::string& name : schedule.passes()) {
@@ -131,7 +123,7 @@ StatusOr<OptimizeResult> PlumberOptimizer::PickBest(
       continue;
     }
     // Evaluate the optimized variant under a benchmark run.
-    auto pipeline_or = MakePipeline(result_or->graph);
+    auto pipeline_or = Pipeline::Create(result_or->graph, pipeline_options_);
     if (!pipeline_or.ok()) {
       record_failure(i, "instantiation", pipeline_or.status());
       continue;

@@ -24,26 +24,15 @@
 
 namespace plumber {
 
+// The optimizer's tuning knobs. The environment it traces in and the
+// machine it plans for are PlumberOptimizer's constructor arguments.
 struct OptimizeOptions {
-  MachineSpec machine;
-  // Execution environment. The optimizer derives the PipelineOptions
-  // for every pipeline it instantiates from these fields plus `machine`
-  // in exactly one place (MakePipelineOptions below), so cpu_scale,
-  // seed, and the memory budget cannot diverge between the traced
-  // pipeline and the planned machine.
-  SimFilesystem* fs = nullptr;
-  const UdfRegistry* udfs = nullptr;
-  uint64_t seed = 42;
   double trace_seconds = 0.3;
   // Pass schedule, e.g. "parallelism,prefetch,cache,parallelism"
   // (names resolved through PassRegistry::Global()). "" runs no passes:
   // the input is traced once and returned unchanged.
   std::string schedule = kDefaultPassSchedule;
   LpPlanOptions lp_options;
-
-  // The single place instantiation options are derived from the
-  // machine + environment (tracing on, cache budget = machine memory).
-  PipelineOptions MakePipelineOptions() const;
 };
 
 struct OptimizeResult {
@@ -62,7 +51,13 @@ struct OptimizeResult {
 
 class PlumberOptimizer {
  public:
-  explicit PlumberOptimizer(OptimizeOptions options);
+  // Every pipeline the optimizer traces or evaluates is created with
+  // `pipeline_options` (a Session passes its own: filesystem, UDFs,
+  // seed, NIC, and the budgets it derives from its machine); `machine`
+  // is the machine it plans for. lp_options.network_bandwidth defaults
+  // to machine.nic's bandwidth, so planning and NIC metering agree.
+  PlumberOptimizer(OptimizeOptions options, PipelineOptions pipeline_options,
+                   MachineSpec machine);
 
   // Optimizes a single pipeline program.
   StatusOr<OptimizeResult> Optimize(const GraphDef& input) const;
@@ -73,9 +68,9 @@ class PlumberOptimizer {
       const std::vector<GraphDef>& variants) const;
 
  private:
-  StatusOr<std::unique_ptr<Pipeline>> MakePipeline(GraphDef graph) const;
-
   OptimizeOptions options_;
+  PipelineOptions pipeline_options_;
+  MachineSpec machine_;
 };
 
 }  // namespace plumber

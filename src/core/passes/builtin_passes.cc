@@ -57,7 +57,7 @@ StatusOr<PassReport> CachePass::Run(OptimizationContext& ctx) const {
   }
   ASSIGN_OR_RETURN(const PipelineModel* model, ctx.LatestModel());
   report.traced_rate = model->observed_rate();
-  const MachineSpec& machine = ctx.options().machine;
+  const MachineSpec& machine = ctx.machine();
   CachePlanOptions copts;
   copts.memory_bytes = machine.memory_bytes;
   copts.disk_free_bytes = machine.scratch_bytes;
@@ -113,30 +113,31 @@ StatusOr<PassReport> ShardSourcesPass::Run(OptimizationContext& ctx) const {
     return report;
   }
 
-  // The shardable source: a record reader over a file_list child.
+  // The shardable source: the first record reader ShardSource can
+  // split. Otherwise the summary says why the last one could not be.
   std::string reader;
-  std::string prefix;
+  Status unshardable = NotFoundError("no file-backed source reader");
   for (const NodeDef& node : ctx.graph().nodes()) {
-    if (node.op != "tfrecord" && node.op != "remote_read" &&
-        node.op != "interleave") {
-      continue;
+    if (!OpReadsRecords(node.op)) continue;
+    unshardable = rewriter::CheckShardable(ctx.graph(), node.name);
+    if (unshardable.ok()) {
+      reader = node.name;
+      break;
     }
-    if (node.inputs.size() != 1) continue;
-    const NodeDef* child = ctx.graph().FindNode(node.inputs[0]);
-    if (child == nullptr || child->op != "file_list") continue;
-    reader = node.name;
-    prefix = child->GetString(kAttrPrefix);
-    break;
   }
   if (reader.empty()) {
-    report.summary = "no file-backed source reader; skipped";
+    report.summary = unshardable.message() + "; skipped";
     return report;
   }
+  const std::string prefix =
+      ctx.graph().FindNode(ctx.graph().FindNode(reader)->inputs[0])
+          ->GetString(kAttrPrefix);
   // Round-robin partitioning caps useful shards at the file count: a
   // shard with no files is a worker thread spinning on an empty list.
   int num_files = kMaxShards;
-  if (ctx.options().fs != nullptr) {
-    num_files = static_cast<int>(ctx.options().fs->List(prefix).size());
+  if (ctx.pipeline_options().fs != nullptr) {
+    num_files =
+        static_cast<int>(ctx.pipeline_options().fs->List(prefix).size());
   }
   if (num_files < 2) {
     report.summary = "fewer than 2 source files; cannot shard";

@@ -13,15 +13,16 @@ constexpr double kCacheWarmupSeconds = 0.4;
 
 }  // namespace
 
-OptimizationContext::OptimizationContext(GraphDef graph,
-                                         const OptimizeOptions& options)
-    : options_(&options), graph_(std::move(graph)) {
+OptimizationContext::OptimizationContext(
+    GraphDef graph, const OptimizeOptions& options,
+    const PipelineOptions& pipeline_options, const MachineSpec& machine)
+    : options_(&options), pipeline_options_(&pipeline_options),
+      machine_(&machine), graph_(std::move(graph)) {
   hook_ = [this](const GraphDef& g) -> StatusOr<TraceSnapshot> {
-    ASSIGN_OR_RETURN(auto pipeline,
-                     Pipeline::Create(g, options_->MakePipelineOptions()));
+    ASSIGN_OR_RETURN(auto pipeline, Pipeline::Create(g, *pipeline_options_));
     TraceOptions topts;
     topts.trace_seconds = options_->trace_seconds;
-    topts.machine = options_->machine;
+    topts.machine = *machine_;
     if (rewriter::HasOp(g, "cache")) {
       // Re-tracing a pipeline that now contains a cache: fill briefly,
       // then freeze the cache so the trace reflects steady state and
@@ -39,7 +40,7 @@ OptimizationContext::OptimizationContext(GraphDef graph,
 Status OptimizationContext::Retrace() {
   ASSIGN_OR_RETURN(trace_, hook_(graph_));
   ASSIGN_OR_RETURN(PipelineModel model,
-                   PipelineModel::Build(trace_, options_->udfs));
+                   PipelineModel::Build(trace_, pipeline_options_->udfs));
   model_.emplace(std::move(model));
   last_traced_rate_ = model_->observed_rate();
   graph_changed_ = false;

@@ -44,22 +44,25 @@ struct PassReport {
 };
 
 // The state a pass schedule threads through its passes: the current
-// graph, the latest trace/model of it, the budget (via OptimizeOptions,
-// which owns the MachineSpec), and the re-trace hook passes use to
-// refresh the model after rewrites. Passes mutate graph() and must call
-// MarkGraphChanged() so later passes know the model is stale.
+// graph, the latest trace/model of it, the tuning knobs, the
+// environment its pipelines are created in, the machine (the budget),
+// and the re-trace hook passes use to refresh the model after rewrites.
+// Passes mutate graph() and must call MarkGraphChanged() so later
+// passes know the model is stale.
 class OptimizationContext {
  public:
   using RetraceHook = std::function<StatusOr<TraceSnapshot>(const GraphDef&)>;
 
-  // `options` must outlive the context (PlumberOptimizer owns both).
-  // The default re-trace hook instantiates the graph with
-  // options.MakePipelineOptions() and captures a bounded trace,
-  // reproducing the cache-steady-state semantics of the pre-framework
-  // optimizer: once the graph contains a cache, re-traces warm it for
-  // 0.4 s and freeze it (§B truncation trick) so the LP can
+  // `options`, `pipeline_options` and `machine` must outlive the
+  // context (PlumberOptimizer owns all four). The default re-trace hook
+  // instantiates the graph with `pipeline_options` and captures a
+  // bounded trace, reproducing the cache-steady-state semantics of the
+  // pre-framework optimizer: once the graph contains a cache, re-traces
+  // warm it for 0.4 s and freeze it (§B truncation trick) so the LP can
   // redistribute the cores the cached subtree frees.
-  OptimizationContext(GraphDef graph, const OptimizeOptions& options);
+  OptimizationContext(GraphDef graph, const OptimizeOptions& options,
+                      const PipelineOptions& pipeline_options,
+                      const MachineSpec& machine);
 
   OptimizationContext(const OptimizationContext&) = delete;
   OptimizationContext& operator=(const OptimizationContext&) = delete;
@@ -67,6 +70,10 @@ class OptimizationContext {
   GraphDef& graph() { return graph_; }
   const GraphDef& graph() const { return graph_; }
   const OptimizeOptions& options() const { return *options_; }
+  const PipelineOptions& pipeline_options() const {
+    return *pipeline_options_;
+  }
+  const MachineSpec& machine() const { return *machine_; }
 
   // Model of the most recent trace, tracing the current graph first if
   // none has been taken yet. The model may be stale with respect to
@@ -95,6 +102,8 @@ class OptimizationContext {
   Status Retrace();
 
   const OptimizeOptions* options_;
+  const PipelineOptions* pipeline_options_;
+  const MachineSpec* machine_;
   GraphDef graph_;
   TraceSnapshot trace_;
   std::optional<PipelineModel> model_;

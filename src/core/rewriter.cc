@@ -76,17 +76,19 @@ StatusOr<std::string> InjectCache(GraphDef* graph, const std::string& after,
   return node.name;
 }
 
-StatusOr<std::string> ShardSource(GraphDef* graph, const std::string& reader,
-                                  int shards) {
-  if (shards < 2) return InvalidArgumentError("shard count must be >= 2");
-  const NodeDef* reader_def = graph->FindNode(reader);
+Status CheckShardable(const GraphDef& graph, const std::string& reader) {
+  const NodeDef* reader_def = graph.FindNode(reader);
   if (reader_def == nullptr) return NotFoundError("no such node: " + reader);
-  if ((reader_def->op != "tfrecord" && reader_def->op != "interleave") ||
-      reader_def->inputs.size() != 1) {
+  if (!OpReadsRecords(reader_def->op) || reader_def->inputs.size() != 1) {
     return FailedPreconditionError(reader +
                                    " is not a file-backed source reader");
   }
-  const NodeDef* list_def = graph->FindNode(reader_def->inputs[0]);
+  if (OpReadsRemote(reader_def->op)) {
+    return FailedPreconditionError(
+        reader + " reads through one remote uplink, which N shard copies "
+                 "would model as N uplinks");
+  }
+  const NodeDef* list_def = graph.FindNode(reader_def->inputs[0]);
   if (list_def == nullptr || list_def->op != "file_list") {
     return FailedPreconditionError(reader + " does not read from a file_list");
   }
@@ -94,9 +96,16 @@ StatusOr<std::string> ShardSource(GraphDef* graph, const std::string& reader,
       list_def->HasAttr(kAttrShardCount)) {
     return FailedPreconditionError(reader + " is already sharded");
   }
+  return OkStatus();
+}
+
+StatusOr<std::string> ShardSource(GraphDef* graph, const std::string& reader,
+                                  int shards) {
+  if (shards < 2) return InvalidArgumentError("shard count must be >= 2");
+  RETURN_IF_ERROR(CheckShardable(*graph, reader));
   // Copy before mutating: AddNode may reallocate the node vector.
-  const NodeDef reader_copy = *reader_def;
-  const NodeDef list_copy = *list_def;
+  const NodeDef reader_copy = *graph->FindNode(reader);
+  const NodeDef list_copy = *graph->FindNode(reader_copy.inputs[0]);
 
   std::vector<std::string> shard_readers;
   for (int i = 0; i < shards; ++i) {

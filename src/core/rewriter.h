@@ -35,11 +35,17 @@ StatusOr<std::string> InjectPrefetch(GraphDef* graph,
 StatusOr<std::string> InjectCache(GraphDef* graph, const std::string& after,
                                   CacheTier tier = CacheTier::kMemory);
 
-// Splits the source subtree feeding `reader` (a tfrecord/interleave
-// node over a file_list child) into `shards` clones, each stamped with
-// kAttrShardIndex/kAttrShardCount so (a) its file_list keeps only its
-// round-robin partition of the file list and (b) the execution layer
-// reads it against its own modeled shard device (ShardDevicePool).
+// OK if ShardSource can split `reader`: a local record reader
+// (tfrecord or interleave) over an unsharded file_list child. A
+// remote_read is not shardable: its remote uplink is one device per
+// dataset, so N shard copies would model N uplinks. The error says why.
+Status CheckShardable(const GraphDef& graph, const std::string& reader);
+
+// Splits the source subtree feeding `reader` (see CheckShardable) into
+// `shards` clones, each stamped with kAttrShardIndex/kAttrShardCount
+// so (a) its file_list keeps only its round-robin partition of the
+// file list and (b) the execution layer reads it against its own
+// modeled shard device (ShardDevicePool).
 // The clones feed a new "shard_merge" node that replaces `reader` for
 // all consumers (and the graph output). Returns the merge node's name.
 StatusOr<std::string> ShardSource(GraphDef* graph, const std::string& reader,

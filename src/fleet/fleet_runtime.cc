@@ -35,20 +35,6 @@ struct FleetJobRecord {
 
 using internal::FleetJobRecord;
 
-const char* DispatchPolicyName(DispatchPolicy policy) {
-  switch (policy) {
-    case DispatchPolicy::kRoundRobin:
-      return "round_robin";
-    case DispatchPolicy::kLeastLoaded:
-      return "least_loaded";
-    case DispatchPolicy::kLocality:
-      return "locality";
-    case DispatchPolicy::kSloAware:
-      return "slo_aware";
-  }
-  return "unknown";
-}
-
 namespace {
 // Sliding-window depth for per-host interactive queue-latency samples:
 // enough for a stable p95, small enough to track load shifts.
@@ -101,18 +87,18 @@ FleetJobStats FleetJobHandle::Stats() const {
 }
 
 FleetRuntime::FleetRuntime(
-    FleetOptions options,
+    std::vector<MachineSpec> hosts, FleetOptions options,
     std::function<PipelineOptions(int host)> pipeline_options)
-    : options_(std::move(options)),
+    : hosts_(std::move(hosts)), options_(std::move(options)),
       pipeline_options_(std::move(pipeline_options)) {
-  if (options_.hosts.empty()) options_.hosts.push_back(MachineSpec{});
+  if (hosts_.empty()) hosts_.push_back(MachineSpec{});
   options_.host_concurrent_jobs = std::max(1, options_.host_concurrent_jobs);
-  nics_.reserve(options_.hosts.size());
-  for (const MachineSpec& machine : options_.hosts) {
+  nics_.reserve(hosts_.size());
+  for (const MachineSpec& machine : hosts_) {
     nics_.push_back(std::make_unique<StorageDevice>(machine.nic));
   }
-  executors_.reserve(options_.hosts.size());
-  for (size_t h = 0; h < options_.hosts.size(); ++h) {
+  executors_.reserve(hosts_.size());
+  for (size_t h = 0; h < hosts_.size(); ++h) {
     runtime::ExecutorOptions eopts;
     eopts.max_concurrent_jobs = options_.host_concurrent_jobs;
     const int host = static_cast<int>(h);
@@ -126,10 +112,10 @@ FleetRuntime::FleetRuntime(
           popts.nic = nics_[host].get();
           return popts;
         },
-        [this, host] { return options_.hosts[host]; }, eopts));
+        [this, host] { return hosts_[host]; }, eopts));
   }
-  queues_.resize(options_.hosts.size());
-  interactive_queue_s_.resize(options_.hosts.size());
+  queues_.resize(hosts_.size());
+  interactive_queue_s_.resize(hosts_.size());
   pump_ = std::thread([this] { PumpLoop(); });
 }
 
@@ -213,7 +199,7 @@ int FleetRuntime::LowestInteractiveLatencyLocked() const {
   for (int h = 0; h < num_hosts(); ++h) {
     const double p95 = InteractiveP95Locked(h);
     const runtime::ExecutorLoadSnapshot snap = executors_[h]->LoadSnapshot();
-    const double cores = std::max(1, options_.hosts[h].num_cores);
+    const double cores = std::max(1, hosts_[h].num_cores);
     const double load = (snap.queued_jobs + snap.running_jobs +
                          static_cast<double>(queues_[h].size())) /
                         cores;
@@ -272,7 +258,7 @@ int FleetRuntime::LeastLoadedLocked() const {
     const runtime::ExecutorLoadSnapshot snap = executors_[h]->LoadSnapshot();
     // Jobs in flight anywhere on the host (executor + fleet queue) per
     // modeled core, so a big host absorbs proportionally more.
-    const double cores = std::max(1, options_.hosts[h].num_cores);
+    const double cores = std::max(1, hosts_[h].num_cores);
     const double load =
         (snap.queued_jobs + snap.running_jobs +
          static_cast<double>(queues_[h].size())) /

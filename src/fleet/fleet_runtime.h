@@ -51,11 +51,7 @@ namespace fleet {
 
 enum class DispatchPolicy { kRoundRobin, kLeastLoaded, kLocality, kSloAware };
 
-const char* DispatchPolicyName(DispatchPolicy policy);
-
 struct FleetOptions {
-  // One modeled machine per host; empty gets one default host.
-  std::vector<MachineSpec> hosts;
   DispatchPolicy policy = DispatchPolicy::kLeastLoaded;
   bool work_stealing = true;
   // Jobs one host's executor runs concurrently (its modeled cores are
@@ -127,12 +123,13 @@ struct FleetHostLoad {
 
 class FleetRuntime {
  public:
-  // `pipeline_options(host)` derives instantiation options for one
-  // host's executor (filesystem/UDF pointers, that host's cpu_scale
+  // One modeled machine per host in `hosts`; empty gets one default
+  // host. `pipeline_options(host)` derives instantiation options for
+  // one host's executor (filesystem/UDF pointers, that host's cpu_scale
   // and memory budget); invoked on executor threads, must stay valid
   // for the runtime's life. FleetSession (src/api/fleet_session.h)
   // wires this from a Session environment.
-  FleetRuntime(FleetOptions options,
+  FleetRuntime(std::vector<MachineSpec> hosts, FleetOptions options,
                std::function<PipelineOptions(int host)> pipeline_options);
   ~FleetRuntime();
 
@@ -143,9 +140,7 @@ class FleetRuntime {
   FleetJobHandle Submit(GraphDef graph, FleetJobOptions options = {});
 
   int num_hosts() const { return static_cast<int>(executors_.size()); }
-  const MachineSpec& host_machine(int host) const {
-    return options_.hosts[host];
-  }
+  const MachineSpec& host_machine(int host) const { return hosts_[host]; }
   FleetHostLoad HostLoad(int host) const;
   // Jobs re-routed across hosts by work stealing so far.
   int64_t steal_count() const {
@@ -179,6 +174,7 @@ class FleetRuntime {
   // NICs to migrate a stolen record here; 0 when it runs where queued.
   void DispatchLocked(RecordPtr record, int host, uint64_t transfer_bytes = 0);
 
+  std::vector<MachineSpec> hosts_;
   FleetOptions options_;
   const std::function<PipelineOptions(int host)> pipeline_options_;
   // Per-host NICs, built from hosts[h].nic; declared before the

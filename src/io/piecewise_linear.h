@@ -30,7 +30,6 @@ class PiecewiseLinear {
   // Smallest x achieving (1 - tolerance) * MaxY(): the "knee".
   double SaturationX(double tolerance = 0.05) const;
 
-  size_t NumPoints() const { return xs_.size(); }
   bool empty() const { return xs_.empty(); }
   std::string ToString() const;
 

@@ -164,13 +164,6 @@ uint64_t SimFilesystem::total_bytes_read() const {
   return total_bytes_read_;
 }
 
-uint64_t SimFilesystem::TotalRegisteredBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [name, meta] : files_) total += meta.TotalBytes();
-  return total;
-}
-
 size_t SimFilesystem::NumFiles() const {
   std::lock_guard<std::mutex> lock(mu_);
   return files_.size();

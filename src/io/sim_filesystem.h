@@ -55,9 +55,6 @@ class RecordReader {
   // Reads the next record payload. Sets *end=true at end of file.
   Status ReadRecord(std::vector<uint8_t>* payload, bool* end);
 
-  uint64_t records_read() const { return next_record_; }
-  const std::string& filename() const { return meta_->name; }
-
  private:
   const SimFileMeta* meta_;
   SimFilesystem* fs_;
@@ -119,8 +116,6 @@ class SimFilesystem {
   void ClearReadLog();
   uint64_t total_bytes_read() const;
 
-  // Total size of every registered file (ground truth for tests).
-  uint64_t TotalRegisteredBytes() const;
   size_t NumFiles() const;
 
  private:

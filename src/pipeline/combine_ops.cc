@@ -30,18 +30,6 @@ class ZipDataset : public DatasetBase {
   ZipDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
 
-  // Ends when the shortest input ends.
-  int64_t Cardinality() const override {
-    int64_t result = kInfiniteCardinality;
-    for (const auto& input : inputs_) {
-      const int64_t c = input->Cardinality();
-      if (c == kUnknownCardinality) return kUnknownCardinality;
-      if (c == kInfiniteCardinality) continue;
-      result = result == kInfiniteCardinality ? c : std::min(result, c);
-    }
-    return result;
-  }
-
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;
 };
@@ -126,17 +114,6 @@ class ConcatenateDataset : public DatasetBase {
   ConcatenateDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
 
-  int64_t Cardinality() const override {
-    int64_t total = 0;
-    for (const auto& input : inputs_) {
-      const int64_t c = input->Cardinality();
-      if (c == kUnknownCardinality) return kUnknownCardinality;
-      if (c == kInfiniteCardinality) return kInfiniteCardinality;
-      total += c;
-    }
-    return total;
-  }
-
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;
 };
@@ -220,15 +197,6 @@ class MapAndBatchDataset : public DatasetBase {
   MapAndBatchDataset(NodeDef def, std::vector<DatasetPtr> inputs,
                      const UdfSpec* udf)
       : DatasetBase(std::move(def), std::move(inputs)), udf_(udf) {}
-
-  int64_t Cardinality() const override {
-    const int64_t child = inputs_[0]->Cardinality();
-    const int64_t batch = def_.GetInt(kAttrBatchSize, 1);
-    if (child < 0 || batch <= 0) return child;
-    return def_.GetBool(kAttrDropRemainder, true)
-               ? child / batch
-               : (child + batch - 1) / batch;
-  }
 
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;

@@ -53,30 +53,24 @@ Status IteratorBase::GetNextBatchInternal(std::vector<Element>* out,
   return OkStatus();
 }
 
-StorageDevice* ShardDeviceFor(const NodeDef& def, PipelineContext* ctx) {
-  if (ctx == nullptr || ctx->shard_devices == nullptr) return nullptr;
-  const int shard = static_cast<int>(def.GetInt(kAttrShardIndex, -1));
-  if (shard < 0) return nullptr;
-  return ctx->shard_devices->DeviceFor(shard);
-}
-
 bool OpSupportsParallelism(const std::string& op) {
   return op == "map" || op == "interleave" || op == "map_and_batch";
 }
 
-bool OpIsSource(const std::string& op) {
-  return op == "tfrecord" || op == "remote_read" || op == "interleave" ||
-         op == "range" || op == "file_list";
+bool OpReadsRecords(const std::string& op) {
+  return op == "tfrecord" || op == "remote_read" || op == "interleave";
 }
+
+bool OpReadsRemote(const std::string& op) { return op == "remote_read"; }
 
 StatusOr<DatasetPtr> InstantiateGraph(const GraphDef& graph,
                                       PipelineContext* ctx) {
   static const std::map<std::string, DatasetFactory> kFactories = {
       {"range", &MakeRangeDataset},
       {"file_list", &MakeFileListDataset},
-      {"tfrecord", &MakeTfRecordDataset},
-      {"remote_read", &MakeRemoteReadDataset},
-      {"interleave", &MakeInterleaveDataset},
+      {"tfrecord", &MakeTfRecordReader},
+      {"remote_read", &MakeRemoteReader},
+      {"interleave", &MakeInterleaveReader},
       {"map", &MakeMapDataset},
       {"filter", &MakeFilterDataset},
       {"shuffle", &MakeShuffleDataset},

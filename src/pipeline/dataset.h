@@ -22,9 +22,6 @@
 
 namespace plumber {
 
-inline constexpr int64_t kInfiniteCardinality = -1;
-inline constexpr int64_t kUnknownCardinality = -2;
-
 // Shared runtime context: filesystem, UDF registry, stats sink, machine
 // speed scaling, cancellation, and tracing control. Owned by Pipeline;
 // outlives all datasets/iterators created with it.
@@ -128,10 +125,6 @@ class DatasetBase : public std::enable_shared_from_this<DatasetBase> {
 
   virtual StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const = 0;
-
-  // Statically known output cardinality; kUnknownCardinality if it
-  // cannot be derived without running.
-  virtual int64_t Cardinality() const { return kUnknownCardinality; }
 
   // Marks any partially-filled materialization as complete so later
   // iterators behave as if a full epoch had already run. This is the

@@ -11,8 +11,6 @@ class ShuffleDataset : public DatasetBase {
   ShuffleDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
 
-  int64_t Cardinality() const override { return inputs_[0]->Cardinality(); }
-
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;
 };
@@ -81,14 +79,6 @@ class RepeatDataset : public DatasetBase {
   RepeatDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
 
-  int64_t Cardinality() const override {
-    const int64_t count = def_.GetInt(kAttrCount, -1);
-    if (count < 0) return kInfiniteCardinality;
-    const int64_t child = inputs_[0]->Cardinality();
-    if (child < 0) return child;
-    return child * count;
-  }
-
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;
 };
@@ -151,13 +141,6 @@ class ShuffleAndRepeatDataset : public DatasetBase {
  public:
   ShuffleAndRepeatDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
-
-  int64_t Cardinality() const override {
-    const int64_t count = def_.GetInt(kAttrCount, -1);
-    if (count < 0) return kInfiniteCardinality;
-    const int64_t child = inputs_[0]->Cardinality();
-    return child < 0 ? child : child * count;
-  }
 
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;
@@ -246,14 +229,6 @@ class TakeDataset : public DatasetBase {
  public:
   TakeDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
-
-  int64_t Cardinality() const override {
-    const int64_t count = def_.GetInt(kAttrCount, 0);
-    const int64_t child = inputs_[0]->Cardinality();
-    if (child == kUnknownCardinality) return count;
-    if (child == kInfiniteCardinality) return count;
-    return std::min(child, count);
-  }
 
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;

@@ -31,7 +31,6 @@ class AttrValue {
   bool is_int() const { return std::holds_alternative<int64_t>(value_); }
   bool is_double() const { return std::holds_alternative<double>(value_); }
   bool is_bool() const { return std::holds_alternative<bool>(value_); }
-  bool is_string() const { return std::holds_alternative<std::string>(value_); }
 
   int64_t AsInt(int64_t fallback = 0) const;
   double AsDouble(double fallback = 0) const;

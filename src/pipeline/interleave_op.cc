@@ -1,4 +1,13 @@
-// Interleave: parallel reading of record files.
+// Record readers: tfrecord, remote_read and interleave.
+//
+// One dataset serves all three ops. interleave takes its cycle shape
+// (cycle_length, block_length, parallelism) from its attrs; tfrecord
+// and remote_read are a cycle of one file, which streams each file to
+// its end before opening the next. remote_read differs only in its
+// meters: every record is also charged, with framing, to the remote
+// host's NIC (a device the dataset owns, modeled from the node's
+// remote_nic_bandwidth/remote_nic_latency attrs), then to this host's
+// NIC (PipelineContext::nic), then to the node's network_bytes.
 //
 // Sequential mode (parallelism == 1) implements true cycle/block
 // round-robin over up to cycle_length open files, matching tf.data
@@ -18,46 +27,104 @@
 namespace plumber {
 namespace {
 
+struct ReaderShape {
+  int cycle_length = 1;
+  int block_length = 1;
+  int parallelism = 1;
+};
+
 class InterleaveDataset : public DatasetBase {
  public:
-  InterleaveDataset(NodeDef def, std::vector<DatasetPtr> inputs)
-      : DatasetBase(std::move(def), std::move(inputs)) {}
+  // `remote_nic` is the remote endpoint's NIC for remote_read, else
+  // null.
+  InterleaveDataset(NodeDef def, std::vector<DatasetPtr> inputs,
+                    ReaderShape shape,
+                    std::unique_ptr<StorageDevice> remote_nic)
+      : DatasetBase(std::move(def), std::move(inputs)), shape_(shape),
+        remote_nic_(std::move(remote_nic)) {}
 
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;
 
-  int parallelism() const {
-    return static_cast<int>(def_.GetInt(kAttrParallelism, 1));
-  }
-  int cycle_length() const {
-    return static_cast<int>(def_.GetInt(kAttrCycleLength, 4));
-  }
-  int block_length() const {
-    return static_cast<int>(def_.GetInt(kAttrBlockLength, 1));
-  }
+ private:
+  const ReaderShape shape_;
+  // Shared by every iterator of this dataset: all readers of one
+  // remote source contend for one remote uplink.
+  std::unique_ptr<StorageDevice> remote_nic_;
 };
 
-// Pulls the next filename from the (serialized) child iterator.
-Status NextFilename(IteratorBase* input, IteratorStats* stats,
-                    std::string* name, bool* end) {
-  Element elem;
-  RETURN_IF_ERROR(input->GetNext(&elem, end));
-  if (*end) return OkStatus();
-  stats->RecordConsumed();
-  name->assign(elem.components[0].begin(), elem.components[0].end());
-  return OkStatus();
-}
+// What both iterators share: the file names they pull, the device the
+// files open on, and the one record read.
+class RecordIteratorBase : public IteratorBase {
+ protected:
+  // `device` null = the filesystem's device; `remote_nic` null = a
+  // local read.
+  RecordIteratorBase(PipelineContext* ctx, IteratorStats* stats,
+                     std::unique_ptr<IteratorBase> input,
+                     StorageDevice* device, StorageDevice* remote_nic)
+      : IteratorBase(ctx, stats), input_(std::move(input)), device_(device),
+        remote_nic_(remote_nic) {}
 
-class SequentialInterleaveIterator : public IteratorBase {
+  // Pulls the next filename from the (serialized) child iterator.
+  Status NextFilename(std::string* name, bool* end) {
+    Element elem;
+    RETURN_IF_ERROR(input_->GetNext(&elem, end));
+    if (*end) return OkStatus();
+    stats_->RecordConsumed();
+    name->assign(elem.components[0].begin(), elem.components[0].end());
+    return OkStatus();
+  }
+
+  StatusOr<std::unique_ptr<RecordReader>> Open(const std::string& name) {
+    return device_ != nullptr ? ctx_->fs->OpenRecord(name, device_)
+                              : ctx_->fs->OpenRecord(name);
+  }
+
+  // Reads `reader`'s next record into *out, stamped with the next value
+  // of *sequence (a plain counter in the sequential reader, an atomic
+  // one in the parallel reader). The buffer is recycled and acquired at
+  // *last_bytes, the last record's size: records in a file are
+  // near-uniform, so the read's resize stays within capacity and the
+  // per-record allocation disappears in steady state. At the file's
+  // end, sets *file_end and hands the buffer back.
+  template <typename Counter>
+  Status NextRecord(RecordReader* reader, size_t* last_bytes,
+                    Counter* sequence, Element* out, bool* file_end) {
+    Buffer payload = BufferPool::Get()->Acquire(*last_bytes);
+    RETURN_IF_ERROR(reader->ReadRecord(&payload, file_end));
+    if (*file_end) {
+      BufferPool::Get()->Release(std::move(payload));
+      return OkStatus();
+    }
+    *last_bytes = payload.size();
+    const uint64_t wire_bytes = payload.size() + kRecordFramingBytes;
+    stats_->AddBytesRead(wire_bytes);
+    if (remote_nic_ != nullptr) {
+      // The record crosses the wire once; both endpoints' NICs carry it.
+      remote_nic_->Charge(wire_bytes);
+      if (ctx_->nic != nullptr) ctx_->nic->Charge(wire_bytes);
+      stats_->AddNetworkBytes(wire_bytes);
+    }
+    *out = Element::FromBuffer(std::move(payload), (*sequence)++);
+    return OkStatus();
+  }
+
+ private:
+  std::unique_ptr<IteratorBase> input_;
+  StorageDevice* const device_;
+  StorageDevice* const remote_nic_;
+};
+
+class SequentialInterleaveIterator : public RecordIteratorBase {
  public:
   SequentialInterleaveIterator(PipelineContext* ctx, IteratorStats* stats,
                                std::unique_ptr<IteratorBase> input,
-                               int cycle_length, int block_length,
-                               StorageDevice* shard_device)
-      : IteratorBase(ctx, stats), input_(std::move(input)),
-        cycle_length_(cycle_length < 1 ? 1 : cycle_length),
-        block_length_(block_length < 1 ? 1 : block_length),
-        shard_device_(shard_device) {}
+                               StorageDevice* device,
+                               StorageDevice* remote_nic,
+                               const ReaderShape& shape)
+      : RecordIteratorBase(ctx, stats, std::move(input), device, remote_nic),
+        cycle_length_(shape.cycle_length < 1 ? 1 : shape.cycle_length),
+        block_length_(shape.block_length < 1 ? 1 : shape.block_length) {}
 
  protected:
   Status GetNextInternal(Element* out, bool* end) override {
@@ -67,16 +134,13 @@ class SequentialInterleaveIterator : public IteratorBase {
              static_cast<int>(cycle_.size()) < cycle_length_) {
         std::string name;
         bool files_end = false;
-        RETURN_IF_ERROR(NextFilename(input_.get(), stats_, &name, &files_end));
+        RETURN_IF_ERROR(NextFilename(&name, &files_end));
         if (files_end) {
           files_done_ = true;
           break;
         }
-        auto reader_or = shard_device_ != nullptr
-                             ? ctx_->fs->OpenRecord(name, shard_device_)
-                             : ctx_->fs->OpenRecord(name);
-        RETURN_IF_ERROR(reader_or.status());
-        cycle_.push_back(Slot{std::move(reader_or).value(), 0});
+        ASSIGN_OR_RETURN(auto reader, Open(name));
+        cycle_.push_back(Slot{std::move(reader), 0});
       }
       if (cycle_.empty()) {
         *end = true;
@@ -84,19 +148,13 @@ class SequentialInterleaveIterator : public IteratorBase {
       }
       if (cursor_ >= cycle_.size()) cursor_ = 0;
       Slot& slot = cycle_[cursor_];
-      // Recycled record buffer: sized at the previous record so the
-      // reader's resize stays within capacity in steady state.
-      Buffer payload = BufferPool::Get()->Acquire(last_payload_bytes_);
       bool file_end = false;
-      RETURN_IF_ERROR(slot.reader->ReadRecord(&payload, &file_end));
+      RETURN_IF_ERROR(NextRecord(slot.reader.get(), &last_payload_bytes_,
+                                 &sequence_, out, &file_end));
       if (file_end) {
-        BufferPool::Get()->Release(std::move(payload));
         cycle_.erase(cycle_.begin() + static_cast<long>(cursor_));
         continue;
       }
-      last_payload_bytes_ = payload.size();
-      stats_->AddBytesRead(payload.size() + kRecordFramingBytes);
-      *out = Element::FromBuffer(std::move(payload), sequence_++);
       *end = false;
       if (++slot.emitted_in_block >= block_length_) {
         slot.emitted_in_block = 0;
@@ -112,10 +170,8 @@ class SequentialInterleaveIterator : public IteratorBase {
     int emitted_in_block = 0;
   };
 
-  std::unique_ptr<IteratorBase> input_;
   const int cycle_length_;
   const int block_length_;
-  StorageDevice* shard_device_;  // null = the filesystem's device
   std::vector<Slot> cycle_;
   size_t cursor_ = 0;
   bool files_done_ = false;
@@ -129,13 +185,13 @@ class SequentialInterleaveIterator : public IteratorBase {
 // by the pool from the measured read cost. File-to-worker assignment is
 // already nondeterministic, so a resize history changes element order
 // but never the element multiset.
-class ParallelInterleaveIterator : public IteratorBase {
+class ParallelInterleaveIterator : public RecordIteratorBase {
  public:
   ParallelInterleaveIterator(PipelineContext* ctx, IteratorStats* stats,
                              std::unique_ptr<IteratorBase> input,
-                             int parallelism, StorageDevice* shard_device)
-      : IteratorBase(ctx, stats), input_(std::move(input)),
-        shard_device_(shard_device),
+                             StorageDevice* device, StorageDevice* remote_nic,
+                             int parallelism)
+      : RecordIteratorBase(ctx, stats, std::move(input), device, remote_nic),
         pool_(ctx, stats, PoolSpec{parallelism, /*governed=*/true},
               [this](WorkerPool::Worker& worker) { return Claim(worker); }) {}
 
@@ -152,44 +208,34 @@ class ParallelInterleaveIterator : public IteratorBase {
     {
       std::lock_guard<std::mutex> lock(input_mu_);
       if (files_done_) return false;
-      status = NextFilename(input_.get(), stats_, &name, &done);
+      status = NextFilename(&name, &done);
       if (!status.ok() || done) files_done_ = true;
     }
     if (!status.ok()) return pool_.Fail(status);
     if (done) return false;
     worker.StartWork();
-    auto reader_or = shard_device_ != nullptr
-                         ? ctx_->fs->OpenRecord(name, shard_device_)
-                         : ctx_->fs->OpenRecord(name);
+    auto reader_or = Open(name);
     if (!reader_or.ok()) return pool_.Fail(reader_or.status());
     auto reader = std::move(reader_or).value();
     std::vector<WorkerPool::Item> pending;
     pending.reserve(worker.claim());
-    // Recycled record buffers (see SequentialInterleave), sized at the
-    // last record any reader saw.
+    // Sized at the last record any reader saw.
     size_t payload_bytes = last_payload_bytes_.load(std::memory_order_relaxed);
     for (;;) {
-      Buffer payload = BufferPool::Get()->Acquire(payload_bytes);
+      Element element;
       bool file_end = false;
       Status read_status;
       {
         std::optional<CpuAccountingScope> scope;
         if (ctx_->tracing_enabled) scope.emplace(stats_);
-        read_status = reader->ReadRecord(&payload, &file_end);
+        read_status = NextRecord(reader.get(), &payload_bytes, &sequence_,
+                                 &element, &file_end);
       }
       if (!read_status.ok()) {
         pool_.PushBatch(worker, std::move(pending));
         return pool_.Fail(read_status);
       }
-      if (file_end) {
-        BufferPool::Get()->Release(std::move(payload));
-        break;
-      }
-      payload_bytes = payload.size();
-      stats_->AddBytesRead(payload.size() + kRecordFramingBytes);
-      Element element = Element::FromBuffer(
-          std::move(payload),
-          sequence_.fetch_add(1, std::memory_order_relaxed));
+      if (file_end) break;
       pending.push_back(
           WorkerPool::Item{0, std::move(element), OkStatus(), false});
       if (pending.size() >= worker.claim()) {
@@ -204,9 +250,6 @@ class ParallelInterleaveIterator : public IteratorBase {
     return pool_.PushBatch(worker, std::move(pending));
   }
 
-  std::unique_ptr<IteratorBase> input_;
-  StorageDevice* shard_device_;  // null = the filesystem's device
-
   std::mutex input_mu_;
   bool files_done_ = false;
   std::atomic<uint64_t> sequence_{0};
@@ -216,39 +259,74 @@ class ParallelInterleaveIterator : public IteratorBase {
   WorkerPool pool_;
 };
 
+// The shard disk a reader meters against: its own shard stamp's, else
+// its file_list input's; null = the filesystem's device.
+StorageDevice* ReaderDevice(const NodeDef& def, const NodeDef& input,
+                            PipelineContext* ctx) {
+  if (ctx->shard_devices == nullptr) return nullptr;
+  for (const NodeDef* stamped : {&def, &input}) {
+    const int shard = static_cast<int>(stamped->GetInt(kAttrShardIndex, -1));
+    if (shard >= 0) return ctx->shard_devices->DeviceFor(shard);
+  }
+  return nullptr;
+}
+
 StatusOr<std::unique_ptr<IteratorBase>> InterleaveDataset::MakeIterator(
     PipelineContext* ctx) const {
   ASSIGN_OR_RETURN(auto input, inputs_[0]->MakeIterator(ctx));
   IteratorStats* stats = StatsFor(ctx);
-  // A shard-stamped interleave (or one whose file_list child carries
-  // the stamp) reads through its own modeled shard disk.
-  StorageDevice* shard_device = ShardDeviceFor(def_, ctx);
-  if (shard_device == nullptr && !inputs_.empty()) {
-    shard_device = ShardDeviceFor(inputs_[0]->def(), ctx);
-  }
-  const int p = parallelism();
-  if (p <= 1) {
+  StorageDevice* device = ReaderDevice(def_, inputs_[0]->def(), ctx);
+  if (shape_.parallelism <= 1) {
     stats->SetParallelism(1);
     return std::unique_ptr<IteratorBase>(new SequentialInterleaveIterator(
-        ctx, stats, std::move(input), cycle_length(), block_length(),
-        shard_device));
+        ctx, stats, std::move(input), device, remote_nic_.get(), shape_));
   }
   return std::unique_ptr<IteratorBase>(new ParallelInterleaveIterator(
-      ctx, stats, std::move(input), p, shard_device));
+      ctx, stats, std::move(input), device, remote_nic_.get(),
+      shape_.parallelism));
+}
+
+StatusOr<DatasetPtr> MakeReader(NodeDef def, std::vector<DatasetPtr> inputs,
+                                PipelineContext* ctx, ReaderShape shape,
+                                std::unique_ptr<StorageDevice> remote_nic) {
+  if (inputs.size() != 1) {
+    return InvalidArgumentError(def.op + " takes one input");
+  }
+  if (ctx->fs == nullptr) {
+    return FailedPreconditionError(def.op + " requires a filesystem");
+  }
+  return DatasetPtr(new InterleaveDataset(std::move(def), std::move(inputs),
+                                          shape, std::move(remote_nic)));
 }
 
 }  // namespace
 
-StatusOr<DatasetPtr> MakeInterleaveDataset(NodeDef def,
-                                           std::vector<DatasetPtr> inputs,
-                                           PipelineContext* ctx) {
-  if (inputs.size() != 1) {
-    return InvalidArgumentError("interleave takes one input");
-  }
-  if (ctx->fs == nullptr) {
-    return FailedPreconditionError("interleave requires a filesystem");
-  }
-  return DatasetPtr(new InterleaveDataset(std::move(def), std::move(inputs)));
+StatusOr<DatasetPtr> MakeTfRecordReader(NodeDef def,
+                                        std::vector<DatasetPtr> inputs,
+                                        PipelineContext* ctx) {
+  return MakeReader(std::move(def), std::move(inputs), ctx, ReaderShape{},
+                    nullptr);
+}
+
+StatusOr<DatasetPtr> MakeRemoteReader(NodeDef def,
+                                      std::vector<DatasetPtr> inputs,
+                                      PipelineContext* ctx) {
+  DeviceSpec remote;
+  remote.name = "remote";
+  remote.max_bandwidth = def.GetDouble(kAttrRemoteNicBandwidth, 0);
+  remote.read_latency_s = def.GetDouble(kAttrRemoteNicLatency, 0);
+  return MakeReader(std::move(def), std::move(inputs), ctx, ReaderShape{},
+                    std::make_unique<StorageDevice>(remote));
+}
+
+StatusOr<DatasetPtr> MakeInterleaveReader(NodeDef def,
+                                          std::vector<DatasetPtr> inputs,
+                                          PipelineContext* ctx) {
+  ReaderShape shape;
+  shape.cycle_length = static_cast<int>(def.GetInt(kAttrCycleLength, 4));
+  shape.block_length = static_cast<int>(def.GetInt(kAttrBlockLength, 1));
+  shape.parallelism = static_cast<int>(def.GetInt(kAttrParallelism, 1));
+  return MakeReader(std::move(def), std::move(inputs), ctx, shape, nullptr);
 }
 
 }  // namespace plumber

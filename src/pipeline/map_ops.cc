@@ -22,8 +22,6 @@ class MapDataset : public DatasetBase {
   MapDataset(NodeDef def, std::vector<DatasetPtr> inputs, const UdfSpec* udf)
       : DatasetBase(std::move(def), std::move(inputs)), udf_(udf) {}
 
-  int64_t Cardinality() const override { return inputs_[0]->Cardinality(); }
-
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;
 

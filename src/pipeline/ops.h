@@ -9,7 +9,11 @@
 //                      NIC (remote_nic_bandwidth/remote_nic_latency
 //                      attrs) and this host's NIC (PipelineContext::nic)
 //   interleave         input: file_list; cycle_length:int, block_length:int,
-//                      parallelism:int — parallel record readers
+//                      parallelism:int — parallel record readers.
+//                      One reader (interleave_op.cc) serves all three
+//                      record ops: tfrecord and remote_read are an
+//                      interleave cycle of one file and ignore these
+//                      attrs
 //   map                input; udf:string, parallelism:int (1 = sequential),
 //                      deterministic:bool
 //   filter             input; udf:string
@@ -49,15 +53,15 @@ StatusOr<DatasetPtr> MakeRangeDataset(NodeDef def,
 StatusOr<DatasetPtr> MakeFileListDataset(NodeDef def,
                                          std::vector<DatasetPtr> inputs,
                                          PipelineContext* ctx);
-StatusOr<DatasetPtr> MakeTfRecordDataset(NodeDef def,
-                                         std::vector<DatasetPtr> inputs,
-                                         PipelineContext* ctx);
-StatusOr<DatasetPtr> MakeRemoteReadDataset(NodeDef def,
-                                           std::vector<DatasetPtr> inputs,
-                                           PipelineContext* ctx);
-StatusOr<DatasetPtr> MakeInterleaveDataset(NodeDef def,
-                                           std::vector<DatasetPtr> inputs,
-                                           PipelineContext* ctx);
+StatusOr<DatasetPtr> MakeTfRecordReader(NodeDef def,
+                                        std::vector<DatasetPtr> inputs,
+                                        PipelineContext* ctx);
+StatusOr<DatasetPtr> MakeRemoteReader(NodeDef def,
+                                      std::vector<DatasetPtr> inputs,
+                                      PipelineContext* ctx);
+StatusOr<DatasetPtr> MakeInterleaveReader(NodeDef def,
+                                          std::vector<DatasetPtr> inputs,
+                                          PipelineContext* ctx);
 StatusOr<DatasetPtr> MakeMapDataset(NodeDef def,
                                     std::vector<DatasetPtr> inputs,
                                     PipelineContext* ctx);
@@ -140,14 +144,13 @@ inline constexpr char kAttrShardCount[] = "shard_count";
 inline constexpr char kAttrRemoteNicBandwidth[] = "remote_nic_bandwidth";
 inline constexpr char kAttrRemoteNicLatency[] = "remote_nic_latency";
 
-// The per-shard storage device a reader under `def` should charge, or
-// null to use the filesystem's attached device (unsharded sources, or
-// no shard pool in the context).
-StorageDevice* ShardDeviceFor(const NodeDef& def, PipelineContext* ctx);
-
 // True if the op kind supports a tunable `parallelism` attribute.
 bool OpSupportsParallelism(const std::string& op);
-// True if the op kind is a data source (reads from storage).
-bool OpIsSource(const std::string& op);
+// True if the op kind reads record files: tfrecord, remote_read and
+// interleave, which one reader serves (interleave_op.cc).
+bool OpReadsRecords(const std::string& op);
+// True if the op kind's records also cross a modeled remote uplink
+// (remote_read).
+bool OpReadsRemote(const std::string& op);
 
 }  // namespace plumber

@@ -3,11 +3,11 @@
 //
 // One worker per input pulls sized claims from its shard subtree and
 // pushes them into the merge channel, so N shards read
-// concurrently — each against its own modeled shard disk
-// (see ShardDeviceFor) — and their aggregate bandwidth is N x one
-// device. Merge order across shards is nondeterministic, exactly like
-// parallel interleave; the element *multiset* equals the unsharded
-// source's because the shards partition the file list.
+// concurrently — each against its own modeled shard disk (see
+// ReaderDevice in interleave_op.cc) — and their aggregate bandwidth is
+// N x one device. Merge order across shards is nondeterministic,
+// exactly like parallel interleave; the element *multiset* equals the
+// unsharded source's because the shards partition the file list.
 #include <vector>
 
 #include "src/pipeline/ops.h"
@@ -20,17 +20,6 @@ class ShardMergeDataset : public DatasetBase {
  public:
   ShardMergeDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
-
-  int64_t Cardinality() const override {
-    int64_t total = 0;
-    for (const auto& input : inputs_) {
-      const int64_t c = input->Cardinality();
-      if (c == kUnknownCardinality) return kUnknownCardinality;
-      if (c == kInfiniteCardinality) return kInfiniteCardinality;
-      total += c;
-    }
-    return total;
-  }
 
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;

@@ -13,15 +13,6 @@ class BatchDataset : public DatasetBase {
   BatchDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
 
-  int64_t Cardinality() const override {
-    const int64_t child = inputs_[0]->Cardinality();
-    const int64_t batch = def_.GetInt(kAttrBatchSize, 1);
-    if (child < 0 || batch <= 0) return child;
-    return def_.GetBool(kAttrDropRemainder, true)
-               ? child / batch
-               : (child + batch - 1) / batch;
-  }
-
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;
 };
@@ -80,8 +71,6 @@ class PrefetchDataset : public DatasetBase {
  public:
   PrefetchDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
-
-  int64_t Cardinality() const override { return inputs_[0]->Cardinality(); }
 
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;
@@ -144,8 +133,6 @@ class CacheDataset : public DatasetBase {
  public:
   CacheDataset(NodeDef def, std::vector<DatasetPtr> inputs)
       : DatasetBase(std::move(def), std::move(inputs)) {}
-
-  int64_t Cardinality() const override { return inputs_[0]->Cardinality(); }
 
   StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
       PipelineContext* ctx) const override;

@@ -89,16 +89,6 @@ void Executor::EnqueuePendingLocked(JobPtr job) {
   pending_.insert(pos, std::move(job));
 }
 
-int Executor::live_jobs() const {
-  std::lock_guard<std::mutex> lock(signal_->mu);
-  return static_cast<int>(live_.size());
-}
-
-int Executor::queued_jobs() const {
-  std::lock_guard<std::mutex> lock(signal_->mu);
-  return static_cast<int>(pending_.size());
-}
-
 ExecutorLoadSnapshot Executor::LoadSnapshot() const {
   ExecutorLoadSnapshot snapshot;
   std::lock_guard<std::mutex> lock(signal_->mu);

@@ -96,8 +96,6 @@ class Executor {
   // submission after shutdown) surface through the job's phase/result.
   JobPtr Submit(GraphDef graph, JobOptions options);
 
-  int live_jobs() const;
-  int queued_jobs() const;
   // Queue depth, running set, and granted cores in one consistent view.
   ExecutorLoadSnapshot LoadSnapshot() const;
 

@@ -5,22 +5,6 @@
 namespace plumber {
 namespace runtime {
 
-const char* JobPhaseName(JobPhase phase) {
-  switch (phase) {
-    case JobPhase::kQueued:
-      return "queued";
-    case JobPhase::kRunning:
-      return "running";
-    case JobPhase::kDone:
-      return "done";
-    case JobPhase::kCancelled:
-      return "cancelled";
-    case JobPhase::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
 const char* SloClassName(SloClass slo) {
   switch (slo) {
     case SloClass::kInteractive:
@@ -113,11 +97,6 @@ JobProgress Job::Progress() const {
 double Job::queue_seconds() const {
   std::lock_guard<std::mutex> lock(mu_);
   return (QueueEndNanos(start_ns_, finish_ns_) - submit_ns_) * 1e-9;
-}
-
-GraphDef Job::planned_graph() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return planned_graph_;
 }
 
 void Job::Finish(JobPhase phase, RunResult result,

@@ -29,8 +29,6 @@ namespace runtime {
 
 enum class JobPhase { kQueued, kRunning, kDone, kCancelled, kFailed };
 
-const char* JobPhaseName(JobPhase phase);
-
 // SLO class of a job: how the scheduler treats it when the machine is
 // contended. Classes are allocation *tiers* — the executor plans
 // interactive jobs first (parking batch/best-effort worker pools down
@@ -120,10 +118,6 @@ class Job {
     return final_stats_;
   }
   double queue_seconds() const;
-
-  // The job's graph as last re-planned by the executor (equals the
-  // submitted graph until arbitration touches it).
-  GraphDef planned_graph() const;
 
  private:
   friend class Executor;

@@ -15,8 +15,6 @@ inline int64_t ReadClock(clockid_t clock) {
 
 int64_t WallNanos() { return ReadClock(CLOCK_MONOTONIC); }
 
-int64_t ThreadCpuNanos() { return ReadClock(CLOCK_THREAD_CPUTIME_ID); }
-
 int64_t ProcessCpuNanos() { return ReadClock(CLOCK_PROCESS_CPUTIME_ID); }
 
 namespace {

@@ -13,12 +13,6 @@ namespace plumber {
 // Monotonic wall clock, nanoseconds.
 int64_t WallNanos();
 
-// CPU time consumed by the calling thread, nanoseconds
-// (CLOCK_THREAD_CPUTIME_ID). NOTE: many kernels account this clock at
-// scheduler-tick (10ms) granularity, which is far too coarse for
-// per-Next-call attribution; prefer ThreadVirtualCpuNanos below.
-int64_t ThreadCpuNanos();
-
 // CPU time consumed by the whole process, nanoseconds.
 int64_t ProcessCpuNanos();
 
@@ -27,8 +21,9 @@ int64_t ProcessCpuNanos();
 // All blocking sites in the runtime (token-bucket stalls, bounded-queue
 // waits, simulated device latency) mark themselves with BlockedRegion,
 // so for the engine's spin-kernel workloads this clock matches true
-// thread CPU time at nanosecond granularity without depending on the
-// kernel's (often 10ms-granular) CLOCK_THREAD_CPUTIME_ID.
+// thread CPU time at nanosecond granularity. It exists because many
+// kernels account CLOCK_THREAD_CPUTIME_ID at scheduler-tick (10ms)
+// granularity, far too coarse for per-Next-call attribution.
 int64_t ThreadVirtualCpuNanos();
 
 // Adds `ns` to the calling thread's blocked-time ledger.
@@ -41,18 +36,6 @@ class BlockedRegion {
   ~BlockedRegion() { AddBlockedNanos(WallNanos() - start_); }
   BlockedRegion(const BlockedRegion&) = delete;
   BlockedRegion& operator=(const BlockedRegion&) = delete;
-
- private:
-  int64_t start_;
-};
-
-// Scoped wall-clock stopwatch.
-class Stopwatch {
- public:
-  Stopwatch() : start_(WallNanos()) {}
-  void Reset() { start_ = WallNanos(); }
-  int64_t ElapsedNanos() const { return WallNanos() - start_; }
-  double ElapsedSeconds() const { return ElapsedNanos() * 1e-9; }
 
  private:
   int64_t start_;

@@ -65,10 +65,6 @@ double Rng::Normal() {
   return r * std::cos(theta);
 }
 
-double Rng::LogNormal(double mu, double sigma) {
-  return std::exp(mu + sigma * Normal());
-}
-
 double Rng::Exponential(double rate) {
   assert(rate > 0);
   double u = UniformDouble();

@@ -42,8 +42,6 @@ class Rng {
   // Standard normal via Box-Muller.
   double Normal();
   double Normal(double mean, double stddev) { return mean + stddev * Normal(); }
-  // Log-normal with given parameters of the underlying normal.
-  double LogNormal(double mu, double sigma);
   // Exponential with given rate.
   double Exponential(double rate);
   bool Bernoulli(double p) { return UniformDouble() < p; }

@@ -367,23 +367,6 @@ TEST(SessionTest, IsTheSingleSourceOfTruthForEnvironment) {
   EXPECT_EQ(popts.seed, 7u);
   // Cache budget falls back to the machine's memory.
   EXPECT_EQ(popts.memory_budget_bytes, 123u);
-
-  // Environment fields of OptimizeOptions are overwritten wholesale.
-  OptimizeOptions oopts;
-  oopts.seed = 999;
-  oopts.machine.cpu_scale = 9.0;
-  oopts.trace_seconds = 0.125;  // tuning knob: preserved
-  session.ApplyTo(&oopts);
-  EXPECT_EQ(oopts.fs, &session.fs());
-  EXPECT_EQ(oopts.udfs, &session.udfs());
-  EXPECT_EQ(oopts.seed, 7u);
-  EXPECT_EQ(oopts.machine.cpu_scale, 1.5);
-  EXPECT_EQ(oopts.trace_seconds, 0.125);
-  // And the optimizer derives PipelineOptions from those in one place.
-  const PipelineOptions derived = oopts.MakePipelineOptions();
-  EXPECT_EQ(derived.cpu_scale, 1.5);
-  EXPECT_EQ(derived.seed, 7u);
-  EXPECT_EQ(derived.memory_budget_bytes, 123u);
 }
 
 }  // namespace

@@ -521,11 +521,10 @@ TEST(MultiJobPlannerTest, OptimizerStampsTracedRatesOnRealSchedule) {
   // by passes_test) and therefore unstamped.
   PipelineTestEnv env;
   OptimizeOptions options;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
   options.schedule = "parallelism";
   options.trace_seconds = 0.05;
-  PlumberOptimizer optimizer(options);
+  const MachineSpec machine;
+  PlumberOptimizer optimizer(options, env.OptionsFor(machine), machine);
   GraphBuilder builder;
   const std::string files = builder.FileList("files", "data/f");
   const std::string records = builder.TfRecord("records", files);

@@ -217,12 +217,10 @@ TEST(FailureInjectionTest, OptimizerSurvivesUntraceablePipeline) {
   n = b.Batch("batch", n, 5);
   GraphDef graph = std::move(b.Build(n)).value();
 
+  const MachineSpec machine = MachineSpec::SetupA();
   OptimizeOptions options;
-  options.machine = MachineSpec::SetupA();
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
   options.trace_seconds = 0.05;
-  PlumberOptimizer optimizer(options);
+  PlumberOptimizer optimizer(options, env.OptionsFor(machine), machine);
   auto result = optimizer.Optimize(graph);
   if (result.ok()) {
     EXPECT_TRUE(result->graph.Validate().ok());

@@ -25,16 +25,25 @@ GraphDef MisconfiguredGraph() {
   return std::move(b.Build(n)).value();
 }
 
-OptimizeOptions MakeOptions(PipelineTestEnv& env) {
+MachineSpec TestMachine() {
+  MachineSpec machine = MachineSpec::SetupA();
+  machine.num_cores = 8;
+  return machine;
+}
+
+OptimizeOptions MakeOptions() {
   OptimizeOptions options;
-  options.machine = MachineSpec::SetupA();
-  options.machine.num_cores = 8;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
   options.trace_seconds = 0.25;
   // Isolate the parallelism pass: the default schedule minus cache.
   options.schedule = "parallelism,prefetch,parallelism";
   return options;
+}
+
+// An optimizer that traces over `env` and plans for `machine`.
+PlumberOptimizer MakeOptimizer(PipelineTestEnv& env,
+                               const OptimizeOptions& options = MakeOptions(),
+                               const MachineSpec& machine = TestMachine()) {
+  return PlumberOptimizer(options, env.OptionsFor(machine), machine);
 }
 
 double MeasureRate(const PipelineOptions& options, const GraphDef& graph,
@@ -49,7 +58,7 @@ double MeasureRate(const PipelineOptions& options, const GraphDef& graph,
 
 TEST(OptimizerRegressionTest, OptimizedGraphNeverMeasuresSlowerThanInput) {
   PipelineTestEnv env(4, 200, 64);
-  PlumberOptimizer optimizer(MakeOptions(env));
+  PlumberOptimizer optimizer = MakeOptimizer(env);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   double naive_rate = 0, tuned_rate = 0;
@@ -89,12 +98,13 @@ TEST(OptimizerRegressionTest, CachePassNeverSlowerOnDiskTier) {
   // scratch skips the 200us/element map, so the placed graph must
   // never measure slower than the misconfigured input.
   PipelineTestEnv env(4, 200, 64);
-  OptimizeOptions options = MakeOptions(env);
+  OptimizeOptions options = MakeOptions();
   options.schedule = "cache,parallelism";
-  options.machine.memory_bytes = 1024;  // no DRAM fit
-  options.machine.scratch = DeviceSpec::NvmeSsd();
-  options.machine.scratch_bytes = 64ull << 20;
-  PlumberOptimizer optimizer(options);
+  MachineSpec machine = TestMachine();
+  machine.memory_bytes = 1024;  // no DRAM fit
+  machine.scratch = DeviceSpec::NvmeSsd();
+  machine.scratch_bytes = 64ull << 20;
+  PlumberOptimizer optimizer = MakeOptimizer(env, options, machine);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(result->cache.feasible);
@@ -103,8 +113,8 @@ TEST(OptimizerRegressionTest, CachePassNeverSlowerOnDiskTier) {
 
   // Measure on a machine that actually meters the scratch tier.
   PipelineOptions popts = env.Options();
-  popts.scratch = options.machine.scratch;
-  popts.scratch_budget_bytes = options.machine.scratch_bytes;
+  popts.scratch = machine.scratch;
+  popts.scratch_budget_bytes = machine.scratch_bytes;
   double naive_rate = 0, tuned_rate = 0;
   EXPECT_TRUE(testing_util::EventuallyTrue([&] {
     naive_rate = MeasureRate(env.Options(), MisconfiguredGraph());
@@ -134,10 +144,10 @@ TEST(OptimizerRegressionTest, ShardSourcesPassNeverSlowerWhenDiskBound) {
   n = b.Map("m", n, "noop", 2);
   const GraphDef naive = std::move(b.Build(n)).value();
 
-  OptimizeOptions options = MakeOptions(env);
+  OptimizeOptions options = MakeOptions();
   options.schedule = "shard_sources,parallelism";
   options.lp_options.disk_bandwidth = 50e3;
-  PlumberOptimizer optimizer(options);
+  PlumberOptimizer optimizer = MakeOptimizer(env, options);
   auto result = optimizer.Optimize(naive);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_GE(result->shard_count, 2);
@@ -154,7 +164,7 @@ TEST(OptimizerRegressionTest, ShardSourcesPassNeverSlowerWhenDiskBound) {
 
 TEST(OptimizerRegressionTest, ParallelismPlanStaysWithinCoreBudget) {
   PipelineTestEnv env(4, 200, 64);
-  PlumberOptimizer optimizer(MakeOptions(env));
+  PlumberOptimizer optimizer = MakeOptimizer(env);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   int total = 0;

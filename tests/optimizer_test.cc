@@ -22,16 +22,20 @@ GraphDef MisconfiguredGraph() {
   return std::move(b.Build(n)).value();
 }
 
-OptimizeOptions MakeOptions(PipelineTestEnv& env, bool cache = false) {
+MachineSpec TestMachine() {
+  MachineSpec machine = MachineSpec::SetupA();
+  machine.num_cores = 8;
+  return machine;
+}
+
+// An optimizer that traces over `env` and plans for `machine`.
+PlumberOptimizer MakeOptimizer(PipelineTestEnv& env, bool cache = false,
+                               const MachineSpec& machine = TestMachine()) {
   OptimizeOptions options;
-  options.machine = MachineSpec::SetupA();
-  options.machine.num_cores = 8;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
   options.trace_seconds = 0.25;
   options.schedule =
       cache ? kDefaultPassSchedule : "parallelism,prefetch,parallelism";
-  return options;
+  return PlumberOptimizer(options, env.OptionsFor(machine), machine);
 }
 
 double MeasureRate(PipelineTestEnv& env, const GraphDef& graph,
@@ -47,7 +51,7 @@ double MeasureRate(PipelineTestEnv& env, const GraphDef& graph,
 
 TEST(OptimizerTest, ParallelismPassSpeedsUpMisconfiguredPipeline) {
   PipelineTestEnv env(4, 200, 64);
-  PlumberOptimizer optimizer(MakeOptions(env));
+  PlumberOptimizer optimizer = MakeOptimizer(env);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   // The expensive map must have been parallelized.
@@ -67,7 +71,7 @@ TEST(OptimizerTest, LpPlanPredictsWithinFactorFour) {
   // Paper observation 4: the LP bound holds within a small constant
   // factor (2-4x) of the observed optimized rate.
   PipelineTestEnv env(4, 200, 64);
-  PlumberOptimizer optimizer(MakeOptions(env));
+  PlumberOptimizer optimizer = MakeOptimizer(env);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok());
   double measured = 0;
@@ -81,9 +85,9 @@ TEST(OptimizerTest, LpPlanPredictsWithinFactorFour) {
 
 TEST(OptimizerTest, CachePassInsertsCacheWhenItFits) {
   PipelineTestEnv env(2, 40, 64);
-  OptimizeOptions options = MakeOptions(env, /*cache=*/true);
-  options.machine.memory_bytes = 10 << 20;  // everything fits
-  PlumberOptimizer optimizer(options);
+  MachineSpec machine = TestMachine();
+  machine.memory_bytes = 10 << 20;  // everything fits
+  PlumberOptimizer optimizer = MakeOptimizer(env, /*cache=*/true, machine);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->cache.feasible);
@@ -100,9 +104,9 @@ TEST(OptimizerTest, CachePassInsertsCacheWhenItFits) {
 
 TEST(OptimizerTest, NoCacheWhenMemoryTooSmall) {
   PipelineTestEnv env(2, 40, 64);
-  OptimizeOptions options = MakeOptions(env, /*cache=*/true);
-  options.machine.memory_bytes = 64;  // nothing fits
-  PlumberOptimizer optimizer(options);
+  MachineSpec machine = TestMachine();
+  machine.memory_bytes = 64;  // nothing fits
+  PlumberOptimizer optimizer = MakeOptimizer(env, /*cache=*/true, machine);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->cache.feasible);
@@ -111,15 +115,14 @@ TEST(OptimizerTest, NoCacheWhenMemoryTooSmall) {
 
 TEST(OptimizerTest, CachedPipelineBeatsUncachedSteadyState) {
   PipelineTestEnv env(2, 40, 64);
-  OptimizeOptions options = MakeOptions(env, /*cache=*/true);
-  options.machine.memory_bytes = 10 << 20;
-  PlumberOptimizer optimizer(options);
+  MachineSpec machine = TestMachine();
+  machine.memory_bytes = 10 << 20;
+  PlumberOptimizer optimizer = MakeOptimizer(env, /*cache=*/true, machine);
   auto cached = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(cached.ok());
   ASSERT_TRUE(cached->cache.feasible);
 
-  OptimizeOptions no_cache_options = MakeOptions(env, /*cache=*/false);
-  PlumberOptimizer no_cache(no_cache_options);
+  PlumberOptimizer no_cache = MakeOptimizer(env, /*cache=*/false);
   auto uncached = no_cache.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(uncached.ok());
 
@@ -152,9 +155,9 @@ TEST(OptimizerTest, PickBestPrefersFasterVariant) {
   // With only 2 cores the 200us map stays the bottleneck even after
   // the LP parallelizes it (max ~2k batches/s), while the noop variant
   // is source-bound at roughly twice that — a robust margin.
-  OptimizeOptions options = MakeOptions(env);
-  options.machine.num_cores = 2;
-  PlumberOptimizer optimizer(options);
+  MachineSpec machine = TestMachine();
+  machine.num_cores = 2;
+  PlumberOptimizer optimizer = MakeOptimizer(env, /*cache=*/false, machine);
   auto result = optimizer.PickBest({slow_variant, fast_variant});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->picked_variant, 1);
@@ -171,7 +174,7 @@ TEST(OptimizerTest, PickBestLogsFailedVariants) {
   n = b.Batch("batch", n, 5);
   GraphDef bad = std::move(b.Build(n)).value();
 
-  PlumberOptimizer optimizer(MakeOptions(env));
+  PlumberOptimizer optimizer = MakeOptimizer(env);
   auto result = optimizer.PickBest({bad, good});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->picked_variant, 1);
@@ -193,7 +196,7 @@ TEST(OptimizerTest, PickBestReturnsRichErrorWhenAllVariantsFail) {
   n = b.Batch("batch", n, 5);
   GraphDef bad = std::move(b.Build(n)).value();
 
-  PlumberOptimizer optimizer(MakeOptions(env));
+  PlumberOptimizer optimizer = MakeOptimizer(env);
   auto result = optimizer.PickBest({bad, bad});
   ASSERT_FALSE(result.ok());
   // The error names every variant and the underlying cause, not just
@@ -206,7 +209,7 @@ TEST(OptimizerTest, PickBestReturnsRichErrorWhenAllVariantsFail) {
 
 TEST(OptimizerTest, OptimizationIsIdempotentOnTunedPipeline) {
   PipelineTestEnv env(4, 200, 64);
-  PlumberOptimizer optimizer(MakeOptions(env));
+  PlumberOptimizer optimizer = MakeOptimizer(env);
   auto first = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(first.ok());
   auto second = optimizer.Optimize(first->graph);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/session.h"
 #include "src/core/optimizer.h"
 #include "src/core/passes/builtin_passes.h"
 #include "src/core/rewriter.h"
@@ -108,21 +109,30 @@ GraphDef MisconfiguredGraph() {
   return std::move(b.Build(n)).value();
 }
 
-OptimizeOptions MakeOptions(PipelineTestEnv& env) {
+MachineSpec TestMachine() {
+  MachineSpec machine = MachineSpec::SetupA();
+  machine.num_cores = 8;
+  return machine;
+}
+
+OptimizeOptions MakeOptions() {
   OptimizeOptions options;
-  options.machine = MachineSpec::SetupA();
-  options.machine.num_cores = 8;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
   options.trace_seconds = 0.2;
   return options;
 }
 
+// An optimizer that traces over `env` and plans for `machine`.
+PlumberOptimizer MakeOptimizer(PipelineTestEnv& env,
+                               const OptimizeOptions& options,
+                               const MachineSpec& machine = TestMachine()) {
+  return PlumberOptimizer(options, env.OptionsFor(machine), machine);
+}
+
 TEST(PassFrameworkTest, UnknownPassInScheduleFailsBeforeTracing) {
   PipelineTestEnv env(2, 20, 64);
-  OptimizeOptions options = MakeOptions(env);
+  OptimizeOptions options = MakeOptions();
   options.schedule = "parallelism,no_such_pass";
-  PlumberOptimizer optimizer(options);
+  PlumberOptimizer optimizer = MakeOptimizer(env, options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -132,9 +142,9 @@ TEST(PassFrameworkTest, EmptyScheduleStillTracesTheInput) {
   // The empty schedule runs no passes: the graph is returned untouched
   // but the observed rate is still measured.
   PipelineTestEnv env(2, 20, 64);
-  OptimizeOptions options = MakeOptions(env);
+  OptimizeOptions options = MakeOptions();
   options.schedule = "";
-  PlumberOptimizer optimizer(options);
+  PlumberOptimizer optimizer = MakeOptimizer(env, options);
   const GraphDef input = MisconfiguredGraph();
   auto result = optimizer.Optimize(input);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -145,9 +155,10 @@ TEST(PassFrameworkTest, EmptyScheduleStillTracesTheInput) {
 
 TEST(PassFrameworkTest, DefaultScheduleProducesOneReportPerPass) {
   PipelineTestEnv env(4, 50, 64);
-  OptimizeOptions options = MakeOptions(env);
-  options.machine.memory_bytes = 10 << 20;
-  PlumberOptimizer optimizer(options);
+  OptimizeOptions options = MakeOptions();
+  MachineSpec machine = TestMachine();
+  machine.memory_bytes = 10 << 20;
+  PlumberOptimizer optimizer = MakeOptimizer(env, options, machine);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->pass_reports.size(), 4u);
@@ -186,15 +197,17 @@ TEST(CachePassTest, ScratchTierLeavesMemoryPlacementUnchanged) {
   // not change the rewrite: same insertion point, same name, and no
   // tier attr.
   PipelineTestEnv env(4, 50, 64);
-  OptimizeOptions options = MakeOptions(env);
-  options.machine.memory_bytes = 1ull << 30;
+  OptimizeOptions options = MakeOptions();
+  MachineSpec machine = TestMachine();
+  machine.memory_bytes = 1ull << 30;
   options.schedule = "cache";
-  auto dram_only = PlumberOptimizer(options).Optimize(MisconfiguredGraph());
+  auto dram_only =
+      MakeOptimizer(env, options, machine).Optimize(MisconfiguredGraph());
   ASSERT_TRUE(dram_only.ok()) << dram_only.status();
-  options.machine.scratch = DeviceSpec::NvmeSsd();
-  options.machine.scratch_bytes = 64ull << 20;
+  machine.scratch = DeviceSpec::NvmeSsd();
+  machine.scratch_bytes = 64ull << 20;
   auto with_scratch =
-      PlumberOptimizer(options).Optimize(MisconfiguredGraph());
+      MakeOptimizer(env, options, machine).Optimize(MisconfiguredGraph());
   ASSERT_TRUE(with_scratch.ok()) << with_scratch.status();
 
   EXPECT_EQ(dram_only->cache.tier, CacheTier::kMemory);
@@ -213,11 +226,12 @@ TEST(CachePassTest, FallsBackToDiskUnderTightMemory) {
   // Memory-first dispatch (paper §4.1 "Extensions") in the default
   // schedule: with DRAM too small, the cache goes to the scratch tier.
   PipelineTestEnv env(4, 50, 64);
-  OptimizeOptions options = MakeOptions(env);
-  options.machine.memory_bytes = 1024;  // nothing fits DRAM
-  options.machine.scratch = DeviceSpec::NvmeSsd();
-  options.machine.scratch_bytes = 64ull << 20;
-  PlumberOptimizer optimizer(options);
+  OptimizeOptions options = MakeOptions();
+  MachineSpec machine = TestMachine();
+  machine.memory_bytes = 1024;  // nothing fits DRAM
+  machine.scratch = DeviceSpec::NvmeSsd();
+  machine.scratch_bytes = 64ull << 20;
+  PlumberOptimizer optimizer = MakeOptimizer(env, options, machine);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(result->cache.feasible);
@@ -232,11 +246,12 @@ TEST(CachePassTest, SkipsWithoutAnyFittingTier) {
   // Tight memory and no scratch tier: the pass reports infeasible and
   // leaves the graph cache-free instead of forcing a bad placement.
   PipelineTestEnv env(4, 50, 64);
-  OptimizeOptions options = MakeOptions(env);
-  options.machine.memory_bytes = 1024;
-  options.machine.scratch_bytes = 0;
+  OptimizeOptions options = MakeOptions();
+  MachineSpec machine = TestMachine();
+  machine.memory_bytes = 1024;
+  machine.scratch_bytes = 0;
   options.schedule = "cache";
-  PlumberOptimizer optimizer(options);
+  PlumberOptimizer optimizer = MakeOptimizer(env, options, machine);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->cache.feasible);
@@ -249,10 +264,10 @@ TEST(ShardSourcesPassTest, SolvesShardCountFromDiskBound) {
   // hundreds of minibatches/sec: the solve wants far more shards than
   // exist, so the count clamps to the file count (4).
   PipelineTestEnv env(4, 50, 64);
-  OptimizeOptions options = MakeOptions(env);
+  OptimizeOptions options = MakeOptions();
   options.schedule = "shard_sources";
   options.lp_options.disk_bandwidth = 500;
-  PlumberOptimizer optimizer(options);
+  PlumberOptimizer optimizer = MakeOptimizer(env, options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->pass_reports[0].changed);
@@ -267,14 +282,46 @@ TEST(ShardSourcesPassTest, SolvesShardCountFromDiskBound) {
 TEST(ShardSourcesPassTest, SkipsWhenNotDiskLimited) {
   // Without a modeled disk bound there is nothing to shard away.
   PipelineTestEnv env(4, 50, 64);
-  OptimizeOptions options = MakeOptions(env);
+  OptimizeOptions options = MakeOptions();
   options.schedule = "shard_sources";
-  PlumberOptimizer optimizer(options);
+  PlumberOptimizer optimizer = MakeOptimizer(env, options);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->pass_reports[0].changed);
   EXPECT_EQ(result->shard_count, 0);
   EXPECT_FALSE(rewriter::HasOp(result->graph, "shard_merge"));
+}
+
+TEST(ShardSourcesPassTest, SkipsRemoteReadSourceAndSaysWhy) {
+  // Over a disk-bound file list, a tfrecord reader shards. A
+  // remote_read reader reads through one remote uplink per dataset, so
+  // N shard copies would model N uplinks: the pass skips it with that
+  // reason, and Optimize still returns OK.
+  Session session;
+  ASSERT_TRUE(session.CreateRecordFiles("data/f", 4, 400, 8192).ok());
+  OptimizeOptions options;
+  // ~15 batches/s of modeled disk: disk-bound on any host and build.
+  options.lp_options.disk_bandwidth = 1e6;
+  const auto shard_report = [&](bool remote) -> StatusOr<PassReport> {
+    GraphBuilder b;
+    const std::string files = b.FileList("files", "data/");
+    const std::string rec =
+        remote ? b.RemoteRead("rec", files) : b.TfRecord("rec", files);
+    ASSIGN_OR_RETURN(GraphDef graph, b.Build(b.Batch("batch", rec, 8)));
+    ASSIGN_OR_RETURN(OptimizedFlow optimized,
+                     session.FromGraph(std::move(graph))
+                         .OptimizeWith("parallelism,shard_sources", options));
+    return optimized.pass_reports.back();
+  };
+  auto local = shard_report(/*remote=*/false);
+  ASSERT_TRUE(local.ok()) << local.status();
+  EXPECT_GT(local->shard_count, 0) << local->summary;
+  auto remote = shard_report(/*remote=*/true);
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  EXPECT_EQ(remote->shard_count, 0);
+  EXPECT_FALSE(remote->changed);
+  EXPECT_NE(remote->summary.find("uplink"), std::string::npos)
+      << remote->summary;
 }
 
 TEST(PassFrameworkTest, DefaultScheduleNeverShards) {
@@ -284,12 +331,13 @@ TEST(PassFrameworkTest, DefaultScheduleNeverShards) {
   EXPECT_EQ(std::string(kDefaultPassSchedule).find("shard_sources"),
             std::string::npos);
   PipelineTestEnv env(4, 50, 64);
-  OptimizeOptions options = MakeOptions(env);
-  options.machine.memory_bytes = 10 << 20;
-  options.machine.scratch = DeviceSpec::NvmeSsd();
-  options.machine.scratch_bytes = 64ull << 20;
+  OptimizeOptions options = MakeOptions();
+  MachineSpec machine = TestMachine();
+  machine.memory_bytes = 10 << 20;
+  machine.scratch = DeviceSpec::NvmeSsd();
+  machine.scratch_bytes = 64ull << 20;
   options.lp_options.disk_bandwidth = 500;
-  PlumberOptimizer optimizer(options);
+  PlumberOptimizer optimizer = MakeOptimizer(env, options, machine);
   auto result = optimizer.Optimize(MisconfiguredGraph());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(rewriter::HasOp(result->graph, "shard_merge"));
@@ -303,8 +351,10 @@ TEST(PassFrameworkTest, RetraceHookSeesRewrittenGraph) {
   // runtime: the second parallelism pass of the default schedule must
   // trace the graph the earlier passes rewrote, not the input.
   PipelineTestEnv env(4, 50, 64);
-  OptimizeOptions options = MakeOptions(env);
-  OptimizationContext ctx(MisconfiguredGraph(), options);
+  const OptimizeOptions options = MakeOptions();
+  const MachineSpec machine = TestMachine();
+  const PipelineOptions popts = env.OptionsFor(machine);
+  OptimizationContext ctx(MisconfiguredGraph(), options, popts, machine);
   int traces = 0;
   bool saw_prefetch_root = false;
   ctx.set_retrace_hook(
@@ -313,11 +363,10 @@ TEST(PassFrameworkTest, RetraceHookSeesRewrittenGraph) {
         saw_prefetch_root =
             g.FindNode(g.output()) != nullptr &&
             g.FindNode(g.output())->op == "prefetch";
-        ASSIGN_OR_RETURN(auto pipeline,
-                         Pipeline::Create(g, options.MakePipelineOptions()));
+        ASSIGN_OR_RETURN(auto pipeline, Pipeline::Create(g, popts));
         TraceOptions topts;
         topts.trace_seconds = 0.1;
-        topts.machine = options.machine;
+        topts.machine = machine;
         TraceSnapshot trace = CaptureTrace(*pipeline, topts);
         pipeline->Cancel();
         return trace;

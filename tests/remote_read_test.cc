@@ -1,9 +1,11 @@
 // remote_read op tests: element-for-element identity with a local
-// tfrecord read at every claim cap, byte-exact NIC accounting
-// (wire bytes == device counters == per-node network_bytes stats), and
-// the Session::AttachNic wiring.
+// tfrecord read at every claim cap and with a one-file interleave,
+// byte-exact NIC accounting (wire bytes == device counters == per-node
+// network_bytes stats), and the Session::AttachNic wiring, which
+// Optimize's traces go through too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -53,6 +55,45 @@ TEST(RemoteReadTest, IdenticalToLocalReadAtEveryClaimCap) {
         << "max_claim=" << max_claim;
     ExpectIdenticalOutput(local_elems, remote_elems);
   }
+}
+
+// tfrecord and remote_read are one-file cycles of the interleave
+// reader: over one file list, all three yield the same elements in the
+// same order and meter the same bytes.
+TEST(RemoteReadTest, SameElementsAndBytesAsOneFileInterleave) {
+  PipelineTestEnv env(kNumFiles, kRecordsPerFile, kRecordBytes);
+  GraphBuilder b;
+  const GraphDef interleave =
+      std::move(b.Build(b.Interleave("rec", b.FileList("files", "data/"),
+                                     /*cycle_length=*/1, /*parallelism=*/1,
+                                     /*block_length=*/1)))
+          .value();
+  std::vector<std::vector<Element>> outputs;
+  std::vector<IteratorStatsSnapshot> readers;
+  for (const GraphDef& graph : {LocalGraph(), RemoteGraph(), interleave}) {
+    auto pipeline = Pipeline::Create(graph, env.Options());
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+    outputs.push_back(Drain(**pipeline));
+    const auto snapshot = (*pipeline)->stats().Snapshot();
+    const auto rec = std::find_if(
+        snapshot.begin(), snapshot.end(),
+        [](const IteratorStatsSnapshot& s) { return s.name == "rec"; });
+    ASSERT_NE(rec, snapshot.end());
+    readers.push_back(*rec);
+  }
+  ASSERT_EQ(outputs[0].size(),
+            static_cast<size_t>(kNumFiles * kRecordsPerFile));
+  ExpectIdenticalOutput(outputs[0], outputs[1]);
+  ExpectIdenticalOutput(outputs[0], outputs[2]);
+  const uint64_t wire_bytes = static_cast<uint64_t>(kNumFiles) *
+                              kRecordsPerFile *
+                              (kRecordBytes + kRecordFramingBytes);
+  EXPECT_EQ(readers[0].bytes_read, wire_bytes);
+  EXPECT_EQ(readers[1].bytes_read, wire_bytes);
+  EXPECT_EQ(readers[2].bytes_read, wire_bytes);
+  EXPECT_EQ(readers[1].network_bytes, readers[1].bytes_read);
+  EXPECT_EQ(readers[0].network_bytes, 0u);
+  EXPECT_EQ(readers[2].network_bytes, 0u);
 }
 
 TEST(RemoteReadTest, NicAccountingIsByteExact) {
@@ -126,6 +167,30 @@ TEST(RemoteReadTest, SessionAttachNicMetersAcrossRuns) {
   // host NIC counter would.
   ASSERT_TRUE(flow.Run(run).ok());
   EXPECT_EQ(session.nic()->total_bytes_read(), 2 * per_run);
+}
+
+TEST(RemoteReadTest, OptimizeTracesThroughTheSessionNic) {
+  // Optimize traces with the Session's pipeline options, NIC included:
+  // a remote_read program is planned from a trace the session NIC
+  // paces, at the rate Flow::Trace observes, not an unmetered one.
+  Session session;
+  ASSERT_TRUE(session.CreateRecordFiles("data/f", 4, 400, 8192).ok());
+  session.AttachNic(DeviceSpec::TokenBucketLimit(2e6));
+  GraphBuilder b;
+  auto graph = b.Build(
+      b.Batch("batch", b.RemoteRead("rec", b.FileList("files", "data/")), 8));
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  const Flow flow = session.FromGraph(std::move(graph).value());
+  auto trace = flow.Trace(0.3);
+  ASSERT_TRUE(trace.ok()) << trace.status();
+  ASSERT_GT(trace->observed_rate, 0);
+
+  const uint64_t before = session.nic()->total_bytes_read();
+  auto optimized = flow.OptimizeWith("parallelism");
+  ASSERT_TRUE(optimized.ok()) << optimized.status();
+  EXPECT_GT(session.nic()->total_bytes_read(), before);
+  EXPECT_LT(optimized->traced_rate, 2 * trace->observed_rate);
+  EXPECT_GT(optimized->traced_rate, trace->observed_rate / 2);
 }
 
 }  // namespace

@@ -97,14 +97,12 @@ TEST(RewriteEquivalenceTest, FullOptimizerPreservesSemantics) {
   PipelineTestEnv env(3, 20, 48);
   const std::vector<size_t> expected = ReferenceFingerprint(env);
 
+  MachineSpec machine = MachineSpec::SetupA();
+  machine.num_cores = 8;
+  machine.memory_bytes = 10 << 20;
   OptimizeOptions options;
-  options.machine = MachineSpec::SetupA();
-  options.machine.num_cores = 8;
-  options.machine.memory_bytes = 10 << 20;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
   options.trace_seconds = 0.15;
-  PlumberOptimizer optimizer(options);
+  PlumberOptimizer optimizer(options, env.OptionsFor(machine), machine);
   auto result = optimizer.Optimize(FiniteGraph());
   ASSERT_TRUE(result.ok()) << result.status();
 
@@ -147,15 +145,13 @@ TEST(RewriteEquivalenceTest, PassOrderPermutationsPreserveSemantics) {
       "parallelism,parallelism,prefetch",
   };
   for (const char* schedule : kSchedules) {
+    MachineSpec machine = MachineSpec::SetupA();
+    machine.num_cores = 8;
+    machine.memory_bytes = 10 << 20;
     OptimizeOptions options;
-    options.machine = MachineSpec::SetupA();
-    options.machine.num_cores = 8;
-    options.machine.memory_bytes = 10 << 20;
-    options.fs = &env.fs;
-    options.udfs = &env.udfs;
     options.trace_seconds = 0.15;
     options.schedule = schedule;
-    PlumberOptimizer optimizer(options);
+    PlumberOptimizer optimizer(options, env.OptionsFor(machine), machine);
     auto result = optimizer.Optimize(FiniteGraph());
     ASSERT_TRUE(result.ok()) << schedule << ": " << result.status();
     ASSERT_TRUE(result->graph.Validate().ok()) << schedule;
@@ -184,18 +180,16 @@ TEST(RewriteEquivalenceTest, PlacementScheduleDropInsPreserveSemantics) {
       "shard_sources,cache",
   };
   for (const char* schedule : kSchedules) {
+    MachineSpec machine = MachineSpec::SetupA();
+    machine.num_cores = 8;
+    machine.memory_bytes = 1024;
+    machine.scratch = DeviceSpec::NvmeSsd();
+    machine.scratch_bytes = 64ull << 20;
     OptimizeOptions options;
-    options.machine = MachineSpec::SetupA();
-    options.machine.num_cores = 8;
-    options.machine.memory_bytes = 1024;
-    options.machine.scratch = DeviceSpec::NvmeSsd();
-    options.machine.scratch_bytes = 64ull << 20;
     options.lp_options.disk_bandwidth = 500;
-    options.fs = &env.fs;
-    options.udfs = &env.udfs;
     options.trace_seconds = 0.15;
     options.schedule = schedule;
-    PlumberOptimizer optimizer(options);
+    PlumberOptimizer optimizer(options, env.OptionsFor(machine), machine);
     auto result = optimizer.Optimize(FiniteGraph());
     ASSERT_TRUE(result.ok()) << schedule << ": " << result.status();
     ASSERT_TRUE(result->graph.Validate().ok()) << schedule;

@@ -143,14 +143,12 @@ TEST(SteadyStateTest, OptimizerReleasesCoresBehindCache) {
   n = b.Batch("batch", n, 5);
   GraphDef graph = std::move(b.Build(n)).value();
 
+  MachineSpec machine = MachineSpec::SetupA();
+  machine.num_cores = 8;
+  machine.memory_bytes = 10 << 20;
   OptimizeOptions options;
-  options.machine = MachineSpec::SetupA();
-  options.machine.num_cores = 8;
-  options.machine.memory_bytes = 10 << 20;
-  options.fs = &env.fs;
-  options.udfs = &env.udfs;
   options.trace_seconds = 0.2;
-  PlumberOptimizer optimizer(options);
+  PlumberOptimizer optimizer(options, env.OptionsFor(machine), machine);
   auto result = optimizer.Optimize(graph);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(result->cache.feasible);

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/machine.h"
 #include "src/pipeline/graph_builder.h"
 #include "src/pipeline/pipeline.h"
 #include "src/pipeline/runner.h"
@@ -74,6 +75,16 @@ struct PipelineTestEnv {
     options.fs = &fs;
     options.udfs = &udfs;
     options.memory_budget_bytes = memory_budget;
+    return options;
+  }
+
+  // The options a Session on `machine` would derive: its core speed,
+  // memory budget and scratch tier over this environment.
+  PipelineOptions OptionsFor(const MachineSpec& machine) {
+    PipelineOptions options = Options(machine.memory_bytes);
+    options.cpu_scale = machine.cpu_scale;
+    options.scratch = machine.scratch;
+    options.scratch_budget_bytes = machine.scratch_bytes;
     return options;
   }
 
