@@ -1,12 +1,12 @@
 // Ablation: what each optimizer pass contributes.
 //
 // The pass framework makes this sweep self-maintaining: the schedule
-// string is the optimizer's only knob, so the bench asks
-// PassRegistry::Global() for the canonical pass order and measures the
+// string is the optimizer's only knob, so the bench walks the pass
+// table (OptimizerPasses()) in its canonical order and measures the
 // end-to-end rate of resnet18 and multibox_ssd under cumulative
-// schedules — naive, then each registered pass added in turn (the cache
-// step also appends the default trailing re-parallelism so the LP can
-// redistribute the cores a cache frees). A pass registered tomorrow
+// schedules — naive, then each pass added in turn (the cache step also
+// appends the default trailing re-parallelism so the LP can
+// redistribute the cores a cache frees). A pass added to the table
 // joins the ablation without touching this file.
 //
 // Emits BENCH_METRIC lines for the CI regression gate: absolute mb/s
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/passes/pass_registry.h"
+#include "src/core/passes/pass.h"
 #include "src/pipeline/ops.h"
 #include "src/util/busy_work.h"
 #include "src/workloads/datagen.h"
@@ -36,19 +36,19 @@ struct AblationConfig {
   std::string schedule;  // "" = no optimization (naive)
 };
 
-std::vector<AblationConfig> RegistrySchedules() {
+std::vector<AblationConfig> CumulativeSchedules() {
   std::vector<AblationConfig> configs;
   configs.push_back({"none (naive)", "naive", ""});
-  std::vector<std::string> cumulative;
-  for (const std::string& name : PassRegistry::Global().Names()) {
-    cumulative.push_back(name);
+  std::string cumulative;
+  for (const OptimizerPass& pass : OptimizerPasses()) {
+    const std::string name = pass.name;
+    cumulative += (cumulative.empty() ? "" : ",") + name;
     // A pass's declared follow-up joins its cumulative step (cache
     // pulls in the re-parallelism of the default schedule).
-    auto pass = PassRegistry::Global().Create(name);
-    if (pass.ok() && (*pass)->followup() != nullptr) {
-      cumulative.push_back((*pass)->followup());
+    if (pass.followup != nullptr) {
+      cumulative += std::string(",") + pass.followup;
     }
-    configs.push_back({"+" + name, "cum_" + name, JoinPassNames(cumulative)});
+    configs.push_back({"+" + name, "cum_" + name, cumulative});
   }
   return configs;
 }
@@ -83,7 +83,7 @@ void RunWorkloadAblation(const std::string& name, int cores) {
 
   Table table({"schedule", "mb/s", "vs naive"});
   double naive_rate = 0;
-  for (const AblationConfig& config : RegistrySchedules()) {
+  for (const AblationConfig& config : CumulativeSchedules()) {
     const double rate = MeasureConfig(workload, machine, config);
     if (naive_rate == 0) naive_rate = rate > 0 ? rate : 1;
     table.AddRow({config.label, Table::Num(rate, 1),
@@ -101,7 +101,7 @@ void RunWorkloadAblation(const std::string& name, int cores) {
 
 // Source-bound sharding scenario (§4.1 extensions): a cheap pipeline
 // behind a 200KB/s modeled disk is I/O bound no matter how much CPU
-// parallelism the LP hands out; ShardSourcesPass splits the reader
+// parallelism the LP hands out; the shard_sources pass splits the reader
 // across per-shard modeled disks, so aggregate source bandwidth scales
 // with the shard count. Exit-code gated: the sharded program must read
 // against >= 2 modeled disks and measure >= 1.5x the unsharded rate

@@ -9,7 +9,7 @@
 //
 // Phase B (optimizer diagnosis): the same ingest behind a NIC too slow
 // for the pipeline's CPU bound must come back from the optimizer as
-// network_limited, and ShardSourcesPass must refuse to shard it (N
+// network_limited, and the shard_sources pass must refuse to shard it (N
 // disks cannot feed a rate the wire refuses to carry).
 //
 // Phase C (costed migration): a backlog pinned to host 0, drained three
@@ -86,7 +86,7 @@ bool RunOptimizerDiagnosis() {
   PrintHeader("Phase B: NIC-bound plan diagnosed network_limited");
   Session session;
   if (!session.CreateRecordFiles("data/f", 4, 400, 8192).ok()) return false;
-  // A modeled HDD (so ShardSourcesPass has a disk bound to consider)
+  // A modeled HDD (so shard_sources has a disk bound to consider)
   // behind a 2 MB/s NIC: ~244 records/s of wire budget, far under both
   // the disk and the CPU bound, so the network owns the bottleneck
   // label and sharding must refuse.

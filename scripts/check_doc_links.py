@@ -1,13 +1,22 @@
 #!/usr/bin/env python3
-"""Fail on dead relative links in the repo's markdown docs.
+"""Fail on dead relative links and dead path tokens in the repo's docs.
 
 Scans README.md and docs/*.md (plus any extra files given on the
-command line) for markdown links and inline `path` references of the
-form [text](target). External targets (http/https/mailto) and pure
-in-page anchors (#...) are ignored; everything else is resolved
-relative to the containing file and must exist in the working tree.
+command line) for two kinds of reference:
 
-Exit code 0 = all links resolve, 1 = at least one dead link (listed).
+* markdown links of the form [text](target). External targets
+  (http/https/mailto) and pure in-page anchors (#...) are ignored;
+  everything else is resolved relative to the containing file and must
+  exist in the working tree.
+* backticked tokens that start with a top-level source directory
+  (`src/`, `bench/`, `tests/`, `examples/`, `scripts/`, `perfbench/`,
+  `docs/`). A `:line` suffix is stripped, tokens holding `*`, `<` or
+  `{` (globs and placeholders) are skipped, and the rest is resolved
+  relative to the repository root and must name an existing file or
+  directory.
+
+Exit code 0 = all references resolve, 1 = at least one dead reference
+(listed).
 """
 
 import re
@@ -16,6 +25,10 @@ from pathlib import Path
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL = ("http://", "https://", "mailto:")
+TOKEN_RE = re.compile(r"`([^`\s]+)`")
+PATH_ROOTS = ("src/", "bench/", "tests/", "examples/", "scripts/",
+              "perfbench/", "docs/")
+LINE_SUFFIX_RE = re.compile(r":[0-9][0-9,\-–]*$")
 
 
 def check_file(path: Path, repo_root: Path) -> list:
@@ -37,6 +50,14 @@ def check_file(path: Path, repo_root: Path) -> list:
                 continue
             if not resolved.exists():
                 dead.append((path, lineno, target, "does not exist"))
+        for token in TOKEN_RE.findall(line):
+            if not token.startswith(PATH_ROOTS):
+                continue
+            if any(c in token for c in "*<{"):
+                continue
+            file_part = LINE_SUFFIX_RE.sub("", token)
+            if not (repo_root / file_part).exists():
+                dead.append((path, lineno, token, "names no existing path"))
     return dead
 
 

@@ -15,14 +15,10 @@ FleetSession::FleetSession(FleetSessionOptions options)
       options_.hosts, options_.fleet, [this](int host) {
         // Start from the environment Session's options (filesystem,
         // UDFs, seed), then overlay the host's own hardware: its core
-        // speed and memory budget. Per-host seeds decorrelate modeled
-        // randomness across hosts.
+        // speed, memory budget and scratch tier. Per-host seeds
+        // decorrelate modeled randomness across hosts.
         PipelineOptions popts = env_.MakePipelineOptions();
-        const MachineSpec& machine = runtime_->host_machine(host);
-        popts.cpu_scale = machine.cpu_scale;
-        popts.memory_budget_bytes = machine.memory_bytes;
-        popts.scratch = machine.scratch;
-        popts.scratch_budget_bytes = machine.scratch_bytes;
+        ApplyMachine(runtime_->host_machine(host), &popts);
         popts.seed = options_.seed + static_cast<uint64_t>(host);
         return popts;
       });

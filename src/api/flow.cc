@@ -287,16 +287,8 @@ StatusOr<RunReport> Flow::Run(const RunOptions& options) const {
 
 OptimizedFlow Flow::MakeOptimizedFlow(
     std::shared_ptr<internal::SessionState> state, OptimizeResult result) {
-  OptimizedFlow out;
-  out.flow = Flow(std::move(state), result.graph, result.graph.output());
-  out.plan = std::move(result.plan);
-  out.cache = std::move(result.cache);
-  out.prefetch = std::move(result.prefetch);
-  out.traced_rate = result.traced_rate;
-  out.pass_reports = std::move(result.pass_reports);
-  out.log = std::move(result.log);
-  out.picked_variant = result.picked_variant;
-  return out;
+  Flow flow(std::move(state), result.graph, result.graph.output());
+  return OptimizedFlow{std::move(result), std::move(flow)};
 }
 
 StatusOr<OptimizedFlow> Flow::Optimize(OptimizeOptions options) const {

@@ -136,8 +136,7 @@ class Flow {
 
   // Optimize with an explicit pass schedule, e.g.
   // "parallelism,prefetch,cache,parallelism,shard_sources". Pass names
-  // resolve through PassRegistry::Global(); unknown names are
-  // InvalidArgument.
+  // are rows of OptimizerPasses(); unknown names are InvalidArgument.
   // An empty schedule runs no passes: the flow is traced once (so
   // traced_rate is measured) and returned unchanged.
   StatusOr<OptimizedFlow> OptimizeWith(const std::string& schedule,
@@ -163,8 +162,8 @@ class Flow {
   Flow(std::shared_ptr<internal::SessionState> state, GraphDef graph,
        std::string tip);
   // Wraps an optimizer result (from Optimize or PickBest) as an
-  // OptimizedFlow bound to `state` — the one place the field folding
-  // lives, shared by Flow::Optimize and Session::OptimizeBest.
+  // OptimizedFlow bound to `state`, shared by Flow::Optimize and
+  // Session::OptimizeBest.
   static OptimizedFlow MakeOptimizedFlow(
       std::shared_ptr<internal::SessionState> state, OptimizeResult result);
   // Appends a node (auto-named from def.op when def.name is empty) and
@@ -181,18 +180,11 @@ class Flow {
   Status status_;
 };
 
-// An optimized program plus the optimizer's decisions, ready to run.
-struct OptimizedFlow {
-  Flow flow;                  // rewritten program, same Session
-  LpPlan plan;                // last parallelism pass's LP allocation
-  CacheDecision cache;        // last cache pass's decision
-  PrefetchDecision prefetch;  // last prefetch pass's decision
-  double traced_rate = 0;     // observed rate in the final trace
-  // Per-pass reports in execution order (what each scheduled pass
-  // decided and whether it rewrote the graph).
-  std::vector<PassReport> pass_reports;
-  std::vector<std::string> log;
-  int picked_variant = 0;     // Session::OptimizeBest only
+// An optimized program plus the optimizer's decisions, ready to run:
+// the OptimizeResult and its rewritten graph as a Flow of the same
+// Session.
+struct OptimizedFlow : OptimizeResult {
+  Flow flow;
 
   StatusOr<RunReport> Run(const RunOptions& options) const {
     return flow.Run(options);

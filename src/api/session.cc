@@ -3,19 +3,23 @@
 #include "src/pipeline/ops.h"
 
 namespace plumber {
+
+void ApplyMachine(const MachineSpec& machine, PipelineOptions* options) {
+  options->cpu_scale = machine.cpu_scale;
+  options->memory_budget_bytes = machine.memory_bytes;
+  options->scratch = machine.scratch;
+  options->scratch_budget_bytes = machine.scratch_bytes;
+}
+
 namespace internal {
 
 PipelineOptions MakePipelineOptions(SessionState& state) {
-  const SessionOptions& so = state.options;
   PipelineOptions popts;
   popts.fs = &state.fs;
   popts.udfs = &state.udfs;
-  popts.cpu_scale = so.machine.cpu_scale;
-  popts.seed = so.seed;
-  popts.memory_budget_bytes = so.machine.memory_bytes;
-  popts.scratch = so.machine.scratch;
-  popts.scratch_budget_bytes = so.machine.scratch_bytes;
+  popts.seed = state.options.seed;
   popts.nic = state.nic.get();
+  ApplyMachine(state.options.machine, &popts);
   return popts;
 }
 

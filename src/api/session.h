@@ -49,6 +49,11 @@ struct SessionOptions {
   bool slo_preemption = true;
 };
 
+// Sets the PipelineOptions fields a pipeline takes from the machine it
+// runs on: core speed, memory budget and scratch tier. Sessions and
+// fleet hosts derive them here.
+void ApplyMachine(const MachineSpec& machine, PipelineOptions* options);
+
 namespace internal {
 
 // The shared environment behind a Session. Flows hold a reference too,

@@ -20,7 +20,7 @@
 
 namespace plumber {
 
-// Sentinel cardinalities (mirroring dataset.h but as doubles).
+// Sentinel cardinalities of NodeModel::cardinality.
 inline constexpr double kModelInfinite = -1.0;
 inline constexpr double kModelUnknown = -2.0;
 

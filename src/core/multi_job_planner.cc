@@ -1,7 +1,6 @@
 #include "src/core/multi_job_planner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "src/core/rewriter.h"
@@ -50,49 +49,6 @@ double FloorCores(const JobDemand& demand) {
     if (stage.rate_per_core > 0) floor += 1;
   }
   return floor;
-}
-
-// Integerizes one job's fractional theta into parallelism grants the
-// same way the single-pipeline planner does: floor(theta) (min 1) per
-// stage, then hand out the whole cores the budget still covers by
-// largest fractional remainder, respecting the per-stage caps.
-void Integerize(const JobDemand& demand, const MaxMinSolution& solution,
-                double budget, LpPlan* plan) {
-  const auto cap_for = [&](const std::string& name) {
-    auto it = demand.max_parallelism.find(name);
-    return it == demand.max_parallelism.end()
-               ? std::numeric_limits<int>::max()
-               : std::max(1, it->second);
-  };
-  std::vector<std::pair<double, std::string>> remainders;
-  int granted = 0;
-  double sequential_demand = 0;
-  for (size_t i = 0; i < demand.stages.size(); ++i) {
-    const MaxMinStage& stage = demand.stages[i];
-    plan->theta[stage.name] = solution.theta[i];
-    if (stage.sequential) {
-      sequential_demand += solution.theta[i];
-      continue;
-    }
-    const double theta = solution.theta[i];
-    const double whole = std::floor(theta + 1e-9);
-    const int base =
-        std::min(cap_for(stage.name), std::max<int>(1, static_cast<int>(whole)));
-    plan->parallelism[stage.name] = base;
-    if (theta >= 1.0 - 1e-9) granted += base;
-    const double frac = theta - whole;
-    if (frac > 1e-6 && base < cap_for(stage.name)) {
-      remainders.emplace_back(frac, stage.name);
-    }
-  }
-  const int whole_budget = std::max(
-      1, static_cast<int>(std::floor(budget - sequential_demand + 1e-9)));
-  std::sort(remainders.rbegin(), remainders.rend());
-  for (const auto& [frac, name] : remainders) {
-    if (granted >= whole_budget) break;
-    ++plan->parallelism[name];
-    ++granted;
-  }
 }
 
 }  // namespace
@@ -185,21 +141,16 @@ MultiJobPlan PlanMultiJobAllocation(const std::vector<JobDemand>& demands,
   }
 
   // Per-job: split the job's budget across its own stages with the
-  // single-pipeline maximin solver, then integerize.
+  // single-pipeline maximin solver, then integerize under the job's
+  // configured knobs.
   for (Entry& e : entries) {
     LpPlan plan;
     const double budget = e.rate * e.cost;
     if (!e.demand->stages.empty() && budget > 0) {
       const MaxMinSolution solution =
           SolveMaxMin(e.demand->stages, budget);
-      plan.predicted_rate = solution.throughput;
-      plan.cpu_bound_rate = solution.throughput;
-      plan.cores_used = solution.cores_used;
-      plan.core_limited = solution.core_limited;
-      if (solution.bottleneck >= 0) {
-        plan.bottleneck = e.demand->stages[solution.bottleneck].name;
-      }
-      Integerize(*e.demand, solution, budget, &plan);
+      plan = PlanFromMaxMin(e.demand->stages, solution, budget,
+                            e.demand->max_parallelism);
       out.cores_used += solution.cores_used;
     } else if (!e.demand->stages.empty()) {
       // Budget squeezed to zero (a parked tier under extreme

@@ -24,9 +24,10 @@
 // to the original unweighted maximin water-fill.
 //
 // Within each job the budget is then split across its stages by the
-// existing single-pipeline solver, and integerized the same way the
-// planner does (floor + largest remainder, min 1 worker per stage —
-// the min-1 grant is the preemption floor).
+// existing single-pipeline solver, and integerized by the planner's
+// PlanFromMaxMin (floor + largest remainder, min 1 worker per stage —
+// the min-1 grant is the preemption floor — capped at the configured
+// parallelism).
 //
 // Rates come from the traced PipelineModel when the optimizer stamped
 // them into the graph (kAttrTracedRate); DemandFromGraph otherwise

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "src/core/multi_job_planner.h"
-#include "src/core/passes/pass_registry.h"
 #include "src/util/logging.h"
 
 namespace plumber {
@@ -34,15 +33,14 @@ PlumberOptimizer::PlumberOptimizer(OptimizeOptions options,
 
 StatusOr<OptimizeResult> PlumberOptimizer::Optimize(
     const GraphDef& input) const {
-  ASSIGN_OR_RETURN(PassSchedule schedule,
-                   PassSchedule::Parse(options_.schedule));
+  ASSIGN_OR_RETURN(const std::vector<const OptimizerPass*> schedule,
+                   ParsePassSchedule(options_.schedule));
   OptimizationContext ctx(input, options_, pipeline_options_, machine_);
   OptimizeResult result;
-  result.pass_reports.reserve(schedule.passes().size());
-  for (const std::string& name : schedule.passes()) {
-    ASSIGN_OR_RETURN(std::unique_ptr<OptimizerPass> pass,
-                     PassRegistry::Global().Create(name));
-    ASSIGN_OR_RETURN(PassReport report, pass->Run(ctx));
+  result.pass_reports.reserve(schedule.size());
+  for (const OptimizerPass* pass : schedule) {
+    ASSIGN_OR_RETURN(PassReport report, pass->run(ctx));
+    const std::string name = pass->name;
     // Fold the typed decisions into the flat result fields (last pass
     // of each kind wins, matching the pre-framework optimizer where the
     // final LP plan overwrote earlier ones).

@@ -1,11 +1,11 @@
 // The Plumber optimizer: trace -> model -> pass schedule -> rewrite.
 //
 // This is the "automatic front-end to the tracer" of paper §1/§4.1 and
-// the pipeline-optimizer tool of §B. The rewrites themselves live in
-// src/core/passes/ (OptimizerPass implementations resolved through
-// PassRegistry); Optimize parses a PassSchedule — by default
+// the pipeline-optimizer tool of §B. The rewrites themselves are the
+// rows of the pass table in src/core/passes/ (OptimizerPasses());
+// Optimize parses a schedule string into rows — by default
 // "parallelism,prefetch,cache,parallelism", which reproduces the
-// original 2x-iterated three-pass loop — and runs it against an
+// original 2x-iterated three-pass loop — and runs them against an
 // OptimizationContext. PickBest implements the pick_best annotation
 // (§B, Fig. 11): trace several signature-equivalent pipelines, optimize
 // each, return the fastest.
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/core/passes/pass.h"
-#include "src/core/passes/pass_registry.h"
 #include "src/core/planner.h"
 #include "src/core/rewriter.h"
 #include "src/core/tracer.h"
@@ -29,8 +28,8 @@ namespace plumber {
 struct OptimizeOptions {
   double trace_seconds = 0.3;
   // Pass schedule, e.g. "parallelism,prefetch,cache,parallelism"
-  // (names resolved through PassRegistry::Global()). "" runs no passes:
-  // the input is traced once and returned unchanged.
+  // (names of OptimizerPasses() rows; see ParsePassSchedule). "" runs
+  // no passes: the input is traced once and returned unchanged.
   std::string schedule = kDefaultPassSchedule;
   LpPlanOptions lp_options;
 };

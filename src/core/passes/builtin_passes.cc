@@ -1,18 +1,28 @@
-#include "src/core/passes/builtin_passes.h"
-
+// The built-in optimizer passes and the table that names them.
+// parallelism / prefetch / cache are the three rewrites of the original
+// inline optimizer (paper §4.1, §B); shard_sources splits a disk-bound
+// source.
 #include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "src/core/optimizer.h"
+#include "src/core/passes/pass.h"
 #include "src/core/rewriter.h"
 #include "src/pipeline/ops.h"
 
 namespace plumber {
+namespace {
 
-StatusOr<PassReport> ParallelismPass::Run(OptimizationContext& ctx) const {
+// Upper bound on the shard count shard_sources solves for.
+constexpr int kMaxShards = 8;
+
+// "parallelism": re-traces the current graph (at cache steady state if
+// one is present), solves the CPU/disk LP, and applies the integer
+// parallelism suggestions (paper §4.3).
+StatusOr<PassReport> RunParallelism(OptimizationContext& ctx) {
   PassReport report;
-  report.pass = name();
+  report.pass = "parallelism";
   ASSIGN_OR_RETURN(const PipelineModel* model, ctx.FreshModel());
   report.traced_rate = model->observed_rate();
   report.plan = PlanAllocation(*model, ctx.options().lp_options);
@@ -33,9 +43,12 @@ StatusOr<PassReport> ParallelismPass::Run(OptimizationContext& ctx) const {
   return report;
 }
 
-StatusOr<PassReport> PrefetchPass::Run(OptimizationContext& ctx) const {
+// "prefetch": injects (or resizes) a root prefetch proportional to
+// pipeline idleness (paper §4.1). Plans from the latest model;
+// idempotent.
+StatusOr<PassReport> RunPrefetch(OptimizationContext& ctx) {
   PassReport report;
-  report.pass = name();
+  report.pass = "prefetch";
   ASSIGN_OR_RETURN(const PipelineModel* model, ctx.LatestModel());
   report.traced_rate = model->observed_rate();
   report.prefetch = PlanPrefetch(*model);
@@ -48,9 +61,16 @@ StatusOr<PassReport> PrefetchPass::Run(OptimizationContext& ctx) const {
   return report;
 }
 
-StatusOr<PassReport> CachePass::Run(OptimizationContext& ctx) const {
+// "cache": inserts a cache after the cacheable node closest to the
+// root whose materialization fits a storage tier (paper §4.3 "Memory",
+// §4.1 "Extensions"): DRAM first, then the machine's scratch tier when
+// one is configured (MachineSpec::scratch_bytes > 0 and
+// scratch.max_bandwidth > 0) and can serve the cache at least as fast
+// as the uncached pipeline runs. Skips graphs that already contain a
+// cache of either tier.
+StatusOr<PassReport> RunCache(OptimizationContext& ctx) {
   PassReport report;
-  report.pass = name();
+  report.pass = "cache";
   if (rewriter::HasOp(ctx.graph(), "cache")) {
     report.summary = "cache already present; skipped";
     return report;
@@ -82,9 +102,19 @@ StatusOr<PassReport> CachePass::Run(OptimizationContext& ctx) const {
   return report;
 }
 
-StatusOr<PassReport> ShardSourcesPass::Run(OptimizationContext& ctx) const {
+// "shard_sources": splits a disk-bound pipeline's file source into N
+// shard sources merged by a shard_merge op (rewriter::ShardSource).
+// Each shard reads its round-robin partition of the file list against
+// its own modeled device (ShardDevicePool), so aggregate source
+// bandwidth scales by N. N is solved from the trace: the smallest
+// shard count whose combined disk bound clears the CPU-bound rate,
+// ceil(cpu_bound_rate / disk_bound_rate), clamped to [2, min(kMaxShards,
+// num source files)]. No-op unless the LP says the pipeline is
+// disk-limited. Not in the default schedule; opt in via
+// "...,shard_sources".
+StatusOr<PassReport> RunShardSources(OptimizationContext& ctx) {
   PassReport report;
-  report.pass = name();
+  report.pass = "shard_sources";
   if (rewriter::HasOp(ctx.graph(), "shard_merge")) {
     report.summary = "source already sharded; skipped";
     return report;
@@ -167,6 +197,54 @@ StatusOr<PassReport> ShardSourcesPass::Run(OptimizationContext& ctx) const {
      << ") merged at " << merge;
   report.summary = os.str();
   return report;
+}
+
+}  // namespace
+
+const std::vector<OptimizerPass>& OptimizerPasses() {
+  // cache and shard_sources name parallelism as their follow-up:
+  // caching frees the cores of the cached-away subtree, and sharding
+  // shifts the bottleneck from the disk back to the CPU stages, so a
+  // re-trace + re-solve redistributes the cores.
+  static const std::vector<OptimizerPass> kPasses = {
+      {"parallelism", nullptr, &RunParallelism},
+      {"prefetch", nullptr, &RunPrefetch},
+      {"cache", "parallelism", &RunCache},
+      {"shard_sources", "parallelism", &RunShardSources},
+  };
+  return kPasses;
+}
+
+StatusOr<std::vector<const OptimizerPass*>> ParsePassSchedule(
+    const std::string& spec) {
+  std::vector<const OptimizerPass*> schedule;
+  if (spec.empty()) return schedule;
+  size_t start = 0;
+  while (start <= spec.size()) {
+    size_t comma = spec.find(',', start);
+    if (comma == std::string::npos) comma = spec.size();
+    std::string name = spec.substr(start, comma - start);
+    // Trim surrounding whitespace.
+    const size_t first = name.find_first_not_of(" \t");
+    if (first == std::string::npos) {
+      return InvalidArgumentError("empty pass name in schedule: \"" + spec +
+                                  "\"");
+    }
+    name = name.substr(first, name.find_last_not_of(" \t") - first + 1);
+    const OptimizerPass* found = nullptr;
+    std::string known;
+    for (const OptimizerPass& pass : OptimizerPasses()) {
+      if (name == pass.name) found = &pass;
+      known += (known.empty() ? "" : ", ") + std::string(pass.name);
+    }
+    if (found == nullptr) {
+      return InvalidArgumentError("unknown optimizer pass \"" + name +
+                                  "\" in schedule (known: " + known + ")");
+    }
+    schedule.push_back(found);
+    start = comma + 1;
+  }
+  return schedule;
 }
 
 }  // namespace plumber

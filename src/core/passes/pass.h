@@ -1,17 +1,15 @@
 // The optimizer pass framework (paper §4.1 "Optimizer", §B).
 //
-// The paper describes the optimizer as an extensible sequence of graph
-// rewrites; this layer makes that literal. Each rewrite is an
-// OptimizerPass with a registry name and a Run method that mutates the
-// graph held by an OptimizationContext and returns a typed PassReport.
-// PlumberOptimizer::Optimize is now just "parse a PassSchedule, run its
-// passes in order" — new rewrites (batch autotuning, sharded sources)
-// plug in without touching Optimize itself, and ablations are schedule
-// strings instead of bespoke flag combinations.
+// The paper describes the optimizer as a fixed sequence of graph
+// rewrites; this layer makes that literal. Each rewrite is a row of one
+// table (OptimizerPasses()): a name, an optional follow-up, and a run
+// function that mutates the graph held by an OptimizationContext and
+// returns a typed PassReport. PlumberOptimizer::Optimize parses a
+// schedule string into table rows and runs them in order, so ablations
+// are schedule strings instead of bespoke flag combinations.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,7 +27,7 @@ struct OptimizeOptions;
 // by OptimizeResult::pass_reports, diagnose tooling, and the ablation
 // bench.
 struct PassReport {
-  std::string pass;        // registry name of the pass that ran
+  std::string pass;        // name of the pass that ran
   bool changed = false;    // true if the pass rewrote the graph
   // Observed rate (minibatches/sec) of the trace the pass consumed;
   // 0 if the pass did not consult a model.
@@ -37,10 +35,10 @@ struct PassReport {
   std::string summary;     // one line: the decision, or why none
 
   // Typed decision payloads.
-  LpPlan plan;                 // ParallelismPass
-  PrefetchDecision prefetch;   // PrefetchPass
-  CacheDecision cache;         // CachePass
-  int shard_count = 0;         // ShardSourcesPass (0 = not sharded)
+  LpPlan plan;                 // parallelism, shard_sources
+  PrefetchDecision prefetch;   // prefetch
+  CacheDecision cache;         // cache
+  int shard_count = 0;         // shard_sources (0 = not sharded)
 };
 
 // The state a pass schedule threads through its passes: the current
@@ -112,27 +110,43 @@ class OptimizationContext {
   RetraceHook hook_;
 };
 
-// Interface every optimizer rewrite implements. Passes are stateless
-// (all state lives in the context), so one instance can serve any
-// number of Run calls.
-class OptimizerPass {
- public:
-  virtual ~OptimizerPass() = default;
-
-  // Registry name, also the token used in schedule strings.
-  virtual const char* name() const = 0;
-
+// One optimizer rewrite: a row of the pass table. Passes are stateless
+// (all state lives in the context).
+struct OptimizerPass {
+  // The token used in schedule strings.
+  const char* name;
   // Pass to schedule right after this one when generating schedules
   // (the default schedule, the ablation bench's cumulative sweep):
   // e.g. the cache pass wants a re-parallelism so the LP can
   // redistribute the cores a cache frees. nullptr = none. Purely a
   // scheduling hint — explicit schedule strings are run verbatim.
-  virtual const char* followup() const { return nullptr; }
-
+  const char* followup;
   // Runs the pass against the context's current graph. A pass that
   // decides not to rewrite returns an unchanged report (changed=false)
   // with the reason in summary; an error status aborts the schedule.
-  virtual StatusOr<PassReport> Run(OptimizationContext& ctx) const = 0;
+  StatusOr<PassReport> (*run)(OptimizationContext& ctx);
 };
+
+// The built-in passes in canonical order: parallelism, prefetch, cache,
+// shard_sources. Generated schedules (the ablation bench's cumulative
+// sweep) follow this order.
+const std::vector<OptimizerPass>& OptimizerPasses();
+
+// The schedule PlumberOptimizer runs when none is specified. It
+// reproduces the pre-framework optimizer exactly: one trace feeds LP
+// parallelism, prefetch injection, and cache insertion; a second
+// parallelism pass re-traces (at cache steady state, if one was
+// injected) and redistributes the freed cores.
+inline constexpr char kDefaultPassSchedule[] =
+    "parallelism,prefetch,cache,parallelism";
+
+// Parses a comma-separated schedule ("parallelism, prefetch" —
+// whitespace around names is ignored) into rows of OptimizerPasses().
+// An empty string is the empty schedule; an empty component or an
+// unknown pass name is InvalidArgument, and the error lists the known
+// passes. Passes may repeat (the default schedule runs parallelism
+// twice).
+StatusOr<std::vector<const OptimizerPass*>> ParsePassSchedule(
+    const std::string& spec);
 
 }  // namespace plumber

@@ -2,17 +2,66 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/lp/maximin_allocator.h"
 
 namespace plumber {
-namespace {
 
-LpPlan PlanFromStages(const std::vector<MaxMinStage>& stages,
-                      const PipelineModel& model,
-                      const LpPlanOptions& options) {
+LpPlan PlanFromMaxMin(const std::vector<MaxMinStage>& stages,
+                      const MaxMinSolution& solution, double cores,
+                      const std::map<std::string, int>& caps) {
   LpPlan plan;
+  plan.predicted_rate = solution.throughput;
+  plan.cpu_bound_rate = solution.throughput;
+  plan.cores_used = solution.cores_used;
+  plan.core_limited = solution.core_limited;
+  if (solution.bottleneck >= 0) {
+    plan.bottleneck = stages[solution.bottleneck].name;
+  }
+  const auto cap_for = [&](const std::string& name) {
+    auto it = caps.find(name);
+    return it == caps.end() ? std::numeric_limits<int>::max()
+                            : std::max(1, it->second);
+  };
+  double sequential_demand = 0;
+  std::vector<std::pair<double, std::string>> remainders;
+  int granted = 0;
+  for (size_t i = 0; i < stages.size(); ++i) {
+    const std::string& name = stages[i].name;
+    const double theta = solution.theta[i];
+    plan.theta[name] = theta;
+    if (stages[i].sequential) {
+      sequential_demand += theta;
+      continue;
+    }
+    const double whole = std::floor(theta + 1e-9);
+    const int cap = cap_for(name);
+    const int base = std::min(cap, std::max<int>(1, static_cast<int>(whole)));
+    plan.parallelism[name] = base;
+    // A near-idle stage's minimum worker (theta < 1) is demand-free —
+    // it mostly blocks — so it must not eat the budget ahead of the
+    // bottleneck's fractional remainder.
+    if (theta >= 1.0 - 1e-9) granted += base;
+    const double frac = theta - whole;
+    if (frac > 1e-6 && base < cap) remainders.emplace_back(frac, name);
+  }
+  const int budget = std::max(
+      1, static_cast<int>(std::floor(cores - sequential_demand + 1e-9)));
+  std::sort(remainders.rbegin(), remainders.rend());
+  for (const auto& [frac, name] : remainders) {
+    if (granted >= budget) break;
+    ++plan.parallelism[name];
+    ++granted;
+  }
+  return plan;
+}
+
+LpPlan PlanAllocation(const PipelineModel& model,
+                      const LpPlanOptions& options) {
+  const std::vector<MaxMinStage> stages = model.LpStages();
   const double cores = model.machine().num_cores;
+  LpPlan plan = PlanFromMaxMin(stages, SolveMaxMin(stages, cores), cores);
 
   const double disk_demand = model.DiskBytesPerMinibatch();
   if (options.disk_bandwidth > 0 && disk_demand > 0) {
@@ -22,16 +71,6 @@ LpPlan PlanFromStages(const std::vector<MaxMinStage>& stages,
   if (options.network_bandwidth > 0 && network_demand > 0) {
     plan.network_bound_rate = options.network_bandwidth / network_demand;
   }
-
-  const MaxMinSolution solution = SolveMaxMin(stages, cores);
-  plan.cpu_bound_rate = solution.throughput;
-  plan.cores_used = solution.cores_used;
-  plan.core_limited = solution.core_limited;
-  if (solution.bottleneck >= 0) {
-    plan.bottleneck = stages[solution.bottleneck].name;
-  }
-
-  plan.predicted_rate = solution.throughput;
   if (plan.disk_bound_rate >= 0 &&
       plan.disk_bound_rate < plan.predicted_rate) {
     plan.predicted_rate = plan.disk_bound_rate;
@@ -45,58 +84,13 @@ LpPlan PlanFromStages(const std::vector<MaxMinStage>& stages,
     plan.network_limited = true;
     plan.disk_limited = false;
   }
-
-  // Integer parallelism from fractional theta. Rounding every stage up
-  // overcommits the LP's own core budget — theta 7.9 becomes 8 workers,
-  // every near-zero stage becomes 1 more — so the extra threads contend
-  // with the sequential stages and the consumer, and the "tuned"
-  // pipeline can measure slower than its input. Grant floor(theta)
-  // (min 1) to each parallelizable stage, then hand out any whole cores
-  // the plan still has left by largest fractional remainder.
-  double sequential_demand = 0;
-  std::vector<std::pair<double, std::string>> remainders;
-  int granted = 0;
-  for (size_t i = 0; i < stages.size(); ++i) {
-    plan.theta[stages[i].name] = solution.theta[i];
-    const NodeModel* node = model.Find(stages[i].name);
-    if (node == nullptr || !node->parallelizable) {
-      sequential_demand += solution.theta[i];
-      continue;
-    }
-    const double theta = solution.theta[i];
-    const double whole = std::floor(theta + 1e-9);
-    const int base = std::max<int>(1, static_cast<int>(whole));
-    plan.parallelism[stages[i].name] = base;
-    // A near-idle stage's minimum worker (theta < 1) is demand-free —
-    // it mostly blocks — so it must not eat the budget ahead of the
-    // bottleneck's fractional remainder.
-    if (theta >= 1.0 - 1e-9) granted += base;
-    const double frac = theta - whole;
-    if (frac > 1e-6) remainders.emplace_back(frac, stages[i].name);
-  }
-  const int budget = std::max(
-      1, static_cast<int>(std::floor(cores - sequential_demand + 1e-9)));
-  std::sort(remainders.rbegin(), remainders.rend());
-  for (const auto& [frac, name] : remainders) {
-    if (granted >= budget) break;
-    ++plan.parallelism[name];
-    ++granted;
-  }
-
   if (!options.io_curve.empty() && disk_demand > 0) {
     const double required_bw = plan.predicted_rate * disk_demand;
     plan.suggested_io_parallelism = std::max<int>(
         1,
         static_cast<int>(std::ceil(options.io_curve.InverseMin(required_bw))));
   }
-  return plan;
-}
 
-}  // namespace
-
-LpPlan PlanAllocation(const PipelineModel& model,
-                      const LpPlanOptions& options) {
-  LpPlan plan = PlanFromStages(model.LpStages(), model, options);
   // Stages excluded from the LP (behind a warm cache, or negligible
   // cost) must release any parallelism a previous pass granted them:
   // their threads do no useful work at steady state but still compete

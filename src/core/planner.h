@@ -53,6 +53,18 @@ struct LpPlan {
 LpPlan PlanAllocation(const PipelineModel& model,
                       const LpPlanOptions& options = {});
 
+// The CPU side of a plan from a max-min solution over `stages` under a
+// budget of `cores`: rate, cores used, bottleneck, theta per stage, and
+// integer parallelism per parallel (!sequential) stage. Rounding every
+// stage up would overcommit the budget — theta 7.9 becomes 8 workers,
+// every near-zero stage 1 more — so each parallel stage gets
+// floor(theta) (min 1, at most its entry in `caps`), and the whole
+// cores the budget still covers go by largest fractional remainder.
+// Both the single-pipeline LP and the multi-job arbiter integerize here.
+LpPlan PlanFromMaxMin(const std::vector<MaxMinStage>& stages,
+                      const MaxMinSolution& solution, double cores,
+                      const std::map<std::string, int>& caps = {});
+
 // ---------------------------------------------------------------- cache
 // Where a cache materializes (paper §4.1 "Extensions": memory first,
 // disk when space and bandwidth allow).

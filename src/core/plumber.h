@@ -21,8 +21,7 @@
 #include "src/core/machine.h"
 #include "src/core/model.h"
 #include "src/core/optimizer.h"
-#include "src/core/passes/builtin_passes.h"
-#include "src/core/passes/pass_registry.h"
+#include "src/core/passes/pass.h"
 #include "src/core/planner.h"
 #include "src/core/provisioner.h"
 #include "src/core/rewriter.h"

@@ -1,33 +1,22 @@
-// Arrival traces: the front-door workload format of the fleet serving
-// runtime (paper §3's fleet view, made executable).
+// Arrival traces: the front-door workload of the fleet serving runtime
+// (paper §3's fleet view, made executable).
 //
 // A trace is a job-class table plus a time-ordered list of arrival
 // events. Classes carry the modeled work shape (per-element UDF cost,
-// configured map parallelism, mean job size); events pick a class,
+// configured map parallelism, mean job size) and the scheduling
+// identity (SLO class, priority, latency target); events pick a class,
 // a concrete element count, and optionally a locality pin. The
 // TraceReplayDriver (src/fleet/trace_replay.h) turns each event into a
 // range -> map program and submits it to a FleetRuntime at (scaled)
 // arrival time.
 //
-// Text format (line-oriented, '#' comments, parse errors carry line
-// numbers):
-//   plumber_arrival_trace v1
-//   class <name> <weight> <cost_ns> <parallelism> <mean_elements>
-//         ... <slo> <priority> <latency_target_s>
-//                                  (continuation of the class line)
-//   event <arrival_s> <class_index> <elements> <pinned_host>
-// A class line takes exactly these 8 fields: <slo> is one of
-// interactive|batch|best_effort, <priority> the within-class
-// water-fill weight (> 0), and <latency_target_s> the per-request
-// completion deadline (0 = none).
-//
 // Three seeded generators cover the serving-paper workload shapes: a
 // homogeneous-rate Poisson process, a bursty on/off process (burst
 // arrivals at a fast rate, geometric burst lengths, long idle gaps),
-// and a time-varying open-loop process (sinusoidal or ramp arrival
-// rate, thinned non-homogeneous Poisson) for streaming/online-
-// inference front doors. All draw job classes from the trace's
-// weighted mixture and are deterministic for a fixed seed.
+// and a time-varying open-loop process (sinusoidal arrival rate,
+// thinned non-homogeneous Poisson) for streaming/online-inference
+// front doors. All draw job classes from the trace's weighted mixture
+// and are deterministic for a fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +24,6 @@
 #include <vector>
 
 #include "src/runtime/job.h"
-#include "src/util/status.h"
 
 namespace plumber {
 namespace fleet {
@@ -70,12 +58,6 @@ struct ArrivalEvent {
 struct ArrivalTrace {
   std::vector<TraceJobClass> classes;
   std::vector<ArrivalEvent> events;
-
-  // Round-trippable text form (doubles at full precision).
-  std::string Serialize() const;
-  // Parses the text form. Malformed input fails with the 1-based line
-  // number and what was wrong with it.
-  static StatusOr<ArrivalTrace> Parse(const std::string& text);
 };
 
 // The four-class mixture calibrated against the paper's fleet

@@ -95,7 +95,7 @@ class StorageDevice {
 };
 
 // A lazily grown set of identical modeled devices, one per source
-// shard: the ShardSourcesPass splits a source across N disks, and each
+// shard: the shard_sources pass splits a source across N disks, and each
 // shard must meter its reads against its *own* bandwidth cap (that is
 // the whole point — N shards reach N x the single-device bandwidth).
 // Thread-safe; devices live as long as the pool.

@@ -23,7 +23,6 @@ void IteratorStats::Reset() {
     s.network_bytes.store(0, std::memory_order_relaxed);
     s.claims.store(0, std::memory_order_relaxed);
     s.cpu_ns.store(0, std::memory_order_relaxed);
-    s.cached_bytes.store(0, std::memory_order_relaxed);
   }
   queue_empty_fraction_.store(0, std::memory_order_relaxed);
 }
@@ -62,7 +61,6 @@ std::vector<IteratorStatsSnapshot> StatsRegistry::Snapshot() const {
     snap.parallelism = s->parallelism();
     snap.udf_name = s->udf_name();
     snap.queue_empty_fraction = s->queue_empty_fraction();
-    snap.cached_bytes = s->cached_bytes();
     out.push_back(std::move(snap));
   }
   return out;

@@ -81,9 +81,6 @@ class IteratorStats {
   void RecordQueueEmptyFraction(double f) {
     queue_empty_fraction_.store(f, std::memory_order_relaxed);
   }
-  void AddCachedBytes(int64_t bytes) {
-    LocalShard().cached_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
 
   uint64_t elements_produced() const {
     return Sum(&Shard::elements_produced);
@@ -106,12 +103,12 @@ class IteratorStats {
   double queue_empty_fraction() const {
     return queue_empty_fraction_.load(std::memory_order_relaxed);
   }
-  int64_t cached_bytes() const { return SumSigned(&Shard::cached_bytes); }
 
   void Reset();
 
  private:
-  // One cache line per shard: eight 8-byte counters.
+  // One cache line per shard: seven 8-byte counters, padded to 64
+  // bytes by the alignment.
   struct alignas(64) Shard {
     std::atomic<uint64_t> elements_produced{0};
     std::atomic<uint64_t> elements_consumed{0};
@@ -120,7 +117,6 @@ class IteratorStats {
     std::atomic<uint64_t> network_bytes{0};
     std::atomic<uint64_t> claims{0};
     std::atomic<int64_t> cpu_ns{0};
-    std::atomic<int64_t> cached_bytes{0};
   };
   static_assert(sizeof(Shard) == 64, "one cache line per shard");
 
@@ -164,7 +160,6 @@ struct IteratorStatsSnapshot {
   int parallelism = 1;
   std::string udf_name;
   double queue_empty_fraction = 0;
-  int64_t cached_bytes = 0;
 };
 
 class StatsRegistry {

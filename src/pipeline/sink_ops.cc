@@ -225,7 +225,6 @@ class CacheIterator : public IteratorBase {
       }
       state_->elements.push_back(in.Clone());
       state_->bytes += bytes;
-      stats_->AddCachedBytes(static_cast<int64_t>(bytes));
     }
     *out = std::move(in);
     *end = false;

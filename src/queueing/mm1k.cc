@@ -3,36 +3,13 @@
 #include <cmath>
 
 namespace plumber {
-namespace {
-
-// p_n = rho^n * (1 - rho) / (1 - rho^{k+1}) for rho != 1, else 1/(k+1).
-double Mm1kProbN(double rho, int k, int n) {
-  if (k < 1) k = 1;
-  if (n < 0 || n > k) return 0;
-  if (std::abs(rho - 1.0) < 1e-12) return 1.0 / (k + 1);
-  return std::pow(rho, n) * (1.0 - rho) / (1.0 - std::pow(rho, k + 1));
-}
-
-}  // namespace
 
 double Mm1kProbEmpty(double rho, int k) {
   if (rho <= 0) return 1.0;
-  return Mm1kProbN(rho, k, 0);
-}
-
-double Mm1kProbFull(double rho, int k) {
-  if (rho <= 0) return 0.0;
-  return Mm1kProbN(rho, k, k);
-}
-
-double Mm1kExpectedOccupancy(double rho, int k) {
-  double total = 0;
-  for (int n = 1; n <= k; ++n) total += n * Mm1kProbN(rho, k, n);
-  return total;
-}
-
-double Mm1kThroughput(double lambda, double rho, int k) {
-  return lambda * (1.0 - Mm1kProbFull(rho, k));
+  if (k < 1) k = 1;
+  // p_0 = (1 - rho) / (1 - rho^{k+1}) for rho != 1, else 1/(k+1).
+  if (std::abs(rho - 1.0) < 1e-12) return 1.0 / (k + 1);
+  return (1.0 - rho) / (1.0 - std::pow(rho, k + 1));
 }
 
 double Mm1kOverlappedLatency(double upstream_latency, double rho, int k) {

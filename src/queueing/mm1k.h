@@ -3,10 +3,10 @@
 // tf.data's AUTOTUNE represents each Iterator as an M/M/1/k queue
 // (paper §2.2). These closed forms back our AUTOTUNE baseline: the
 // probability a k-slot buffer is empty determines how much upstream
-// latency a prefetch stage hides, and the blocking probability models
-// producer stalls. As the paper notes, open-system formulas make
-// throughput depend only on arrival rates — which is exactly why the
-// AUTOTUNE estimator is unbounded; we reproduce that property.
+// latency a prefetch stage hides. As the paper notes, open-system
+// formulas make throughput depend only on arrival rates — which is
+// exactly why the AUTOTUNE estimator is unbounded; we reproduce that
+// property.
 #pragma once
 
 namespace plumber {
@@ -14,16 +14,6 @@ namespace plumber {
 // rho = lambda / mu (arrival rate over service rate); k = buffer slots.
 // Probability the queue is empty (consumer must wait).
 double Mm1kProbEmpty(double rho, int k);
-
-// Probability the queue is full (producer blocks).
-double Mm1kProbFull(double rho, int k);
-
-// Expected number of items in the queue.
-double Mm1kExpectedOccupancy(double rho, int k);
-
-// Effective throughput of the station given arrival rate lambda:
-// lambda * (1 - P_full).
-double Mm1kThroughput(double lambda, double rho, int k);
 
 // Expected consumer-visible latency contribution of a stage whose
 // upstream produces with latency `upstream_latency` into a k-buffer:

@@ -132,7 +132,7 @@ TEST(OptimizerRegressionTest, CachePassNeverSlowerOnDiskTier) {
 
 TEST(OptimizerRegressionTest, ShardSourcesPassNeverSlowerWhenDiskBound) {
   // A cheap-UDF pipeline behind a 50KB/s modeled disk is source-bound;
-  // ShardSourcesPass splits the reader across per-shard devices, so the
+  // the shard_sources pass splits the reader across per-shard devices, so the
   // aggregate bandwidth scales with the shard count and the rewritten
   // graph must never measure slower.
   PipelineTestEnv env(4, 200, 64);

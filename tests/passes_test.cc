@@ -1,12 +1,11 @@
-// Pass framework tests: registry contents, schedule parsing, the
-// default schedule, and the cache pass's tier dispatch.
-#include "src/core/passes/pass_registry.h"
+// Pass framework tests: the pass table, schedule parsing, the default
+// schedule, and the cache pass's tier dispatch.
+#include "src/core/passes/pass.h"
 
 #include <gtest/gtest.h>
 
 #include "src/api/session.h"
 #include "src/core/optimizer.h"
-#include "src/core/passes/builtin_passes.h"
 #include "src/core/rewriter.h"
 #include "src/pipeline/ops.h"
 #include "tests/test_util.h"
@@ -16,73 +15,76 @@ namespace {
 
 using testing_util::PipelineTestEnv;
 
-TEST(PassRegistryTest, BuiltinsRegisteredInCanonicalOrder) {
-  const std::vector<std::string> names = PassRegistry::Global().Names();
-  ASSERT_EQ(names.size(), 4u);
-  EXPECT_EQ(names[0], "parallelism");
-  EXPECT_EQ(names[1], "prefetch");
-  EXPECT_EQ(names[2], "cache");
-  EXPECT_EQ(names[3], "shard_sources");
-  for (const std::string& name : names) {
-    auto pass = PassRegistry::Global().Create(name);
-    ASSERT_TRUE(pass.ok()) << name;
-    EXPECT_EQ((*pass)->name(), name);
+std::vector<std::string> Names(
+    const std::vector<const OptimizerPass*>& schedule) {
+  std::vector<std::string> names;
+  for (const OptimizerPass* pass : schedule) names.push_back(pass->name);
+  return names;
+}
+
+TEST(PassTableTest, BuiltinsInCanonicalOrder) {
+  const std::vector<OptimizerPass>& passes = OptimizerPasses();
+  ASSERT_EQ(passes.size(), 4u);
+  EXPECT_STREQ(passes[0].name, "parallelism");
+  EXPECT_STREQ(passes[1].name, "prefetch");
+  EXPECT_STREQ(passes[2].name, "cache");
+  EXPECT_STREQ(passes[3].name, "shard_sources");
+  for (const OptimizerPass& pass : passes) {
+    // Each name is schedule-safe and distinct: it parses as a one-pass
+    // schedule that resolves to its own row.
+    auto schedule = ParsePassSchedule(pass.name);
+    ASSERT_TRUE(schedule.ok()) << pass.name << ": " << schedule.status();
+    ASSERT_EQ(schedule->size(), 1u);
+    EXPECT_EQ((*schedule)[0], &pass);
+    EXPECT_NE(pass.run, nullptr) << pass.name;
     // The cache pass and the shard pass declare a re-parallelism
     // follow-up (redistribute the cores their rewrite frees or the
     // bandwidth it adds) in generated schedules.
-    if (name == "cache" || name == "shard_sources") {
-      EXPECT_STREQ((*pass)->followup(), "parallelism") << name;
+    if (std::string(pass.name) == "cache" ||
+        std::string(pass.name) == "shard_sources") {
+      EXPECT_STREQ(pass.followup, "parallelism") << pass.name;
     } else {
-      EXPECT_EQ((*pass)->followup(), nullptr) << name;
+      EXPECT_EQ(pass.followup, nullptr) << pass.name;
     }
   }
 }
 
-TEST(PassRegistryTest, CreateUnknownPassFails) {
-  EXPECT_EQ(PassRegistry::Global().Create("bogus").status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST(PassRegistryTest, RejectsDuplicateAndMalformedNames) {
-  PassRegistry registry;
-  auto factory = [] {
-    return std::unique_ptr<OptimizerPass>(new ParallelismPass());
-  };
-  EXPECT_TRUE(registry.Register("mine", factory).ok());
-  EXPECT_EQ(registry.Register("mine", factory).code(),
-            StatusCode::kAlreadyExists);
-  EXPECT_EQ(registry.Register("", factory).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Register("a,b", factory).code(),
-            StatusCode::kInvalidArgument);
+TEST(PassTableTest, UnknownPassFails) {
+  auto schedule = ParsePassSchedule("bogus");
+  ASSERT_FALSE(schedule.ok());
+  EXPECT_EQ(schedule.status().code(), StatusCode::kInvalidArgument);
+  // The error lists every known pass.
+  for (const OptimizerPass& pass : OptimizerPasses()) {
+    EXPECT_NE(schedule.status().message().find(pass.name), std::string::npos)
+        << schedule.status();
+  }
 }
 
 TEST(PassScheduleTest, ParsesDefaultSchedule) {
-  auto schedule = PassSchedule::Parse(kDefaultPassSchedule);
+  auto schedule = ParsePassSchedule(kDefaultPassSchedule);
   ASSERT_TRUE(schedule.ok());
   const std::vector<std::string> expected = {"parallelism", "prefetch",
                                              "cache", "parallelism"};
-  EXPECT_EQ(schedule->passes(), expected);
-  EXPECT_EQ(schedule->ToString(), kDefaultPassSchedule);
+  EXPECT_EQ(Names(*schedule), expected);
 }
 
 TEST(PassScheduleTest, TrimsWhitespaceAndAllowsRepeats) {
   auto schedule =
-      PassSchedule::Parse(" parallelism ,\tprefetch , parallelism");
+      ParsePassSchedule(" parallelism ,\tprefetch , parallelism");
   ASSERT_TRUE(schedule.ok()) << schedule.status();
   const std::vector<std::string> expected = {"parallelism", "prefetch",
                                              "parallelism"};
-  EXPECT_EQ(schedule->passes(), expected);
+  EXPECT_EQ(Names(*schedule), expected);
 }
 
 TEST(PassScheduleTest, EmptyStringIsEmptySchedule) {
-  auto schedule = PassSchedule::Parse("");
+  auto schedule = ParsePassSchedule("");
   ASSERT_TRUE(schedule.ok());
   EXPECT_TRUE(schedule->empty());
 }
 
 TEST(PassScheduleTest, UnknownPassNameIsInvalidArgument) {
-  auto schedule = PassSchedule::Parse("parallelism,bogus");
+  auto schedule = ParsePassSchedule("parallelism,bogus");
   ASSERT_FALSE(schedule.ok());
   EXPECT_EQ(schedule.status().code(), StatusCode::kInvalidArgument);
   // The error names the offender and the known passes.
@@ -92,11 +94,11 @@ TEST(PassScheduleTest, UnknownPassNameIsInvalidArgument) {
 }
 
 TEST(PassScheduleTest, EmptyComponentIsInvalidArgument) {
-  EXPECT_EQ(PassSchedule::Parse("parallelism,,cache").status().code(),
+  EXPECT_EQ(ParsePassSchedule("parallelism,,cache").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(PassSchedule::Parse(",parallelism").status().code(),
+  EXPECT_EQ(ParsePassSchedule(",parallelism").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(PassSchedule::Parse("parallelism,").status().code(),
+  EXPECT_EQ(ParsePassSchedule("parallelism,").status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -371,14 +373,16 @@ TEST(PassFrameworkTest, RetraceHookSeesRewrittenGraph) {
         pipeline->Cancel();
         return trace;
       });
-  ParallelismPass parallelism;
-  PrefetchPass prefetch;
-  ASSERT_TRUE(parallelism.Run(ctx).ok());
+  auto schedule = ParsePassSchedule("parallelism,prefetch");
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
+  const OptimizerPass& parallelism = *(*schedule)[0];
+  const OptimizerPass& prefetch = *(*schedule)[1];
+  ASSERT_TRUE(parallelism.run(ctx).ok());
   EXPECT_EQ(traces, 1);
   EXPECT_FALSE(saw_prefetch_root);
-  ASSERT_TRUE(prefetch.Run(ctx).ok());
+  ASSERT_TRUE(prefetch.run(ctx).ok());
   EXPECT_EQ(traces, 1);  // prefetch plans from the latest model
-  ASSERT_TRUE(parallelism.Run(ctx).ok());
+  ASSERT_TRUE(parallelism.run(ctx).ok());
   EXPECT_EQ(traces, 2);  // graph changed -> fresh trace
   EXPECT_TRUE(saw_prefetch_root);
 }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/multi_job_planner.h"
 #include "src/pipeline/ops.h"
 
 namespace plumber {
@@ -135,6 +136,44 @@ TEST(LpPlanTest, MoreCoresRaiseCpuBound) {
                      .value();
   EXPECT_GT(PlanAllocation(model_c).predicted_rate,
             PlanAllocation(model_a).predicted_rate * 3);
+}
+
+TEST(LpPlanTest, MultiJobPlannerAgreesForOneUncappedJob) {
+  // Source and decode are both parallel, so the water-fill spends every
+  // core: X = 16 / (1/20000 + 1/1666.7), theta = (1.23, 14.77), and
+  // the spare core goes to decode's larger remainder. One uncapped job
+  // on the same 16 cores must get the same split from the arbiter.
+  const auto udfs = EmptyUdfs();
+  auto model = std::move(PipelineModel::Build(
+                             MakeChainTrace(
+                                 {
+                                     {"source", "interleave", 1000, 0.05, 0,
+                                      0, 1, ""},
+                                     {"decode", "map", 1000, 0.60, 0, 0, 1,
+                                      "decode"},
+                                 },
+                                 MachineSpec::SetupA()),
+                             &udfs))
+                   .value();
+  const LpPlan single = PlanAllocation(model);
+  ASSERT_TRUE(single.core_limited);
+  EXPECT_EQ(single.parallelism.at("source"), 1);
+  EXPECT_EQ(single.parallelism.at("decode"), 15);
+
+  JobDemand demand;
+  demand.job_id = "job";
+  demand.stages = model.LpStages();
+  for (const MaxMinStage& stage : demand.stages) {
+    ASSERT_FALSE(stage.sequential) << stage.name;
+  }
+  const MultiJobPlan multi =
+      PlanMultiJobAllocation({demand}, model.machine().num_cores);
+  const LpPlan& arbitrated = multi.jobs.at("job");
+  EXPECT_EQ(arbitrated.parallelism, single.parallelism);
+  ASSERT_EQ(arbitrated.theta.size(), single.theta.size());
+  for (const auto& [name, theta] : single.theta) {
+    EXPECT_NEAR(arbitrated.theta.at(name), theta, 1e-9) << name;
+  }
 }
 
 // ---- Cache planning -------------------------------------------------

@@ -1,48 +1,17 @@
 #include <gtest/gtest.h>
 
 #include "src/queueing/mm1k.h"
-#include "src/queueing/operational.h"
 
 namespace plumber {
 namespace {
 
-TEST(OperationalTest, VisitRatioRecurrence) {
-  // Root V=1; child completing 128x more often has V=128.
-  EXPECT_DOUBLE_EQ(VisitRatio(128, 1, 1.0), 128.0);
-  // Grandchild completing at half the child's rate: V = 64.
-  EXPECT_DOUBLE_EQ(VisitRatio(64, 128, 128.0), 64.0);
-  EXPECT_DOUBLE_EQ(VisitRatio(10, 0, 1.0), 0.0);
-}
-
-TEST(OperationalTest, UtilizationLaw) {
-  EXPECT_DOUBLE_EQ(UtilizationLaw(30.0, 0.02), 0.6);
-}
-
-TEST(OperationalTest, BottleneckBound) {
-  EXPECT_DOUBLE_EQ(BottleneckBound({0.1, 0.5, 0.25}), 2.0);
-  EXPECT_DOUBLE_EQ(BottleneckBound({}), 0.0);
-}
-
-TEST(OperationalTest, ResponseTimeBound) {
-  EXPECT_DOUBLE_EQ(ResponseTimeBound(1.0, 0.5, 10, 2.0), 3.0);
-  EXPECT_DOUBLE_EQ(ResponseTimeBound(1.0, 0.05, 10, 2.0), 1.0);
-}
-
 TEST(Mm1kTest, ProbabilitiesSumToOne) {
   for (double rho : {0.2, 0.8, 1.0, 1.5}) {
     for (int k : {1, 2, 8}) {
-      double total = 0;
-      // p_0 + ... + p_k via the exposed functions: use empty + full +
-      // reconstruct middles from occupancy identity instead; here we
-      // just sanity-check bounds.
+      // A sanity check of the bounds of p_0.
       const double p0 = Mm1kProbEmpty(rho, k);
-      const double pk = Mm1kProbFull(rho, k);
       EXPECT_GE(p0, 0.0);
       EXPECT_LE(p0, 1.0);
-      EXPECT_GE(pk, 0.0);
-      EXPECT_LE(pk, 1.0);
-      total = p0 + pk;
-      EXPECT_LE(total, 2.0);
     }
   }
 }
@@ -53,22 +22,9 @@ TEST(Mm1kTest, EmptyProbabilityFallsWithLoad) {
   EXPECT_DOUBLE_EQ(Mm1kProbEmpty(0.0, 4), 1.0);
 }
 
-TEST(Mm1kTest, FullProbabilityRisesWithLoad) {
-  EXPECT_LT(Mm1kProbFull(0.2, 4), Mm1kProbFull(1.5, 4));
-  EXPECT_DOUBLE_EQ(Mm1kProbFull(0.0, 4), 0.0);
-}
-
 TEST(Mm1kTest, BalancedQueueUniform) {
   // rho == 1: all k+1 states equally likely.
   EXPECT_NEAR(Mm1kProbEmpty(1.0, 4), 0.2, 1e-9);
-  EXPECT_NEAR(Mm1kProbFull(1.0, 4), 0.2, 1e-9);
-  EXPECT_NEAR(Mm1kExpectedOccupancy(1.0, 4), 2.0, 1e-9);
-}
-
-TEST(Mm1kTest, ThroughputLossOnlyFromBlocking) {
-  const double lambda = 100;
-  EXPECT_NEAR(Mm1kThroughput(lambda, 0.1, 8), lambda, 1.0);
-  EXPECT_LT(Mm1kThroughput(lambda, 2.0, 2), lambda);
 }
 
 TEST(Mm1kTest, OverlappedLatencyShrinksWithBuffer) {

@@ -1,6 +1,5 @@
 // Streaming front-door tests: the time-varying (non-homogeneous
-// Poisson) trace generator, the latency_target_s class field's
-// serialize/parse round trip, and open-loop replay scoring per-class
+// Poisson) trace generator, and open-loop replay scoring per-class
 // deadline attainment in the FleetReport.
 #include <gtest/gtest.h>
 
@@ -10,10 +9,13 @@
 #include "src/api/fleet_session.h"
 #include "src/fleet/arrival_trace.h"
 #include "src/pipeline/ops.h"
+#include "tests/test_util.h"
 
 namespace plumber {
 namespace fleet {
 namespace {
+
+using testing_util::SameEvents;
 
 TEST(TimeVaryingTraceTest, SeedDeterministicAndWithinWindow) {
   TimeVaryingTraceOptions options;
@@ -28,11 +30,11 @@ TEST(TimeVaryingTraceTest, SeedDeterministicAndWithinWindow) {
       MakeTimeVaryingTrace(CalibratedJobClasses(), options);
   const ArrivalTrace b =
       MakeTimeVaryingTrace(CalibratedJobClasses(), options);
-  EXPECT_EQ(a.Serialize(), b.Serialize());
+  EXPECT_TRUE(SameEvents(a, b));
   options.seed = 22;
   const ArrivalTrace c =
       MakeTimeVaryingTrace(CalibratedJobClasses(), options);
-  EXPECT_NE(a.Serialize(), c.Serialize());
+  EXPECT_FALSE(SameEvents(a, c));
 
   ASSERT_FALSE(a.events.empty());
   double last = 0;
@@ -70,36 +72,6 @@ TEST(TimeVaryingTraceTest, SinusoidWithFullPeriodPeaksEarly) {
     (e.arrival_s < options.duration_s / 2 ? sine_early : sine_late)++;
   }
   EXPECT_GT(sine_early, sine_late);
-}
-
-TEST(StreamingTraceTest, LatencyTargetRoundTrips) {
-  ArrivalTrace trace;
-  TraceJobClass rpc;
-  rpc.name = "rpc";
-  rpc.weight = 1.0;
-  rpc.cost_ns = 2e5;
-  rpc.parallelism = 2;
-  rpc.mean_elements = 8;
-  rpc.slo = runtime::SloClass::kInteractive;
-  rpc.latency_target_s = 0.25;
-  trace.classes.push_back(rpc);
-  trace.events.push_back({0.0, 0, 4, -1});
-  const std::string text = trace.Serialize();
-  auto parsed = ArrivalTrace::Parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->Serialize(), text);
-  EXPECT_EQ(parsed->classes[0].latency_target_s, 0.25);
-
-  // A 7-field class line (no target) and a negative target both reject
-  // with the offending line number.
-  for (const char* bad :
-       {"plumber_arrival_trace v1\nclass c 1 1000 1 4 interactive 2\n",
-        "plumber_arrival_trace v1\nclass c 1 1000 1 4 batch 1 -0.5\n"}) {
-    auto rejected = ArrivalTrace::Parse(bad);
-    ASSERT_FALSE(rejected.ok()) << bad;
-    EXPECT_NE(rejected.status().message().find("line 2"), std::string::npos)
-        << rejected.status().ToString();
-  }
 }
 
 TEST(StreamingTraceTest, ReplayScoresPerClassAttainment) {

@@ -13,7 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/api/session.h"
 #include "src/core/machine.h"
+#include "src/fleet/arrival_trace.h"
 #include "src/pipeline/graph_builder.h"
 #include "src/pipeline/pipeline.h"
 #include "src/pipeline/runner.h"
@@ -81,10 +83,8 @@ struct PipelineTestEnv {
   // The options a Session on `machine` would derive: its core speed,
   // memory budget and scratch tier over this environment.
   PipelineOptions OptionsFor(const MachineSpec& machine) {
-    PipelineOptions options = Options(machine.memory_bytes);
-    options.cpu_scale = machine.cpu_scale;
-    options.scratch = machine.scratch;
-    options.scratch_budget_bytes = machine.scratch_bytes;
+    PipelineOptions options = Options();
+    ApplyMachine(machine, &options);
     return options;
   }
 
@@ -174,6 +174,21 @@ inline void ExpectIdenticalOutput(const std::vector<Element>& a,
           << "elem " << i << " component " << c;
     }
   }
+}
+
+// Field-by-field equality of two arrival traces' events.
+inline bool SameEvents(const fleet::ArrivalTrace& a,
+                       const fleet::ArrivalTrace& b) {
+  if (a.events.size() != b.events.size()) return false;
+  for (size_t i = 0; i < a.events.size(); ++i) {
+    const fleet::ArrivalEvent& x = a.events[i];
+    const fleet::ArrivalEvent& y = b.events[i];
+    if (x.arrival_s != y.arrival_s || x.job_class != y.job_class ||
+        x.elements != y.elements || x.pinned_host != y.pinned_host) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // ---------------------------------------------------- channel stress
