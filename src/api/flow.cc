@@ -185,17 +185,6 @@ Flow Flow::Cache() const {
   return AppendAfterTip(std::move(def));
 }
 
-Flow Flow::MapAndBatch(const std::string& udf, int64_t batch_size,
-                       int parallelism, bool drop_remainder) const {
-  NodeDef def;
-  def.op = "map_and_batch";
-  def.attrs[kAttrUdf] = AttrValue(udf);
-  def.attrs[kAttrBatchSize] = AttrValue(batch_size);
-  def.attrs[kAttrParallelism] = AttrValue(static_cast<int64_t>(parallelism));
-  def.attrs[kAttrDropRemainder] = AttrValue(drop_remainder);
-  return AppendAfterTip(std::move(def));
-}
-
 Flow Flow::Combine(const std::string& op, const std::vector<Flow>& inputs) {
   Flow out;
   if (inputs.size() < 2) {

@@ -95,8 +95,6 @@ class Flow {
   Flow Batch(int64_t batch_size, bool drop_remainder = true) const;
   Flow Prefetch(int64_t buffer_size) const;
   Flow Cache() const;
-  Flow MapAndBatch(const std::string& udf, int64_t batch_size,
-                   int parallelism = 1, bool drop_remainder = true) const;
 
   // Multi-input combinators. Input flows must share a Session; their
   // graphs are merged (common prefixes unified, colliding suffix names

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "src/pipeline/ops.h"
 
@@ -282,24 +281,6 @@ PipelineModel::EstimateSourceSizes() const {
     out.emplace(prefix, est);
   }
   return out;
-}
-
-std::string PipelineModel::ToString() const {
-  std::ostringstream os;
-  os << "PipelineModel rate=" << observed_rate() << " mb/s over "
-     << wall_seconds() << "s\n";
-  for (const auto& n : nodes_) {
-    os << "  " << n.name << " (" << n.op << ")"
-       << " C=" << n.completions << " cpu_s=" << n.cpu_seconds
-       << " V=" << n.visit_ratio << " R=" << n.rate_per_core
-       << " p=" << n.parallelism
-       << " b/el=" << n.bytes_per_element << " n=" << n.cardinality
-       << " mat=" << n.materialized_bytes
-       << (n.cacheable ? " cacheable" : "")
-       << (n.random_tainted ? " random" : "")
-       << (n.below_cache ? " below_cache" : "") << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace plumber

@@ -95,8 +95,6 @@ class PipelineModel {
   };
   std::map<std::string, SourceSizeEstimate> EstimateSourceSizes() const;
 
-  std::string ToString() const;
-
  private:
   TraceSnapshot trace_;
   std::vector<NodeModel> nodes_;

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace plumber {
 
@@ -52,38 +51,6 @@ bool LpProblem::IsFeasible(const std::vector<double>& x, double tol) const {
     }
   }
   return true;
-}
-
-std::string LpProblem::ToString() const {
-  std::ostringstream os;
-  os << "maximize ";
-  for (int i = 0; i < num_variables(); ++i) {
-    if (i) os << " + ";
-    os << objective_[i] << "*" << names_[i];
-  }
-  os << "\nsubject to:\n";
-  for (const auto& c : constraints_) {
-    os << "  ";
-    for (size_t t = 0; t < c.terms.size(); ++t) {
-      if (t) os << " + ";
-      os << c.terms[t].second << "*" << names_[c.terms[t].first];
-    }
-    switch (c.sense) {
-      case ConstraintSense::kLe:
-        os << " <= ";
-        break;
-      case ConstraintSense::kGe:
-        os << " >= ";
-        break;
-      case ConstraintSense::kEq:
-        os << " == ";
-        break;
-    }
-    os << c.rhs;
-    if (!c.name.empty()) os << "   (" << c.name << ")";
-    os << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace plumber

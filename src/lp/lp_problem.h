@@ -52,8 +52,6 @@ class LpProblem {
   // Checks x against all constraints and bounds within `tol`.
   bool IsFeasible(const std::vector<double>& x, double tol = 1e-6) const;
 
-  std::string ToString() const;
-
  private:
   std::vector<std::string> names_;
   std::vector<double> objective_;

@@ -1,28 +1,15 @@
-// Multi-input and fused operators: zip, concatenate, map_and_batch.
+// Multi-input operators: zip and concatenate.
 //
 // zip pairs one element from each input per output (the (image, label)
 // tuple construction the paper's §2.1 describes); concatenate chains
-// datasets end to end; map_and_batch is the classic tf.data fusion of
-// a parallel map with batching — workers each assemble a whole batch,
-// amortizing per-element queue handoffs, which matters exactly for the
-// tiny-element text pipelines of §5.1 ("motivating a batched execution
-// engine", App. C.3).
+// datasets end to end.
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include "src/pipeline/ops.h"
-#include "src/pipeline/worker_pool.h"
-#include "src/util/rng.h"
 
 namespace plumber {
 namespace {
-
-uint64_t NodeSeed(const PipelineContext* ctx, const NodeDef& def) {
-  uint64_t h = ctx->seed;
-  for (char c : def.name) h = SplitMix64(h ^ static_cast<uint8_t>(c));
-  return h;
-}
 
 // ------------------------------------------------------------------ zip
 class ZipDataset : public DatasetBase {
@@ -191,108 +178,6 @@ StatusOr<std::unique_ptr<IteratorBase>> ConcatenateDataset::MakeIterator(
       new ConcatenateIterator(ctx, StatsFor(ctx), this));
 }
 
-// --------------------------------------------------------- map_and_batch
-class MapAndBatchDataset : public DatasetBase {
- public:
-  MapAndBatchDataset(NodeDef def, std::vector<DatasetPtr> inputs,
-                     const UdfSpec* udf)
-      : DatasetBase(std::move(def), std::move(inputs)), udf_(udf) {}
-
-  StatusOr<std::unique_ptr<IteratorBase>> MakeIterator(
-      PipelineContext* ctx) const override;
-
-  const UdfSpec* udf() const { return udf_; }
-
- private:
-  const UdfSpec* udf_;
-};
-
-// Workers of a governed WorkerPool each assemble a full batch: pull
-// batch_size inputs under the input lock, run the UDF per element
-// outside it, emit the batch. One handoff per batch instead of per
-// element. Batches leave in completion order, and the pool retargets
-// live like the parallel map's.
-class MapAndBatchIterator : public IteratorBase {
- public:
-  MapAndBatchIterator(PipelineContext* ctx, IteratorStats* stats,
-                      std::unique_ptr<IteratorBase> input,
-                      const UdfSpec* udf, int parallelism,
-                      int64_t batch_size, bool drop_remainder,
-                      uint64_t seed)
-      : IteratorBase(ctx, stats),
-        input_(std::move(input)),
-        udf_(udf),
-        batch_size_(batch_size < 1 ? 1 : batch_size),
-        drop_remainder_(drop_remainder),
-        seed_(seed),
-        // Items are whole batches: two in flight per worker.
-        pool_(ctx, stats,
-              PoolSpec{std::max(parallelism, 1), /*governed=*/true,
-                       /*depth_per_worker=*/2},
-              [this](WorkerPool::Worker&) { return Claim(); }) {}
-
- protected:
-  Status GetNextInternal(Element* out, bool* end) override {
-    return pool_.Next(out, end);
-  }
-
- private:
-  bool Claim() {
-    // The whole batch in one child call under the input lock: one
-    // cancellation check and CPU scope per batch instead of per element.
-    std::vector<Element> raw;
-    raw.reserve(batch_size_);
-    bool saw_end = false;
-    Status status;
-    {
-      std::lock_guard<std::mutex> lock(input_mu_);
-      if (input_done_) return false;
-      status = input_->GetNextBatch(&raw, static_cast<size_t>(batch_size_),
-                                    &saw_end);
-      if (!status.ok()) saw_end = true;
-      input_done_ = saw_end;
-      if (!raw.empty()) stats_->RecordConsumedBatch(raw.size());
-    }
-    const bool drop =
-        drop_remainder_ && static_cast<int64_t>(raw.size()) < batch_size_;
-    if (!raw.empty() && !drop) {
-      Element batch;
-      batch.sequence = raw.front().sequence;
-      for (Element& in : raw) {
-        const uint64_t seed = SplitMix64(seed_ ^ in.sequence);
-        Element mapped =
-            ExecuteMapUdf(*udf_, std::move(in), ctx_->cpu_scale, seed);
-        for (auto& c : mapped.components) {
-          batch.components.push_back(std::move(c));
-        }
-      }
-      if (!pool_.Push(std::move(batch))) return false;
-    }
-    if (!status.ok()) return pool_.Fail(status);
-    return !saw_end;
-  }
-
-  std::unique_ptr<IteratorBase> input_;
-  const UdfSpec* udf_;
-  const int64_t batch_size_;
-  const bool drop_remainder_;
-  const uint64_t seed_;
-  std::mutex input_mu_;
-  bool input_done_ = false;
-  // Declared after everything its claims touch (joined first).
-  WorkerPool pool_;
-};
-
-StatusOr<std::unique_ptr<IteratorBase>> MapAndBatchDataset::MakeIterator(
-    PipelineContext* ctx) const {
-  ASSIGN_OR_RETURN(auto input, inputs_[0]->MakeIterator(ctx));
-  return std::unique_ptr<IteratorBase>(new MapAndBatchIterator(
-      ctx, StatsFor(ctx), std::move(input), udf_,
-      static_cast<int>(def_.GetInt(kAttrParallelism, 1)),
-      def_.GetInt(kAttrBatchSize, 1),
-      def_.GetBool(kAttrDropRemainder, true), NodeSeed(ctx, def_)));
-}
-
 }  // namespace
 
 StatusOr<DatasetPtr> MakeZipDataset(NodeDef def,
@@ -314,22 +199,6 @@ StatusOr<DatasetPtr> MakeConcatenateDataset(NodeDef def,
   }
   return DatasetPtr(
       new ConcatenateDataset(std::move(def), std::move(inputs)));
-}
-
-StatusOr<DatasetPtr> MakeMapAndBatchDataset(NodeDef def,
-                                            std::vector<DatasetPtr> inputs,
-                                            PipelineContext* ctx) {
-  if (inputs.size() != 1) {
-    return InvalidArgumentError("map_and_batch takes one input");
-  }
-  const std::string udf_name = def.GetString(kAttrUdf);
-  const UdfSpec* udf =
-      ctx->udfs != nullptr ? ctx->udfs->Find(udf_name) : nullptr;
-  if (udf == nullptr) {
-    return NotFoundError("map_and_batch udf not registered: " + udf_name);
-  }
-  return DatasetPtr(
-      new MapAndBatchDataset(std::move(def), std::move(inputs), udf));
 }
 
 }  // namespace plumber

@@ -54,7 +54,7 @@ Status IteratorBase::GetNextBatchInternal(std::vector<Element>* out,
 }
 
 bool OpSupportsParallelism(const std::string& op) {
-  return op == "map" || op == "interleave" || op == "map_and_batch";
+  return op == "map" || op == "interleave";
 }
 
 bool OpReadsRecords(const std::string& op) {
@@ -83,7 +83,6 @@ StatusOr<DatasetPtr> InstantiateGraph(const GraphDef& graph,
       {"cache", &MakeCacheDataset},
       {"zip", &MakeZipDataset},
       {"concatenate", &MakeConcatenateDataset},
-      {"map_and_batch", &MakeMapAndBatchDataset},
       {"shard_merge", &MakeShardMergeDataset},
   };
   ASSIGN_OR_RETURN(std::vector<std::string> order, graph.TopologicalOrder());

@@ -212,23 +212,6 @@ std::string GraphBuilder::Concatenate(
   return name;
 }
 
-std::string GraphBuilder::MapAndBatch(const std::string& name,
-                                      const std::string& input,
-                                      const std::string& udf,
-                                      int64_t batch_size, int parallelism,
-                                      bool drop_remainder) {
-  NodeDef node;
-  node.name = name;
-  node.op = "map_and_batch";
-  node.inputs = {input};
-  node.attrs[kAttrUdf] = AttrValue(udf);
-  node.attrs[kAttrBatchSize] = AttrValue(batch_size);
-  node.attrs[kAttrParallelism] = AttrValue(static_cast<int64_t>(parallelism));
-  node.attrs[kAttrDropRemainder] = AttrValue(drop_remainder);
-  Add(std::move(node));
-  return name;
-}
-
 StatusOr<GraphDef> GraphBuilder::Build(const std::string& output) const {
   RETURN_IF_ERROR(status_);
   GraphDef graph = graph_;

@@ -53,9 +53,6 @@ class GraphBuilder {
                   const std::vector<std::string>& inputs);
   std::string Concatenate(const std::string& name,
                           const std::vector<std::string>& inputs);
-  std::string MapAndBatch(const std::string& name, const std::string& input,
-                          const std::string& udf, int64_t batch_size,
-                          int parallelism = 1, bool drop_remainder = true);
 
   // Finalizes with `output` as the root. Returns InvalidArgument if any
   // added node reused an existing name (the builder records the first

@@ -31,9 +31,6 @@
 //                      metered through the modeled scratch device.
 //   zip                2+ inputs; pairs one element from each per output
 //   concatenate        2+ inputs; drains them in order
-//   map_and_batch      input; udf:string, parallelism:int,
-//                      batch_size:int, drop_remainder:bool — fused
-//                      parallel map + batch (one handoff per batch)
 //   shard_merge        N inputs (one per source shard); merges them
 //                      with one worker per shard, order nondeterministic
 //                      (like parallel interleave)
@@ -96,9 +93,6 @@ StatusOr<DatasetPtr> MakeZipDataset(NodeDef def,
                                     std::vector<DatasetPtr> inputs,
                                     PipelineContext* ctx);
 StatusOr<DatasetPtr> MakeConcatenateDataset(NodeDef def,
-                                            std::vector<DatasetPtr> inputs,
-                                            PipelineContext* ctx);
-StatusOr<DatasetPtr> MakeMapAndBatchDataset(NodeDef def,
                                             std::vector<DatasetPtr> inputs,
                                             PipelineContext* ctx);
 StatusOr<DatasetPtr> MakeShardMergeDataset(NodeDef def,

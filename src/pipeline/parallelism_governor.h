@@ -6,9 +6,9 @@
 // GraphDef only helps the next instantiation. The governor is the
 // channel: the executor publishes a per-node worker target with
 // SetTarget, and every governed WorkerPool (src/pipeline/worker_pool.h:
-// the parallel map, parallel interleave and map_and_batch — each op
-// whose parallelism the LP tunes) registers a resize listener and
-// grows or parks its workers in place.
+// the parallel map and parallel interleave — each op whose parallelism
+// the LP tunes) registers a resize listener and grows or parks its
+// workers in place.
 //
 // A target also survives re-instantiation: iterators created later
 // (e.g. per-epoch children under `repeat`) read Target() at

@@ -123,7 +123,13 @@ StatusOr<std::unique_ptr<IteratorBase>> PrefetchDataset::MakeIterator(
 // lives on the Dataset (not the iterator) so it persists across
 // epochs: the first complete pass fills it, later iterators serve from
 // the materialization, eliminating all upstream work (the steady state
-// Plumber's cache planner reasons about). A disk-tier cache
+// Plumber's cache planner reasons about). One iterator at a time fills
+// it: the first that finds it incomplete with no writer becomes the
+// writer and restarts the fill, dropping any partial fill an earlier
+// writer left; any other iterator that starts while it is incomplete
+// reads its input uncached. A writer that goes away leaves its partial
+// fill in place, so SimulateSteadyState can still freeze it after a
+// warmup iterator is gone. A disk-tier cache
 // (kAttrCacheTier = "disk") differs in two ways: its capacity check is
 // against the scratch budget rather than the DRAM budget, and every
 // serve-path read is charged through the modeled scratch
@@ -150,6 +156,7 @@ class CacheDataset : public DatasetBase {
     std::vector<Element> elements;
     uint64_t bytes = 0;
     bool complete = false;
+    bool has_writer = false;
   };
 
   State* state() const { return &state_; }
@@ -167,6 +174,18 @@ class CacheIterator : public IteratorBase {
         state_(state), disk_tier_(disk_tier) {
     std::lock_guard<std::mutex> lock(state_->mu);
     serving_ = state_->complete;
+    if (!serving_ && !state_->has_writer) {
+      state_->has_writer = true;
+      writing_ = true;
+      state_->elements.clear();
+      state_->bytes = 0;
+    }
+  }
+
+  ~CacheIterator() override {
+    if (!writing_) return;
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->has_writer = false;
   }
 
  protected:
@@ -202,14 +221,16 @@ class CacheIterator : public IteratorBase {
     bool in_end = false;
     RETURN_IF_ERROR(input_->GetNext(&in, &in_end));
     if (in_end) {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      state_->complete = true;
       input_.reset();
+      if (writing_) {
+        std::lock_guard<std::mutex> lock(state_->mu);
+        state_->complete = true;
+      }
       *end = true;
       return OkStatus();
     }
     stats_->RecordConsumed();
-    {
+    if (writing_) {
       std::lock_guard<std::mutex> lock(state_->mu);
       const uint64_t bytes = in.TotalBytes();
       // Each tier materializes against its own capacity: DRAM caches
@@ -238,6 +259,7 @@ class CacheIterator : public IteratorBase {
   std::unique_ptr<IteratorBase> input_;
   std::unique_ptr<ReadStream> serve_stream_;  // disk tier, lazily opened
   bool serving_ = false;
+  bool writing_ = false;  // this iterator is the cache's one writer
   size_t serve_index_ = 0;
 };
 

@@ -89,14 +89,8 @@ void ExecuteWithInternalParallelism(const UdfSpec& spec, double total_ns,
 
 }  // namespace
 
-namespace {
-
-// Shared body of both overloads. `pooled_output` draws the output (and
-// any concat scratch) from the BufferPool; the transform itself is
-// byte-identical either way.
-Element ExecuteMapUdfImpl(const UdfSpec& spec, const Element& input,
-                          double cpu_scale, uint64_t seed,
-                          bool pooled_output) {
+Element ExecuteMapUdf(const UdfSpec& spec, Element&& input, double cpu_scale,
+                      uint64_t seed) {
   const size_t input_bytes = input.TotalBytes();
   ExecuteWithInternalParallelism(
       spec, TotalCostNs(spec, input_bytes, cpu_scale), seed);
@@ -106,8 +100,7 @@ Element ExecuteMapUdfImpl(const UdfSpec& spec, const Element& input,
   out.sequence = input.sequence;
   // TransformBuffer fully overwrites [0, output_bytes), so a recycled
   // buffer's stale contents are unobservable.
-  Buffer merged =
-      pooled_output ? BufferPool::Get()->Acquire(output_bytes) : Buffer();
+  Buffer merged = BufferPool::Get()->Acquire(output_bytes);
   if (input.components.size() == 1) {
     TransformBuffer(input.components[0], output_bytes, seed, &merged);
   } else {
@@ -119,24 +112,9 @@ Element ExecuteMapUdfImpl(const UdfSpec& spec, const Element& input,
       concat.insert(concat.end(), c.begin(), c.end());
     }
     TransformBuffer(concat, output_bytes, seed, &merged);
-    if (pooled_output) BufferPool::Get()->Release(std::move(concat));
+    BufferPool::Get()->Release(std::move(concat));
   }
   out.components.push_back(std::move(merged));
-  return out;
-}
-
-}  // namespace
-
-Element ExecuteMapUdf(const UdfSpec& spec, const Element& input,
-                      double cpu_scale, uint64_t seed) {
-  return ExecuteMapUdfImpl(spec, input, cpu_scale, seed,
-                           /*pooled_output=*/false);
-}
-
-Element ExecuteMapUdf(const UdfSpec& spec, Element&& input, double cpu_scale,
-                      uint64_t seed) {
-  Element out = ExecuteMapUdfImpl(spec, input, cpu_scale, seed,
-                                  /*pooled_output=*/true);
   BufferPool::Get()->ReleaseElement(std::move(input));
   return out;
 }

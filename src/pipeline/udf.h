@@ -68,14 +68,10 @@ class UdfRegistry {
 // Executes a map-style UDF: executes the modeled CPU cost (splitting it
 // over internal_parallelism threads) and produces the transformed
 // element. `cpu_scale` multiplies the cost (machine speed modeling).
-Element ExecuteMapUdf(const UdfSpec& spec, const Element& input,
-                      double cpu_scale, uint64_t seed);
-
-// Move-aware variant for hot paths that own their input: the output
-// buffer is drawn from the BufferPool arena and the consumed input's
-// component buffers are recycled into it, so the steady-state element
-// stream stops hitting the global allocator. Identical output bytes to
-// the const& overload.
+// The call consumes `input`: the output buffer is drawn from the
+// BufferPool arena and the input's component buffers are recycled into
+// it, so the steady-state element stream stops hitting the global
+// allocator.
 Element ExecuteMapUdf(const UdfSpec& spec, Element&& input, double cpu_scale,
                       uint64_t seed);
 

@@ -132,11 +132,6 @@ void WorkerPool::Run(int index) {
   if (remaining == 0) channel_->Push(Item{0, {}, OkStatus(), true});
 }
 
-bool WorkerPool::Push(Element element) {
-  stats_->RecordClaim();
-  return channel_->Push(Item{0, std::move(element), OkStatus(), false});
-}
-
 bool WorkerPool::PushBatch(Worker& worker, std::vector<Item> items) {
   if (items.empty()) return true;
   if (worker.sized_) SizeNextClaim(worker, items.size());

@@ -1,10 +1,10 @@
 // WorkerPool: the one worker-thread mechanism behind every threaded
-// operator (parallel map, parallel interleave, map_and_batch,
-// shard_merge and prefetch).
+// operator (parallel map, parallel interleave, shard_merge and
+// prefetch).
 //
 // An op supplies only its claim body. One call claims a unit of work
 // (a run of inputs, a file, a shard's next run), does it, and hands the
-// results to Push/PushBatch; it returns false when the calling worker
+// results to PushBatch; it returns false when the calling worker
 // should stop (input exhausted, an error reported through Fail, or the
 // edge cancelled). The pool owns everything else:
 //
@@ -47,11 +47,11 @@
 // and its exit releases the rest.
 //
 // Channel choice: one worker feeding the consumer for the pool's whole
-// life (prefetch, a one-shard merge, a fixed single-worker
-// map_and_batch) gets the lock-free SpscRing; everything else gets the
-// MPMC BoundedQueue. A governed pool stays MPMC even while it runs one
-// worker: the governor can grow it mid-stream, and swapping channels
-// under live producers cannot preserve element identity.
+// life (prefetch, a one-shard merge) gets the lock-free SpscRing;
+// everything else gets the MPMC BoundedQueue. A governed pool stays
+// MPMC even while it runs one worker: the governor can grow it
+// mid-stream, and swapping channels under live producers cannot
+// preserve element identity.
 #pragma once
 
 #include <atomic>
@@ -74,7 +74,7 @@ struct PoolSpec {
   // grows back to it when its target is cleared.
   int workers = 1;
   // Follows the governor's live per-node target when the pipeline
-  // carries one (map, interleave and map_and_batch).
+  // carries one (map and interleave).
   bool governed = false;
   // Output edge depth: this many items per starting worker (the larger
   // of the configured count and the initial target). An MPMC edge
@@ -138,11 +138,9 @@ class WorkerPool {
 
   size_t capacity() const { return channel_->capacity(); }
 
-  // Worker side. Push/PushBatch return false once the edge is cancelled
-  // (the pool is being torn down). Push hands off one item whose size
-  // the claim fixed (map_and_batch's batch); PushBatch hands off a
-  // sized claim and sizes `worker`'s next one.
-  bool Push(Element element);
+  // Worker side. PushBatch hands off a sized claim and sizes `worker`'s
+  // next one; it returns false once the edge is cancelled (the pool is
+  // being torn down).
   bool PushBatch(Worker& worker, std::vector<Item> items);
   // Sends `status` to the consumer; returns false so a claim can end
   // with `return pool.Fail(status);`.

@@ -9,7 +9,7 @@
 // allocator (src/core/multi_job_planner): each job's grant is recorded
 // in its planned graph via rewriter::ApplyParallelismPlan and pushed
 // into its running pipeline through a ParallelismGovernor, which grows
-// or parks its map, interleave and map_and_batch worker pools in place
+// or parks its map and interleave worker pools in place
 // (src/pipeline/worker_pool.h). A job running alone is never
 // arbitrated — its pipeline behaves exactly as the blocking
 // single-tenant Flow::Run always did — and when departures leave a

@@ -4,11 +4,10 @@
 // choice for edges with many workers per side, or edges the
 // ParallelismGovernor can retarget above one worker. Supports
 // cancellation so iterator destruction can unblock worker threads, and
-// tracks simple occupancy statistics used by the prefetch planner
-// (idleness signal).
+// counts consumer stalls (EmptyPopFraction).
 //
-// Besides the classic one-item Push/Pop, the queue moves whole element
-// batches per lock acquisition (PushBatch/PopBatch) — a worker pool's
+// Besides the one-item Push, the queue moves whole element batches per
+// lock acquisition (PushBatch/PopBatch) — a worker pool's
 // multi-element claims (src/pipeline/worker_pool.h), where per-element
 // mutex traffic would otherwise dominate cheap UDF work at high
 // parallelism; the pool deepens the bound (RaiseCapacity) as its claims
@@ -23,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "src/util/channel.h"
@@ -50,51 +48,8 @@ class BoundedQueue final : public Channel<T> {
     if (cancelled_) return false;
     items_.push_back(std::move(item));
     ++total_pushed_;
-    occupancy_sum_ += items_.size();
-    ++occupancy_samples_;
     WakeConsumers(1);
     return true;
-  }
-
-  // Non-blocking push; returns false if full or cancelled.
-  bool TryPush(T item) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cancelled_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    ++total_pushed_;
-    occupancy_sum_ += items_.size();
-    ++occupancy_samples_;
-    WakeConsumers(1);
-    return true;
-  }
-
-  // Blocks until an item is available or the queue is cancelled and
-  // drained. Returns nullopt on cancellation with an empty queue.
-  std::optional<T> Pop() override {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty()) {
-      ++empty_pops_;
-      if (!cancelled_) {
-        BlockedRegion blocked;  // consumer stall: not CPU work
-        ++empty_waiters_;
-        not_empty_.wait(lock, [&] { return cancelled_ || !items_.empty(); });
-        --empty_waiters_;
-      }
-    }
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    WakeProducers(1);
-    return item;
-  }
-
-  std::optional<T> TryPop() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    WakeProducers(1);
-    return item;
   }
 
   // Pushes every item in `items`, taking the lock once per capacity
@@ -120,8 +75,6 @@ class BoundedQueue final : public Channel<T> {
       }
       offset += n;
       total_pushed_ += n;
-      occupancy_sum_ += items_.size();
-      ++occupancy_samples_;
       WakeConsumers(n);
     }
     return true;
@@ -155,7 +108,7 @@ class BoundedQueue final : public Channel<T> {
   }
 
   // Unblocks all waiters; subsequent pushes fail, pops drain remaining
-  // items then return nullopt.
+  // items then return 0.
   void Cancel() override {
     std::lock_guard<std::mutex> lock(mu_);
     cancelled_ = true;
@@ -187,19 +140,12 @@ class BoundedQueue final : public Channel<T> {
     not_full_.notify_all();
   }
 
-  // Fraction of Pop calls that found the queue empty (consumer stalls).
+  // Fraction of popped elements that found the queue empty (consumer
+  // stalls).
   double EmptyPopFraction() const override {
     std::lock_guard<std::mutex> lock(mu_);
     const uint64_t pops = total_pushed_ + empty_pops_;
     return pops == 0 ? 0.0 : static_cast<double>(empty_pops_) / pops;
-  }
-
-  // Mean queue occupancy observed at push time.
-  double MeanOccupancy() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return occupancy_samples_ == 0
-               ? 0.0
-               : static_cast<double>(occupancy_sum_) / occupancy_samples_;
   }
 
  private:
@@ -230,8 +176,6 @@ class BoundedQueue final : public Channel<T> {
   size_t empty_waiters_ = 0;
   uint64_t total_pushed_ = 0;
   uint64_t empty_pops_ = 0;
-  uint64_t occupancy_sum_ = 0;
-  uint64_t occupancy_samples_ = 0;
 };
 
 }  // namespace plumber

@@ -16,16 +16,14 @@
 // iterator instantiation (see src/pipeline/worker_pool.h); the
 // conformance suite in tests/channel_test.cc runs against both.
 //
-// Blocking semantics shared by all implementations (the BoundedQueue
-// contract, unchanged): Push/PushBatch block while full and return
-// false once cancelled (remaining items dropped); Pop/PopBatch block
-// while empty, drain remaining items after cancellation, and report
-// exhaustion (nullopt / 0) only when cancelled AND empty.
+// Blocking semantics shared by all implementations: Push/PushBatch
+// block while full and return false once cancelled (remaining items
+// dropped); PopBatch blocks while empty, drains remaining items after
+// cancellation, and reports exhaustion (0) only when cancelled AND
+// empty.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace plumber {
@@ -38,16 +36,6 @@ class Channel {
   // Blocks until space is available or the channel is cancelled.
   // Returns false if cancelled.
   virtual bool Push(T item) = 0;
-
-  // Non-blocking push; returns false if full or cancelled.
-  virtual bool TryPush(T item) = 0;
-
-  // Blocks until an item is available or the channel is cancelled and
-  // drained. Returns nullopt on cancellation with an empty channel.
-  virtual std::optional<T> Pop() = 0;
-
-  // Non-blocking pop; nullopt when empty.
-  virtual std::optional<T> TryPop() = 0;
 
   // Pushes every item, moving whole capacity windows per synchronization
   // point instead of one element at a time. Blocks while full. Returns
@@ -69,11 +57,9 @@ class Channel {
   virtual size_t capacity() const = 0;
 
   // Fraction of popped elements that found the channel empty first
-  // (consumer stalls) — the prefetch planner's idleness signal.
+  // (consumer stalls); a prefetch node records it as its
+  // queue_empty_fraction.
   virtual double EmptyPopFraction() const = 0;
-
-  // Mean occupancy observed at push time.
-  virtual double MeanOccupancy() const = 0;
 };
 
 }  // namespace plumber

@@ -32,7 +32,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "src/util/channel.h"
@@ -57,15 +56,6 @@ class SpscRing final : public Channel<T> {
     return true;
   }
 
-  bool TryPush(T item) override {
-    if (cancelled_.load(std::memory_order_acquire)) return false;
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (FreeSlots(tail) == 0) return false;
-    slots_[tail & mask_] = std::move(item);
-    Publish(tail + 1, /*pushed=*/1);
-    return true;
-  }
-
   bool PushBatch(std::vector<T> items) override {
     if (items.empty()) return !cancelled();
     size_t offset = 0;
@@ -81,27 +71,6 @@ class SpscRing final : public Channel<T> {
       Publish(tail + n, /*pushed=*/n);
     }
     return true;
-  }
-
-  std::optional<T> Pop() override {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    const bool was_empty = AvailableItems(head) == 0;
-    if (!WaitForItems(head)) {
-      empty_pops_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    if (was_empty) empty_pops_.fetch_add(1, std::memory_order_relaxed);
-    T item = std::move(slots_[head & mask_]);
-    Release(head + 1);
-    return item;
-  }
-
-  std::optional<T> TryPop() override {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    if (AvailableItems(head) == 0) return std::nullopt;
-    T item = std::move(slots_[head & mask_]);
-    Release(head + 1);
-    return item;
   }
 
   size_t PopBatch(size_t max_items, std::vector<T>* out) override {
@@ -151,15 +120,6 @@ class SpscRing final : public Channel<T> {
     const uint64_t empty = empty_pops_.load(std::memory_order_relaxed);
     const uint64_t pops = pushed + empty;
     return pops == 0 ? 0.0 : static_cast<double>(empty) / pops;
-  }
-
-  double MeanOccupancy() const override {
-    const uint64_t samples =
-        occupancy_samples_.load(std::memory_order_relaxed);
-    return samples == 0 ? 0.0
-                        : static_cast<double>(occupancy_sum_.load(
-                              std::memory_order_relaxed)) /
-                              samples;
   }
 
  private:
@@ -246,9 +206,6 @@ class SpscRing final : public Channel<T> {
   void Publish(uint64_t new_tail, size_t pushed) {
     tail_.store(new_tail, std::memory_order_seq_cst);
     total_pushed_.fetch_add(pushed, std::memory_order_relaxed);
-    occupancy_sum_.fetch_add(
-        new_tail - head_cache_, std::memory_order_relaxed);
-    occupancy_samples_.fetch_add(1, std::memory_order_relaxed);
     if (consumer_parked_.load(std::memory_order_seq_cst)) {
       std::lock_guard<std::mutex> lock(wait_mu_);
       not_empty_.notify_one();
@@ -282,12 +239,10 @@ class SpscRing final : public Channel<T> {
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
 
-  // Metrics (relaxed: read cross-thread by the planner, exactness of
-  // interleaving does not matter).
+  // Stall counters (relaxed: read cross-thread by EmptyPopFraction,
+  // exactness of interleaving does not matter).
   std::atomic<uint64_t> total_pushed_{0};
   std::atomic<uint64_t> empty_pops_{0};
-  std::atomic<uint64_t> occupancy_sum_{0};
-  std::atomic<uint64_t> occupancy_samples_{0};
 };
 
 }  // namespace plumber

@@ -61,13 +61,6 @@ double QuantileSketch::Quantile(double q) const {
   return values_[lo] * (1 - frac) + values_[hi] * frac;
 }
 
-double QuantileSketch::FractionAbove(double x) const {
-  if (values_.empty()) return 0.0;
-  EnsureSorted();
-  const auto it = std::upper_bound(values_.begin(), values_.end(), x);
-  return static_cast<double>(values_.end() - it) / values_.size();
-}
-
 LogHistogram::LogHistogram(double min_value, double max_value,
                            int buckets_per_decade)
     : min_value_(min_value),
@@ -116,29 +109,6 @@ std::string LogHistogram::ToString() const {
     os << "[" << b.lower << ", " << b.upper << "): " << b.count << "\n";
   }
   return os.str();
-}
-
-LinearFit FitLinear(const std::vector<double>& x,
-                    const std::vector<double>& y) {
-  assert(x.size() == y.size());
-  LinearFit fit;
-  const size_t n = x.size();
-  if (n == 0) return fit;
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (size_t i = 0; i < n; ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  if (std::abs(denom) < 1e-12) {
-    fit.intercept = sy / n;
-    return fit;
-  }
-  fit.slope = (n * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / n;
-  return fit;
 }
 
 }  // namespace plumber

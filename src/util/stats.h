@@ -39,8 +39,6 @@ class QuantileSketch {
   void Add(double x) { values_.push_back(x); sorted_ = false; }
   // q in [0, 1].
   double Quantile(double q) const;
-  // Fraction of samples strictly greater than x.
-  double FractionAbove(double x) const;
   size_t size() const { return values_.size(); }
 
  private:
@@ -80,12 +78,5 @@ class LogHistogram {
   int64_t total_ = 0;
   size_t BucketIndex(double x) const;
 };
-
-// Linear least squares fit y = a + b*x; returns {a, b}.
-struct LinearFit {
-  double intercept = 0;
-  double slope = 0;
-};
-LinearFit FitLinear(const std::vector<double>& x, const std::vector<double>& y);
 
 }  // namespace plumber

@@ -177,7 +177,6 @@ TEST(FlowTest, SerializeParseRoundTripCoversEveryFlowOp) {
   const Flow counters = session.Range(1000).Skip(3).Take(500).Repeat(2);
   const Flow all = Flow::Zip({Flow::Concatenate({records, counters}), images})
                        .ShuffleAndRepeat(64, -1, 9)
-                       .MapAndBatch("noop", 4, 2, false)
                        .Batch(2, true)
                        .Prefetch(8);
   auto graph = all.Graph();
@@ -195,7 +194,7 @@ TEST(FlowTest, SerializeParseRoundTripCoversEveryFlowOp) {
                       : session.Range(rng.UniformRange(1, 1 << 20));
       const int length = static_cast<int>(rng.UniformRange(1, 6));
       for (int i = 0; i < length; ++i) {
-        switch (rng.UniformInt(12)) {
+        switch (rng.UniformInt(11)) {
           case 0: flow = flow.Map("noop", rng.UniformRange(1, 16)); break;
           case 1: flow = flow.SequentialMap("rand_aug"); break;
           case 2: flow = flow.Filter("keep_half"); break;
@@ -209,11 +208,7 @@ TEST(FlowTest, SerializeParseRoundTripCoversEveryFlowOp) {
           case 7: flow = flow.Skip(rng.UniformRange(0, 1 << 16)); break;
           case 8: flow = flow.Batch(rng.UniformRange(1, 512)); break;
           case 9: flow = flow.Prefetch(rng.UniformRange(1, 64)); break;
-          case 10: flow = flow.Cache(); break;
-          default:
-            flow = flow.MapAndBatch("noop", rng.UniformRange(1, 64),
-                                    rng.UniformRange(1, 8));
-            break;
+          default: flow = flow.Cache(); break;
         }
       }
       return flow;

@@ -1,14 +1,18 @@
 // Channel conformance suite: every test here runs against BOTH data
 // plane implementations (mutex MPMC BoundedQueue and lock-free SPSC
 // SpscRing) through the Channel<T> interface, pinning the shared
-// blocking contract — FIFO identity, batch chunking over capacity,
-// cancellation semantics, and starvation accounting. Stress tests use
-// topology-legal thread counts (1:1 for SPSC). Run under TSan in CI.
+// blocking contract — FIFO identity, blocking while full or empty, batch
+// chunking over capacity, cancellation semantics, and starvation
+// accounting. Stress tests use topology-legal thread counts (1:1 for
+// SPSC). Run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -17,7 +21,6 @@
 #include "src/util/bounded_queue.h"
 #include "src/util/channel.h"
 #include "src/util/spsc_ring.h"
-#include "tests/test_util.h"
 
 namespace plumber {
 namespace {
@@ -31,6 +34,116 @@ std::unique_ptr<Channel<int>> MakeChannel(ChannelKind kind, size_t capacity) {
   return std::make_unique<BoundedQueue<int>>(capacity);
 }
 
+// Each producer pushes `per_producer` distinct values, every 17th
+// through the one-item Push and the rest in batches whose sizes cycle
+// through 1..53 (including sizes above capacity); `consumers` threads
+// drain in batches. Every pushed value must arrive exactly once.
+void StressExactlyOnce(Channel<int>& channel, int producers, int consumers,
+                       int per_producer) {
+  std::vector<std::thread> producer_threads;
+  for (int p = 0; p < producers; ++p) {
+    producer_threads.emplace_back([&channel, p, per_producer] {
+      std::vector<int> batch;
+      size_t batch_size = 1;
+      for (int i = 0; i < per_producer; ++i) {
+        const int value = p * per_producer + i;
+        if (i % 17 == 0) {
+          ASSERT_TRUE(channel.Push(value));
+          continue;
+        }
+        batch.push_back(value);
+        if (batch.size() == batch_size) {
+          ASSERT_TRUE(channel.PushBatch(std::move(batch)));
+          batch.clear();
+          batch_size = batch_size % 53 + 1;
+        }
+      }
+      ASSERT_TRUE(channel.PushBatch(std::move(batch)));
+    });
+  }
+  std::mutex mu;
+  std::vector<int> seen;
+  std::atomic<int> remaining{producers * per_producer};
+  std::vector<std::thread> consumer_threads;
+  for (int c = 0; c < consumers; ++c) {
+    consumer_threads.emplace_back([&] {
+      std::vector<int> out;
+      while (remaining.load() > 0) {
+        out.clear();
+        const size_t n = channel.PopBatch(16, &out);
+        if (n == 0) break;  // cancelled
+        remaining.fetch_sub(static_cast<int>(n));
+        std::lock_guard<std::mutex> lock(mu);
+        seen.insert(seen.end(), out.begin(), out.end());
+      }
+    });
+  }
+  for (auto& t : producer_threads) t.join();
+  // Wake consumers that may be blocked on an empty, fully-drained
+  // channel.
+  while (remaining.load() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  channel.Cancel();
+  for (auto& t : consumer_threads) t.join();
+  ASSERT_EQ(seen.size(), static_cast<size_t>(producers * per_producer));
+  std::sort(seen.begin(), seen.end());
+  for (int i = 0; i < producers * per_producer; ++i) {
+    ASSERT_EQ(seen[i], i);
+  }
+}
+
+// Rounds of producers and consumers racing a Cancel against a fresh
+// channel from `make`: must neither deadlock nor duplicate items —
+// values popped form a contiguous prefix of each producer's stream
+// (only the batch in flight at cancellation may be dropped).
+void StressRacingCancellation(
+    const std::function<std::unique_ptr<Channel<int>>()>& make, int producers,
+    int consumers, int rounds) {
+  for (int round = 0; round < rounds; ++round) {
+    auto channel = make();
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> producer_threads;
+    for (int p = 0; p < producers; ++p) {
+      producer_threads.emplace_back([&channel, &stop, p] {
+        int next = p * 1000000;
+        while (!stop.load()) {
+          std::vector<int> batch;
+          for (int i = 0; i < 5; ++i) batch.push_back(next++);
+          if (!channel->PushBatch(std::move(batch))) return;
+        }
+      });
+    }
+    std::mutex mu;
+    std::vector<int> seen;
+    std::vector<std::thread> consumer_threads;
+    for (int c = 0; c < consumers; ++c) {
+      consumer_threads.emplace_back([&] {
+        std::vector<int> out;
+        for (;;) {
+          out.clear();
+          if (channel->PopBatch(7, &out) == 0) return;
+          std::lock_guard<std::mutex> lock(mu);
+          seen.insert(seen.end(), out.begin(), out.end());
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stop = true;
+    channel->Cancel();
+    for (auto& t : producer_threads) t.join();
+    for (auto& t : consumer_threads) t.join();
+    std::vector<std::vector<int>> streams(producers);
+    for (int v : seen) streams[v / 1000000].push_back(v);
+    for (int p = 0; p < producers; ++p) {
+      std::sort(streams[p].begin(), streams[p].end());
+      for (size_t i = 0; i < streams[p].size(); ++i) {
+        ASSERT_EQ(streams[p][i], p * 1000000 + static_cast<int>(i));
+      }
+    }
+  }
+}
+
 class ChannelConformanceTest : public ::testing::TestWithParam<ChannelKind> {
  protected:
   std::unique_ptr<Channel<int>> Make(size_t capacity) {
@@ -42,12 +155,14 @@ TEST_P(ChannelConformanceTest, SingleItemFifoIdentity) {
   auto q = Make(16);
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(q->Push(i));
   EXPECT_EQ(q->size(), 10u);
+  std::vector<int> out;
   for (int i = 0; i < 10; ++i) {
-    auto v = q->Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
+    ASSERT_EQ(q->PopBatch(1, &out), 1u);
+    EXPECT_EQ(out.back(), i);
   }
   EXPECT_EQ(q->size(), 0u);
+  // No pop found the channel empty.
+  EXPECT_EQ(q->EmptyPopFraction(), 0.0);
 }
 
 TEST_P(ChannelConformanceTest, PushBatchPopBatchPreserveFifoOrder) {
@@ -58,6 +173,24 @@ TEST_P(ChannelConformanceTest, PushBatchPopBatchPreserveFifoOrder) {
   std::vector<int> out;
   EXPECT_EQ(q->PopBatch(10, &out), 10u);
   EXPECT_EQ(out, in);
+}
+
+TEST_P(ChannelConformanceTest, PushBlocksWhileFullUntilPop) {
+  auto q = Make(2);
+  const size_t cap = q->capacity();  // SPSC rounds up to a power of two
+  for (size_t i = 0; i < cap; ++i) ASSERT_TRUE(q->Push(static_cast<int>(i)));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(q->Push(99));
+    pushed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());
+  std::vector<int> out;
+  ASSERT_EQ(q->PopBatch(1, &out), 1u);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(q->size(), cap);
 }
 
 TEST_P(ChannelConformanceTest, PushBatchLargerThanCapacityChunks) {
@@ -84,21 +217,6 @@ TEST_P(ChannelConformanceTest, PopBatchReturnsAtMostMax) {
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
-TEST_P(ChannelConformanceTest, TryPushTryPopRespectBounds) {
-  auto q = Make(2);
-  const size_t cap = q->capacity();  // SPSC rounds up to a power of two
-  for (size_t i = 0; i < cap; ++i) {
-    EXPECT_TRUE(q->TryPush(static_cast<int>(i)));
-  }
-  EXPECT_FALSE(q->TryPush(99));  // full
-  for (size_t i = 0; i < cap; ++i) {
-    auto v = q->TryPop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, static_cast<int>(i));
-  }
-  EXPECT_FALSE(q->TryPop().has_value());  // empty
-}
-
 TEST_P(ChannelConformanceTest, PopBatchBlocksUntilPush) {
   auto q = Make(4);
   std::atomic<bool> popped{false};
@@ -112,6 +230,22 @@ TEST_P(ChannelConformanceTest, PopBatchBlocksUntilPush) {
   ASSERT_TRUE(q->Push(7));
   consumer.join();
   EXPECT_TRUE(popped.load());
+}
+
+TEST_P(ChannelConformanceTest, CancelReleasesProducerBlockedInPush) {
+  auto q = Make(2);
+  const size_t cap = q->capacity();
+  for (size_t i = 0; i < cap; ++i) ASSERT_TRUE(q->Push(static_cast<int>(i)));
+  std::thread producer([&] { EXPECT_FALSE(q->Push(99)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  q->Cancel();
+  producer.join();
+  // The items pushed before the cancel drain in order, then 0.
+  std::vector<int> out;
+  while (q->PopBatch(4, &out) != 0) {
+  }
+  ASSERT_EQ(out.size(), cap);
+  for (size_t i = 0; i < cap; ++i) EXPECT_EQ(out[i], static_cast<int>(i));
 }
 
 TEST_P(ChannelConformanceTest, CancelUnblocksBatchWaitersAndDrains) {
@@ -141,7 +275,7 @@ TEST_P(ChannelConformanceTest, CancelUnblocksBlockedConsumer) {
   std::thread consumer([&] {
     std::vector<int> out;
     EXPECT_EQ(q->PopBatch(4, &out), 0u);
-    EXPECT_FALSE(q->Pop().has_value());
+    EXPECT_EQ(q->PopBatch(4, &out), 0u);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q->Cancel();
@@ -172,16 +306,15 @@ TEST_P(ChannelConformanceTest, ExactlyOnceStress) {
   // side, MPMC gets four.
   const bool spsc = GetParam() == ChannelKind::kSpsc;
   auto q = Make(32);
-  testing_util::ChannelStressExactlyOnce(*q, spsc ? 1 : 4, spsc ? 1 : 4,
-                                         /*per_producer=*/spsc ? 8000 : 2000);
+  StressExactlyOnce(*q, spsc ? 1 : 4, spsc ? 1 : 4,
+                    /*per_producer=*/spsc ? 8000 : 2000);
 }
 
 TEST_P(ChannelConformanceTest, StressWithRacingCancellation) {
   const bool spsc = GetParam() == ChannelKind::kSpsc;
   const ChannelKind kind = GetParam();
-  testing_util::ChannelStressRacingCancellation(
-      [kind] { return MakeChannel(kind, 8); }, spsc ? 1 : 3, spsc ? 1 : 3,
-      /*rounds=*/8);
+  StressRacingCancellation([kind] { return MakeChannel(kind, 8); },
+                           spsc ? 1 : 3, spsc ? 1 : 3, /*rounds=*/8);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllChannels, ChannelConformanceTest,
@@ -202,9 +335,10 @@ TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(SpscRingTest, TortureRandomizedBatchSizes) {
   // One producer / one consumer hammer the ring with randomized batch
-  // sizes (often above capacity) and a mix of single-item and batched
-  // calls, across small capacities that force constant wrap-around and
-  // park/unpark traffic. The full FIFO sequence must survive intact.
+  // sizes (often above capacity), the producer mixing single-item and
+  // batched pushes, across small capacities that force constant
+  // wrap-around and park/unpark traffic. The full FIFO sequence must
+  // survive intact.
   for (const size_t capacity : {2u, 3u, 8u}) {
     SpscRing<int> ring(capacity);
     constexpr int kTotal = 50000;
@@ -228,15 +362,7 @@ TEST(SpscRingTest, TortureRandomizedBatchSizes) {
     std::vector<int> seen;
     seen.reserve(kTotal);
     while (seen.size() < kTotal) {
-      if (max_dist(rng) == 1) {
-        auto v = ring.Pop();
-        ASSERT_TRUE(v.has_value());
-        seen.push_back(*v);
-        continue;
-      }
-      std::vector<int> out;
-      ASSERT_GT(ring.PopBatch(max_dist(rng), &out), 0u);
-      seen.insert(seen.end(), out.begin(), out.end());
+      ASSERT_GT(ring.PopBatch(max_dist(rng), &seen), 0u);
     }
     producer.join();
     ASSERT_EQ(seen.size(), static_cast<size_t>(kTotal));

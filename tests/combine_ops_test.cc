@@ -1,8 +1,5 @@
-// Tests for zip, concatenate, and the fused map_and_batch operator.
+// Tests for the zip and concatenate operators.
 #include <gtest/gtest.h>
-
-#include <set>
-#include <tuple>
 
 #include "src/pipeline/graph_builder.h"
 #include "src/pipeline/pipeline.h"
@@ -13,7 +10,6 @@ namespace {
 
 using testing_util::Drain;
 using testing_util::PipelineTestEnv;
-using testing_util::SizeFingerprint;
 
 // ------------------------------------------------------------------ zip
 
@@ -99,103 +95,6 @@ TEST(ConcatenateTest, EmptyFirstInputSkipsToSecond) {
                                              env.Options()))
                       .value();
   EXPECT_EQ(Drain(*pipeline).size(), 3u);
-}
-
-// --------------------------------------------------------- map_and_batch
-
-// (parallelism, batch size)
-using FusedParam = std::tuple<int, int>;
-
-class MapAndBatchTest : public ::testing::TestWithParam<FusedParam> {};
-
-TEST_P(MapAndBatchTest, MatchesUnfusedMapThenBatch) {
-  const auto [parallelism, batch_size] = GetParam();
-  PipelineTestEnv env(3, 20, 48);
-
-  GraphBuilder ref;
-  auto r = ref.Interleave("il", ref.FileList("files", "data/"), 2, 1);
-  r = ref.Map("map", r, "double_size");
-  r = ref.Batch("batch", r, batch_size, /*drop_remainder=*/true);
-  auto ref_pipeline =
-      std::move(Pipeline::Create(std::move(ref.Build(r)).value(),
-                                 env.Options()))
-          .value();
-  const auto expected = SizeFingerprint(Drain(*ref_pipeline));
-
-  GraphBuilder fused;
-  auto f = fused.Interleave("il", fused.FileList("files", "data/"), 2, 1);
-  f = fused.MapAndBatch("fused", f, "double_size", batch_size, parallelism,
-                        /*drop_remainder=*/true);
-  auto fused_pipeline =
-      std::move(Pipeline::Create(std::move(fused.Build(f)).value(),
-                                 env.Options()))
-          .value();
-  EXPECT_EQ(SizeFingerprint(Drain(*fused_pipeline)), expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, MapAndBatchTest,
-    ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(1, 4, 7)),
-    [](const ::testing::TestParamInfo<FusedParam>& info) {
-      return "par" + std::to_string(std::get<0>(info.param)) + "_batch" +
-             std::to_string(std::get<1>(info.param));
-    });
-
-TEST(MapAndBatchTest, DropRemainderFalseKeepsPartialBatch) {
-  PipelineTestEnv env(1, 10, 32);  // 10 elements total
-  GraphBuilder b;
-  auto n = b.Interleave("il", b.FileList("files", "data/"), 1, 1);
-  n = b.MapAndBatch("fused", n, "noop", /*batch_size=*/4, /*parallelism=*/2,
-                    /*drop_remainder=*/false);
-  auto pipeline = std::move(Pipeline::Create(std::move(b.Build(n)).value(),
-                                             env.Options()))
-                      .value();
-  const auto batches = Drain(*pipeline);
-  ASSERT_EQ(batches.size(), 3u);  // 4 + 4 + 2
-  size_t total = 0;
-  for (const auto& e : batches) total += e.components.size();
-  EXPECT_EQ(total, 10u);
-}
-
-TEST(MapAndBatchTest, StatsCountConsumedElementsNotBatches) {
-  PipelineTestEnv env(2, 20, 32);
-  GraphBuilder b;
-  auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
-  n = b.MapAndBatch("fused", n, "noop", 5, 2);
-  auto pipeline = std::move(Pipeline::Create(std::move(b.Build(n)).value(),
-                                             env.Options()))
-                      .value();
-  const auto batches = Drain(*pipeline);
-  ASSERT_EQ(batches.size(), 8u);  // 40 elements / 5
-  const IteratorStats* stats = pipeline->stats().Find("fused");
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->elements_consumed(), 40u);
-  EXPECT_EQ(stats->elements_produced(), 8u);
-  EXPECT_EQ(stats->parallelism(), 2);
-}
-
-TEST(MapAndBatchTest, UnknownUdfFailsCleanly) {
-  PipelineTestEnv env(2, 10, 32);
-  GraphBuilder b;
-  auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
-  n = b.MapAndBatch("fused", n, "bogus", 4, 2);
-  EXPECT_FALSE(
-      Pipeline::Create(std::move(b.Build(n)).value(), env.Options()).ok());
-}
-
-TEST(MapAndBatchTest, SizeAmplificationFlowsThrough) {
-  PipelineTestEnv env(2, 10, 32);
-  GraphBuilder b;
-  auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
-  n = b.MapAndBatch("fused", n, "double_size", 5, 2);
-  auto pipeline = std::move(Pipeline::Create(std::move(b.Build(n)).value(),
-                                             env.Options()))
-                      .value();
-  const auto batches = Drain(*pipeline);
-  ASSERT_FALSE(batches.empty());
-  // 5 x 32B records doubled = 320 bytes per batch.
-  EXPECT_EQ(batches[0].TotalBytes(), 320u);
 }
 
 }  // namespace

@@ -111,20 +111,6 @@ TEST(EngineBatchTest, PrefetchSpscEdgeIdenticalAtEveryCap) {
   ExpectIdenticalAtEveryCap(env, std::move(b.Build(n)).value());
 }
 
-TEST(EngineBatchTest, MapAndBatchSingleWorkerSpscIdentical) {
-  // parallelism=1 map_and_batch is a genuine one-producer pool, so its
-  // edge is an SpscRing; a single worker claims inputs in order, so the
-  // output is fully deterministic and must be byte-identical at every
-  // cap.
-  PipelineTestEnv env(2, 20, 32);
-  GraphBuilder b;
-  auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
-  n = b.MapAndBatch("fused", n, "double_size", 5, /*parallelism=*/1);
-  const GraphDef graph = std::move(b.Build(n)).value();
-  ASSERT_EQ(RunChain(env, graph, 1).size(), 8u);
-  ExpectIdenticalAtEveryCap(env, graph);
-}
-
 TEST(EngineBatchTest, GovernorRetargetUnderSpscEdgesIdentical) {
   // A governor-retargetable map keeps its MPMC channel, but the
   // prefetch downstream rides the SPSC ring. Element identity and
@@ -251,16 +237,6 @@ TEST(EngineBatchTest, CombineOpsIdenticalAtEveryCap) {
   auto n = b.Concatenate("cat", {zipped, b.Range("r2", 7)});
   n = b.Batch("bt", n, 5, /*drop_remainder=*/false);
   ExpectIdenticalAtEveryCap(env, std::move(b.Build(n)).value());
-}
-
-TEST(EngineBatchTest, MapAndBatchIdenticalAtEveryCap) {
-  // map_and_batch workers race for whole batches, so batch order is
-  // nondeterministic; compare fingerprints and batch count.
-  PipelineTestEnv env(2, 20, 32);
-  GraphBuilder b;
-  auto n = b.Interleave("il", b.FileList("files", "data/"), 2, 1);
-  n = b.MapAndBatch("fused", n, "double_size", 5, /*parallelism=*/2);
-  ExpectSameFingerprintAtEveryCap(env, std::move(b.Build(n)).value(), 8);
 }
 
 TEST(EngineBatchTest, StatsConservationAtEveryCap) {

@@ -1,8 +1,10 @@
 // Per-operator correctness tests for the pipeline engine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "tests/test_util.h"
 
@@ -359,6 +361,81 @@ TEST(CacheOpTest, BudgetViolationFails) {
     status = iterator->GetNext(&e, &end);
   }
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+}
+
+// The sequence numbers `iterator` yields, at most `limit` of them; an
+// error fails the test.
+std::vector<uint64_t> Sequences(IteratorBase* iterator,
+                                size_t limit = SIZE_MAX) {
+  std::vector<uint64_t> out;
+  while (out.size() < limit) {
+    Element e;
+    bool end = false;
+    const Status status = iterator->GetNext(&e, &end);
+    EXPECT_TRUE(status.ok()) << status;
+    if (!status.ok() || end) break;
+    out.push_back(e.sequence);
+  }
+  return out;
+}
+
+std::vector<uint64_t> Iota(size_t n) {
+  std::vector<uint64_t> out(n);
+  std::iota(out.begin(), out.end(), 0);
+  return out;
+}
+
+TEST(CacheOpTest, ZipOfOneCacheFillsItOnce) {
+  // Both zip inputs read the one cache node. Only one may fill it, so
+  // the second epoch still serves each element once per input.
+  PipelineTestEnv env;
+  GraphBuilder b;
+  auto c = b.Cache("c", b.Range("src", 10));
+  auto n = b.Repeat("r", b.Zip("z", {c, c}), 2);
+  auto pipeline = MakePipeline(env, std::move(b.Build(n)).value());
+  const auto elements = Drain(*pipeline);
+  ASSERT_EQ(elements.size(), 20u);
+  for (size_t i = 0; i < elements.size(); ++i) {
+    EXPECT_EQ(elements[i].sequence, i % 10);
+  }
+}
+
+TEST(CacheOpTest, FillIsNeitherSharedNorResumed) {
+  // One iterator stops four elements into the fill and stays alive
+  // while others read: they read the input uncached. Once it is gone,
+  // the next iterator restarts the fill instead of appending to it.
+  PipelineTestEnv env;
+  GraphBuilder b;
+  auto pipeline = MakePipeline(
+      env, std::move(b.Build(b.Cache("c", b.Range("src", 10)))).value());
+  auto partial = std::move(pipeline->MakeIterator()).value();
+  ASSERT_EQ(Sequences(partial.get(), 4), Iota(4));
+  for (int i = 0; i < 2; ++i) {
+    auto reader = std::move(pipeline->MakeIterator()).value();
+    EXPECT_EQ(Sequences(reader.get()), Iota(10));
+  }
+  partial.reset();
+  for (int i = 0; i < 2; ++i) {
+    auto reader = std::move(pipeline->MakeIterator()).value();
+    EXPECT_EQ(Sequences(reader.get()), Iota(10));
+  }
+}
+
+TEST(CacheOpTest, PartialEpochsFitTheBudget) {
+  // take(5) leaves every epoch's fill incomplete. Each epoch restarts
+  // the fill, so three epochs fit a budget of eight 8-byte elements.
+  PipelineTestEnv env;
+  GraphBuilder b;
+  auto n = b.Cache("c", b.Range("src", 10));
+  n = b.Repeat("r", b.Take("t", n, 5), 3);
+  auto pipeline =
+      MakePipeline(env, std::move(b.Build(n)).value(), /*budget=*/64);
+  auto iterator = std::move(pipeline->MakeIterator()).value();
+  std::vector<uint64_t> expected;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    for (uint64_t i = 0; i < 5; ++i) expected.push_back(i);
+  }
+  EXPECT_EQ(Sequences(iterator.get()), expected);
 }
 
 TEST(PipelineTest, CancellationStopsIteration) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/queueing/mm1k.h"
 
 namespace plumber {
@@ -8,10 +10,14 @@ namespace {
 TEST(Mm1kTest, ProbabilitiesSumToOne) {
   for (double rho : {0.2, 0.8, 1.0, 1.5}) {
     for (int k : {1, 2, 8}) {
-      // A sanity check of the bounds of p_0.
       const double p0 = Mm1kProbEmpty(rho, k);
       EXPECT_GE(p0, 0.0);
       EXPECT_LE(p0, 1.0);
+      // p_n = p_0 * rho^n for n = 0..k, and the k + 1 states are all
+      // there are.
+      double sum = 0;
+      for (int n = 0; n <= k; ++n) sum += p0 * std::pow(rho, n);
+      EXPECT_NEAR(sum, 1.0, 1e-9) << "rho=" << rho << " k=" << k;
     }
   }
 }

@@ -64,14 +64,6 @@ TEST(QuantileSketchTest, ExactQuantiles) {
   EXPECT_NEAR(q.Quantile(0.5), 50.5, 1e-9);
 }
 
-TEST(QuantileSketchTest, FractionAbove) {
-  QuantileSketch q;
-  for (int i = 1; i <= 10; ++i) q.Add(i);
-  EXPECT_DOUBLE_EQ(q.FractionAbove(10), 0.0);
-  EXPECT_DOUBLE_EQ(q.FractionAbove(0), 1.0);
-  EXPECT_DOUBLE_EQ(q.FractionAbove(5), 0.5);
-}
-
 TEST(LogHistogramTest, CountsAndCdf) {
   LogHistogram h(1e-6, 1e2, 4);
   h.Add(1e-5);
@@ -90,24 +82,6 @@ TEST(LogHistogramTest, ClampsOutOfRange) {
   EXPECT_EQ(h.TotalCount(), 2);
   const auto buckets = h.NonEmptyBuckets();
   ASSERT_EQ(buckets.size(), 2u);
-}
-
-TEST(LinearFitTest, RecoversLine) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 20; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 + 2.0 * i);
-  }
-  const LinearFit fit = FitLinear(x, y);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
-}
-
-TEST(LinearFitTest, ConstantXGivesMean) {
-  std::vector<double> x(5, 2.0), y{1, 2, 3, 4, 5};
-  const LinearFit fit = FitLinear(x, y);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 0.0, 1e-9);
 }
 
 }  // namespace

@@ -3,12 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +16,6 @@
 #include "src/pipeline/graph_builder.h"
 #include "src/pipeline/pipeline.h"
 #include "src/pipeline/runner.h"
-#include "src/util/channel.h"
 
 namespace plumber {
 namespace testing_util {
@@ -189,113 +185,6 @@ inline bool SameEvents(const fleet::ArrivalTrace& a,
     }
   }
   return true;
-}
-
-// ---------------------------------------------------- channel stress
-// Shared by bounded_queue_test and the channel conformance suite; run
-// under TSan in CI. Pass producers = consumers = 1 for SPSC channels.
-
-// Each producer pushes `per_producer` distinct values in mixed batch
-// sizes (including above capacity); `consumers` threads drain in
-// batches. Every pushed value must arrive exactly once.
-inline void ChannelStressExactlyOnce(Channel<int>& channel, int producers,
-                                     int consumers, int per_producer) {
-  std::vector<std::thread> producer_threads;
-  for (int p = 0; p < producers; ++p) {
-    producer_threads.emplace_back([&channel, p, per_producer] {
-      std::vector<int> batch;
-      for (int i = 0; i < per_producer; ++i) {
-        batch.push_back(p * per_producer + i);
-        // Mix of batch sizes, including ones above capacity.
-        if (batch.size() == static_cast<size_t>(1 + (i % 53))) {
-          ASSERT_TRUE(channel.PushBatch(std::move(batch)));
-          batch.clear();
-        }
-      }
-      ASSERT_TRUE(channel.PushBatch(std::move(batch)));
-    });
-  }
-  std::mutex mu;
-  std::vector<int> seen;
-  std::atomic<int> remaining{producers * per_producer};
-  std::vector<std::thread> consumer_threads;
-  for (int c = 0; c < consumers; ++c) {
-    consumer_threads.emplace_back([&] {
-      std::vector<int> out;
-      while (remaining.load() > 0) {
-        out.clear();
-        const size_t n = channel.PopBatch(16, &out);
-        if (n == 0) break;  // cancelled
-        remaining.fetch_sub(static_cast<int>(n));
-        std::lock_guard<std::mutex> lock(mu);
-        seen.insert(seen.end(), out.begin(), out.end());
-      }
-    });
-  }
-  for (auto& t : producer_threads) t.join();
-  // Wake consumers that may be blocked on an empty, fully-drained
-  // channel.
-  while (remaining.load() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  channel.Cancel();
-  for (auto& t : consumer_threads) t.join();
-  ASSERT_EQ(seen.size(), static_cast<size_t>(producers * per_producer));
-  std::sort(seen.begin(), seen.end());
-  for (int i = 0; i < producers * per_producer; ++i) {
-    ASSERT_EQ(seen[i], i);
-  }
-}
-
-// Rounds of producers and consumers racing a Cancel against a fresh
-// channel from `make`: must neither deadlock nor duplicate items —
-// values popped form a contiguous prefix of each producer's stream
-// (only the batch in flight at cancellation may be dropped).
-inline void ChannelStressRacingCancellation(
-    const std::function<std::unique_ptr<Channel<int>>()>& make, int producers,
-    int consumers, int rounds) {
-  for (int round = 0; round < rounds; ++round) {
-    auto channel = make();
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> producer_threads;
-    for (int p = 0; p < producers; ++p) {
-      producer_threads.emplace_back([&channel, &stop, p] {
-        int next = p * 1000000;
-        while (!stop.load()) {
-          std::vector<int> batch;
-          for (int i = 0; i < 5; ++i) batch.push_back(next++);
-          if (!channel->PushBatch(std::move(batch))) return;
-        }
-      });
-    }
-    std::mutex mu;
-    std::vector<int> seen;
-    std::vector<std::thread> consumer_threads;
-    for (int c = 0; c < consumers; ++c) {
-      consumer_threads.emplace_back([&] {
-        std::vector<int> out;
-        for (;;) {
-          out.clear();
-          if (channel->PopBatch(7, &out) == 0) return;
-          std::lock_guard<std::mutex> lock(mu);
-          seen.insert(seen.end(), out.begin(), out.end());
-        }
-      });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    stop = true;
-    channel->Cancel();
-    for (auto& t : producer_threads) t.join();
-    for (auto& t : consumer_threads) t.join();
-    std::vector<std::vector<int>> streams(producers);
-    for (int v : seen) streams[v / 1000000].push_back(v);
-    for (int p = 0; p < producers; ++p) {
-      std::sort(streams[p].begin(), streams[p].end());
-      for (size_t i = 0; i < streams[p].size(); ++i) {
-        ASSERT_EQ(streams[p][i], p * 1000000 + static_cast<int>(i));
-      }
-    }
-  }
 }
 
 }  // namespace testing_util

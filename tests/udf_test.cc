@@ -58,7 +58,7 @@ TEST(ExecuteMapUdfTest, SizeRatioApplied) {
   UdfSpec spec = Spec("resize");
   spec.size_ratio = 3.0;
   Element in = Element::FromBuffer(Buffer(100, 1), 5);
-  const Element out = ExecuteMapUdf(spec, in, 1.0, 9);
+  const Element out = ExecuteMapUdf(spec, Element(in), 1.0, 9);
   EXPECT_EQ(out.TotalBytes(), 300u);
   EXPECT_EQ(out.sequence, 5u);
 }
@@ -67,8 +67,8 @@ TEST(ExecuteMapUdfTest, DeterministicForSameSeed) {
   UdfSpec spec = Spec("t");
   spec.size_ratio = 2.0;
   Element in = Element::FromBuffer(Buffer(50, 7));
-  const Element a = ExecuteMapUdf(spec, in, 1.0, 3);
-  const Element b = ExecuteMapUdf(spec, in, 1.0, 3);
+  const Element a = ExecuteMapUdf(spec, Element(in), 1.0, 3);
+  const Element b = ExecuteMapUdf(spec, Element(in), 1.0, 3);
   EXPECT_EQ(a.components, b.components);
 }
 
@@ -77,7 +77,7 @@ TEST(ExecuteMapUdfTest, MultiComponentInputConcatenated) {
   Element in;
   in.components.push_back(Buffer(30, 1));
   in.components.push_back(Buffer(70, 2));
-  const Element out = ExecuteMapUdf(spec, in, 1.0, 3);
+  const Element out = ExecuteMapUdf(spec, Element(in), 1.0, 3);
   EXPECT_EQ(out.components.size(), 1u);
   EXPECT_EQ(out.TotalBytes(), 100u);
 }
@@ -88,7 +88,7 @@ TEST(ExecuteMapUdfTest, InternalParallelismPreservesOutputSize) {
   spec.internal_parallelism = 3;
   spec.size_ratio = 1.5;
   Element in = Element::FromBuffer(Buffer(100, 1));
-  EXPECT_EQ(ExecuteMapUdf(spec, in, 1.0, 3).TotalBytes(), 150u);
+  EXPECT_EQ(ExecuteMapUdf(spec, Element(in), 1.0, 3).TotalBytes(), 150u);
 }
 
 TEST(ExecuteFilterUdfTest, KeepAllAndKeepNone) {

@@ -1,9 +1,9 @@
-// Live retargeting of every governed WorkerPool — the parallel map,
-// parallel interleave and map_and_batch. A governor can grow and park
-// the pool while the pipeline runs, a pre-set target bounds it from the
-// start, and no resize history changes the output: element for element
-// for the deterministic map, as a multiset for interleave and
-// map_and_batch (whose emission order is already nondeterministic).
+// Live retargeting of every governed WorkerPool — the parallel map and
+// parallel interleave. A governor can grow and park the pool while the
+// pipeline runs, a pre-set target bounds it from the start, and no
+// resize history changes the output: element for element for the
+// deterministic map, as a multiset for interleave (whose emission order
+// is already nondeterministic).
 // Also the pool's claim sizing, observed through its claim counter.
 #include <gtest/gtest.h>
 
@@ -48,14 +48,6 @@ GraphDef InterleaveGraph(int parallelism) {
   GraphBuilder b;
   auto n = b.Interleave("pool", b.FileList("files", "data/"), 4, parallelism);
   n = b.Filter("consume", n, "pace");
-  return std::move(b.Build(n)).value();
-}
-
-GraphDef MapAndBatchGraph(int parallelism) {
-  GraphBuilder b;
-  auto n = b.Interleave("il", b.FileList("files", "data/"), 4, 1);
-  n = b.MapAndBatch("pool", n, "slow", /*batch_size=*/4, parallelism,
-                    /*drop_remainder=*/false);
   return std::move(b.Build(n)).value();
 }
 
@@ -216,8 +208,7 @@ TEST(WorkerPoolClaimTest, ExpensiveMapClaimsOneElementAtATime) {
 INSTANTIATE_TEST_SUITE_P(
     GovernedOps, WorkerPoolTest,
     ::testing::Values(GovernedOp{"map", true, &MapGraph},
-                      GovernedOp{"interleave", false, &InterleaveGraph},
-                      GovernedOp{"map_and_batch", false, &MapAndBatchGraph}),
+                      GovernedOp{"interleave", false, &InterleaveGraph}),
     [](const ::testing::TestParamInfo<GovernedOp>& info) {
       return std::string(info.param.label);
     });
