@@ -110,7 +110,7 @@ bool RunMixedClassArm(bool preemption, MixedClassResult* out) {
 
   SessionOptions so;
   so.machine.num_cores = 8;
-  so.slo_preemption = preemption;
+  so.executor.slo_preemption = preemption;
   Session session(std::move(so));
   UdfSpec batch_udf;
   batch_udf.name = "udf_batch";

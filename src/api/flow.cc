@@ -4,7 +4,6 @@
 
 #include "src/api/job_handle.h"
 #include "src/api/session.h"
-#include "src/pipeline/ops.h"
 
 namespace plumber {
 namespace {
@@ -68,121 +67,98 @@ Flow::Flow(std::shared_ptr<internal::SessionState> state, GraphDef graph,
       graph_(std::move(graph)),
       tip_(std::move(tip)) {}
 
-Flow Flow::Append(NodeDef def) const {
+Flow Flow::Append(const std::string& op, const AddFn& add) const {
   Flow out = *this;
   if (!out.status_.ok()) return out;
-  if (def.name.empty()) def.name = out.graph_.UniqueName(def.op);
-  const std::string name = def.name;
-  out.status_ = out.graph_.AddNode(std::move(def));
+  GraphBuilder builder(std::move(out.graph_));
+  const std::string name = add(builder, builder.graph().UniqueName(op));
+  out.graph_ = builder.graph();
+  out.status_ = builder.status();
   if (out.status_.ok()) out.tip_ = name;
   return out;
 }
 
-Flow Flow::AppendAfterTip(NodeDef def) const {
-  def.inputs = {tip_};
-  return Append(std::move(def));
-}
-
 Flow Flow::TfRecord() const {
-  NodeDef def;
-  def.op = "tfrecord";
-  return AppendAfterTip(std::move(def));
+  return Append("tfrecord", [&](GraphBuilder& b, const std::string& name) {
+    return b.TfRecord(name, tip_);
+  });
 }
 
 Flow Flow::Interleave(int cycle_length, int parallelism,
                       int block_length) const {
-  NodeDef def;
-  def.op = "interleave";
-  def.attrs[kAttrCycleLength] = AttrValue(cycle_length);
-  def.attrs[kAttrParallelism] = AttrValue(parallelism);
-  def.attrs[kAttrBlockLength] = AttrValue(block_length);
-  return AppendAfterTip(std::move(def));
+  return Append("interleave", [&](GraphBuilder& b, const std::string& name) {
+    return b.Interleave(name, tip_, cycle_length, parallelism, block_length);
+  });
 }
 
 Flow Flow::Map(const std::string& udf, int parallelism,
                bool deterministic) const {
-  NodeDef def;
-  def.op = "map";
-  def.attrs[kAttrUdf] = AttrValue(udf);
-  def.attrs[kAttrParallelism] = AttrValue(parallelism);
-  def.attrs[kAttrDeterministic] = AttrValue(deterministic);
-  return AppendAfterTip(std::move(def));
+  return Append("map", [&](GraphBuilder& b, const std::string& name) {
+    return b.Map(name, tip_, udf, parallelism, deterministic);
+  });
 }
 
 Flow Flow::SequentialMap(const std::string& udf) const {
-  NodeDef def;
-  def.op = "map";
-  def.attrs[kAttrUdf] = AttrValue(udf);
-  def.attrs[kAttrParallelism] = AttrValue(1);
-  def.attrs[kAttrTunable] = AttrValue(false);
-  return AppendAfterTip(std::move(def));
+  return Append("map", [&](GraphBuilder& b, const std::string& name) {
+    return b.SequentialMap(name, tip_, udf);
+  });
 }
 
 Flow Flow::Filter(const std::string& udf) const {
-  NodeDef def;
-  def.op = "filter";
-  def.attrs[kAttrUdf] = AttrValue(udf);
-  return AppendAfterTip(std::move(def));
+  return Append("filter", [&](GraphBuilder& b, const std::string& name) {
+    return b.Filter(name, tip_, udf);
+  });
 }
 
 Flow Flow::Shuffle(int64_t buffer_size, int64_t seed) const {
-  NodeDef def;
-  def.op = "shuffle";
-  def.attrs[kAttrBufferSize] = AttrValue(buffer_size);
-  def.attrs[kAttrSeed] = AttrValue(seed);
-  return AppendAfterTip(std::move(def));
+  return Append("shuffle", [&](GraphBuilder& b, const std::string& name) {
+    return b.Shuffle(name, tip_, buffer_size, seed);
+  });
 }
 
 Flow Flow::ShuffleAndRepeat(int64_t buffer_size, int64_t count,
                             int64_t seed) const {
-  NodeDef def;
-  def.op = "shuffle_and_repeat";
-  def.attrs[kAttrBufferSize] = AttrValue(buffer_size);
-  def.attrs[kAttrCount] = AttrValue(count);
-  def.attrs[kAttrSeed] = AttrValue(seed);
-  return AppendAfterTip(std::move(def));
+  return Append("shuffle_and_repeat",
+                [&](GraphBuilder& b, const std::string& name) {
+                  return b.ShuffleAndRepeat(name, tip_, buffer_size, count,
+                                            seed);
+                });
 }
 
 Flow Flow::Repeat(int64_t count) const {
-  NodeDef def;
-  def.op = "repeat";
-  def.attrs[kAttrCount] = AttrValue(count);
-  return AppendAfterTip(std::move(def));
+  return Append("repeat", [&](GraphBuilder& b, const std::string& name) {
+    return b.Repeat(name, tip_, count);
+  });
 }
 
 Flow Flow::Take(int64_t count) const {
-  NodeDef def;
-  def.op = "take";
-  def.attrs[kAttrCount] = AttrValue(count);
-  return AppendAfterTip(std::move(def));
+  return Append("take", [&](GraphBuilder& b, const std::string& name) {
+    return b.Take(name, tip_, count);
+  });
 }
 
 Flow Flow::Skip(int64_t count) const {
-  NodeDef def;
-  def.op = "skip";
-  def.attrs[kAttrCount] = AttrValue(count);
-  return AppendAfterTip(std::move(def));
+  return Append("skip", [&](GraphBuilder& b, const std::string& name) {
+    return b.Skip(name, tip_, count);
+  });
 }
 
 Flow Flow::Batch(int64_t batch_size, bool drop_remainder) const {
-  NodeDef def;
-  def.op = "batch";
-  def.attrs[kAttrBatchSize] = AttrValue(batch_size);
-  def.attrs[kAttrDropRemainder] = AttrValue(drop_remainder);
-  return AppendAfterTip(std::move(def));
+  return Append("batch", [&](GraphBuilder& b, const std::string& name) {
+    return b.Batch(name, tip_, batch_size, drop_remainder);
+  });
 }
 
 Flow Flow::Prefetch(int64_t buffer_size) const {
-  NodeDef def;
-  def.op = "prefetch";
-  def.attrs[kAttrBufferSize] = AttrValue(buffer_size);
-  return AppendAfterTip(std::move(def));
+  return Append("prefetch", [&](GraphBuilder& b, const std::string& name) {
+    return b.Prefetch(name, tip_, buffer_size);
+  });
 }
 
 Flow Flow::Cache() const {
-  NodeDef def;
-  def.op = "cache";
-  return AppendAfterTip(std::move(def));
+  return Append("cache", [&](GraphBuilder& b, const std::string& name) {
+    return b.Cache(name, tip_);
+  });
 }
 
 Flow Flow::Combine(const std::string& op, const std::vector<Flow>& inputs) {
@@ -211,10 +187,9 @@ Flow Flow::Combine(const std::string& op, const std::vector<Flow>& inputs) {
     auto it = rename.find(in.tip_);
     tips.push_back(it == rename.end() ? in.tip_ : it->second);
   }
-  NodeDef def;
-  def.op = op;
-  def.inputs = std::move(tips);
-  return out.Append(std::move(def));
+  return out.Append(op, [&](GraphBuilder& b, const std::string& name) {
+    return op == "zip" ? b.Zip(name, tips) : b.Concatenate(name, tips);
+  });
 }
 
 Flow Flow::Zip(const std::vector<Flow>& inputs) {

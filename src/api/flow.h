@@ -5,9 +5,10 @@
 // Session (the environment: filesystem, UDFs, machine, seed). Each
 // operator returns a new Flow; nodes are auto-named after their op
 // ("map", "map_1", ...) so users never thread node names by hand, and
-// Named() pins a stable name when one is wanted. A Flow compiles to the
-// same GraphDef the low-level GraphBuilder produces, so the tracer,
-// rewriter, and planner layers see identical programs either way.
+// Named() pins a stable name when one is wanted. A Flow appends every
+// node through GraphBuilder, so it compiles to the same GraphDef the
+// low-level builder produces and the tracer, rewriter, and planner
+// layers see identical programs either way.
 //
 //   Flow flow = session.Files("train/")
 //                   .Interleave(4)
@@ -24,6 +25,7 @@
 // Graph()/Run()/Optimize(), keeping chains unconditional.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "src/core/model.h"
 #include "src/core/optimizer.h"
 #include "src/core/tracer.h"
+#include "src/pipeline/graph_builder.h"
 #include "src/pipeline/runner.h"
 #include "src/runtime/job.h"
 
@@ -48,24 +51,15 @@ namespace internal {
 struct SessionState;
 }  // namespace internal
 
-// The result of one job's run window (Flow::Run / JobHandle::Wait):
-// throughput, latency, resource use, job timing, and a per-node stats
-// snapshot for diagnosis.
-struct RunReport {
-  Status status;            // error observed mid-run, if any
-  int64_t batches = 0;
-  int64_t elements = 0;     // total components across batches
-  uint64_t bytes_produced = 0;  // bytes out of the root node
-  // Job timing: queue_seconds is the admission wait (Submit -> run
-  // start; ~0 unless the executor's concurrency cap queued the job),
-  // wall_seconds the measured execution window.
+// The result of one job's run window (Flow::Run / JobHandle::Wait): its
+// RunResult (throughput, latency and resource use over the measured
+// window, wall_seconds) plus job timing and a per-node stats snapshot
+// for diagnosis.
+struct RunReport : RunResult {
+  // The admission wait: Submit -> run start; ~0 unless the executor's
+  // concurrency cap queued the job.
   double queue_seconds = 0;
-  double wall_seconds = 0;
-  double batches_per_second = 0;
-  double elements_per_second = 0;
-  double mean_next_latency_seconds = 0;
-  double mean_cores_used = 0;
-  bool reached_end = false;
+  uint64_t bytes_produced = 0;  // bytes out of the root node
   std::vector<IteratorStatsSnapshot> node_stats;
 
   const IteratorStatsSnapshot* FindNode(const std::string& name) const;
@@ -164,11 +158,12 @@ class Flow {
   // Session::OptimizeBest.
   static OptimizedFlow MakeOptimizedFlow(
       std::shared_ptr<internal::SessionState> state, OptimizeResult result);
-  // Appends a node (auto-named from def.op when def.name is empty) and
-  // returns the extended flow. def.inputs must already be set.
-  Flow Append(NodeDef def) const;
-  // Appends a unary node consuming the current tip.
-  Flow AppendAfterTip(NodeDef def) const;
+  // Appends one node through `add`, which is handed a builder over
+  // this flow's graph and a fresh name auto-derived from `op`, and
+  // returns the extended flow with that node as its tip.
+  using AddFn =
+      std::function<std::string(GraphBuilder&, const std::string& name)>;
+  Flow Append(const std::string& op, const AddFn& add) const;
   static Flow Combine(const std::string& op,
                       const std::vector<Flow>& inputs);
 

@@ -30,16 +30,8 @@ StatusOr<RunReport> JobHandle::Wait() const {
                : result.status;
   }
   RunReport report;
-  report.status = result.status;
-  report.batches = result.batches;
-  report.elements = result.examples;
-  report.wall_seconds = result.wall_seconds;
+  static_cast<RunResult&>(report) = result;
   report.queue_seconds = job_->queue_seconds();
-  report.batches_per_second = result.batches_per_second;
-  report.elements_per_second = result.examples_per_second;
-  report.mean_next_latency_seconds = result.mean_next_latency_seconds;
-  report.mean_cores_used = result.mean_cores_used;
-  report.reached_end = result.reached_end;
   report.node_stats = job_->final_stats();
   if (const IteratorStatsSnapshot* root =
           report.FindNode(job_->output_node())) {

@@ -1,7 +1,5 @@
 #include "src/api/session.h"
 
-#include "src/pipeline/ops.h"
-
 namespace plumber {
 
 void ApplyMachine(const MachineSpec& machine, PipelineOptions* options) {
@@ -29,12 +27,9 @@ runtime::Executor& GetExecutor(SessionState& state) {
     // The factories capture the owning state: the executor is a member
     // of it and is destroyed (cancelling + joining every job) first.
     SessionState* raw = &state;
-    runtime::ExecutorOptions eopts;
-    eopts.max_concurrent_jobs = state.options.max_concurrent_jobs;
-    eopts.slo_preemption = state.options.slo_preemption;
     state.executor = std::make_unique<runtime::Executor>(
         [raw] { return MakePipelineOptions(*raw); },
-        [raw] { return raw->options.machine; }, eopts);
+        [raw] { return raw->options.machine; }, state.options.executor);
   }
   return *state.executor;
 }
@@ -76,17 +71,17 @@ void Session::AttachNic(const DeviceSpec& spec) {
 }
 
 Flow Session::Files(const std::string& prefix) {
-  NodeDef def;
-  def.op = "file_list";
-  def.attrs[kAttrPrefix] = AttrValue(prefix);
-  return Flow(state_, GraphDef(), "").Append(std::move(def));
+  return Flow(state_, GraphDef(), "")
+      .Append("file_list", [&](GraphBuilder& b, const std::string& name) {
+        return b.FileList(name, prefix);
+      });
 }
 
 Flow Session::Range(int64_t count) {
-  NodeDef def;
-  def.op = "range";
-  def.attrs[kAttrCount] = AttrValue(count);
-  return Flow(state_, GraphDef(), "").Append(std::move(def));
+  return Flow(state_, GraphDef(), "")
+      .Append("range", [&](GraphBuilder& b, const std::string& name) {
+        return b.Range(name, count);
+      });
 }
 
 Flow Session::FromGraph(GraphDef graph) {

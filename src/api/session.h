@@ -37,16 +37,10 @@ namespace plumber {
 struct SessionOptions {
   MachineSpec machine = MachineSpec::SetupA();
   uint64_t seed = 42;
-  // Jobs the session's executor runs concurrently; 0 = unlimited
-  // (every Submit is admitted immediately and the maximin arbiter
-  // splits the modeled cores). >0 queues excess submissions, which
-  // shows up as RunReport::queue_seconds.
-  int max_concurrent_jobs = 0;
-  // SLO-aware scheduling (see docs/scheduling.md): when true (default)
-  // JobOptions::slo tiers the core arbitration — interactive arrivals
-  // park batch worker pools to their floor and queued interactive jobs
-  // jump the admission queue. False = flat single-tier fair share.
-  bool slo_preemption = true;
+  // The session's executor: its concurrency cap (excess submissions
+  // queue, which shows up as RunReport::queue_seconds) and SLO-aware
+  // scheduling (see docs/scheduling.md).
+  runtime::ExecutorOptions executor;
 };
 
 // Sets the PipelineOptions fields a pipeline takes from the machine it

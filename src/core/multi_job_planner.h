@@ -76,7 +76,7 @@ struct MultiJobPlan {
   // than the configured demand, not a scheduling loss.
   double unused_cores = 0;
   // Per-job plan: theta + integer parallelism grants, keyed by job_id.
-  // Feed each to rewriter::ApplyParallelismPlan / the governor.
+  // The executor publishes each as its job's governor targets.
   std::map<std::string, LpPlan> jobs;
 };
 

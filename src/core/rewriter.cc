@@ -37,12 +37,6 @@ Status SetAllParallelism(GraphDef* graph, int parallelism) {
   return OkStatus();
 }
 
-StatusOr<int> GetBufferSize(const GraphDef& graph, const std::string& node) {
-  const NodeDef* def = graph.FindNode(node);
-  if (def == nullptr) return NotFoundError("no such node: " + node);
-  return static_cast<int>(def->GetInt(kAttrBufferSize, 0));
-}
-
 Status SetBufferSize(GraphDef* graph, const std::string& node, int size) {
   NodeDef* def = graph->MutableNode(node);
   if (def == nullptr) return NotFoundError("no such node: " + node);
@@ -221,11 +215,6 @@ Status SetTracedRate(GraphDef* graph, const std::string& node, double rate) {
   if (def == nullptr) return NotFoundError("no such node: " + node);
   def->attrs[kAttrTracedRate] = AttrValue(rate);
   return OkStatus();
-}
-
-double GetTracedRate(const GraphDef& graph, const std::string& node) {
-  const NodeDef* def = graph.FindNode(node);
-  return def == nullptr ? 0.0 : def->GetDouble(kAttrTracedRate, 0.0);
 }
 
 bool HasOp(const GraphDef& graph, const std::string& op) {

@@ -20,7 +20,6 @@ Status SetParallelism(GraphDef* graph, const std::string& node,
 // Sets every tunable parallelism knob to `parallelism` (HEURISTIC).
 Status SetAllParallelism(GraphDef* graph, int parallelism);
 
-StatusOr<int> GetBufferSize(const GraphDef& graph, const std::string& node);
 Status SetBufferSize(GraphDef* graph, const std::string& node, int size);
 
 // Inserts a prefetch node after `after` with the given buffer size.
@@ -72,9 +71,6 @@ Status EnsureRootPrefetch(GraphDef* graph, int buffer);
 // parallelism does. The optimizer stamps these after its final
 // trace; the multi-job arbiter's DemandFromGraph reads them back.
 Status SetTracedRate(GraphDef* graph, const std::string& node, double rate);
-
-// The node's recorded traced rate; 0 when none was recorded.
-double GetTracedRate(const GraphDef& graph, const std::string& node);
 
 // True if any node of the given op kind exists.
 bool HasOp(const GraphDef& graph, const std::string& op);

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <thread>
 
-#include "src/pipeline/ops.h"
+#include "src/pipeline/graph_builder.h"
 #include "src/util/cpu_timer.h"
 
 namespace plumber {
@@ -22,21 +22,11 @@ std::string ClassUdfName(const TraceJobClass& job_class) {
 // shaped like the event's class.
 GraphDef MakeJobGraph(const ArrivalTrace& trace, const ArrivalEvent& event) {
   const TraceJobClass& job_class = trace.classes[event.job_class];
-  GraphDef graph;
-  NodeDef src;
-  src.name = "src";
-  src.op = "range";
-  src.attrs[kAttrCount] = AttrValue(event.elements);
-  (void)graph.AddNode(std::move(src));
-  NodeDef work;
-  work.name = "work";
-  work.op = "map";
-  work.inputs = {"src"};
-  work.attrs[kAttrUdf] = AttrValue(ClassUdfName(job_class));
-  work.attrs[kAttrParallelism] = AttrValue(job_class.parallelism);
-  (void)graph.AddNode(std::move(work));
-  graph.SetOutput("work");
-  return graph;
+  GraphBuilder b;
+  const std::string work =
+      b.Map("work", b.Range("src", event.elements), ClassUdfName(job_class),
+            job_class.parallelism);
+  return std::move(b.Build(work)).value();
 }
 
 }  // namespace

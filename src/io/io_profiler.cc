@@ -54,8 +54,6 @@ IoProfileResult ProfileReadBandwidth(SimFilesystem* fs,
     const double bw =
         MeasureBandwidth(fs, prefix, p, options.seconds_per_probe);
     result.parallelism_to_bandwidth.AddPoint(p, bw);
-    PLOG(Debug) << "io_profile parallelism=" << p << " bw=" << bw / 1e6
-                << " MB/s";
   }
   result.max_bandwidth = result.parallelism_to_bandwidth.MaxY();
   result.min_parallelism_for_max =

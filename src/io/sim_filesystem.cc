@@ -84,18 +84,6 @@ Status SimFilesystem::CreateRawFile(const std::string& name, uint64_t seed,
   return OkStatus();
 }
 
-bool SimFilesystem::Exists(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return files_.count(name) > 0;
-}
-
-StatusOr<uint64_t> SimFilesystem::FileSize(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(name);
-  if (it == files_.end()) return NotFoundError("no such file: " + name);
-  return it->second.TotalBytes();
-}
-
 const SimFileMeta* SimFilesystem::FindMeta(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(name);
@@ -162,11 +150,6 @@ void SimFilesystem::ClearReadLog() {
 uint64_t SimFilesystem::total_bytes_read() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_bytes_read_;
-}
-
-size_t SimFilesystem::NumFiles() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return files_.size();
 }
 
 }  // namespace plumber

@@ -92,8 +92,6 @@ class SimFilesystem {
   // Registers a raw file of `size` bytes.
   Status CreateRawFile(const std::string& name, uint64_t seed, uint64_t size);
 
-  bool Exists(const std::string& name) const;
-  StatusOr<uint64_t> FileSize(const std::string& name) const;
   const SimFileMeta* FindMeta(const std::string& name) const;
 
   // Lexicographically sorted names matching the prefix.
@@ -115,8 +113,6 @@ class SimFilesystem {
   std::map<std::string, FileReadEntry> SnapshotReadLog() const;
   void ClearReadLog();
   uint64_t total_bytes_read() const;
-
-  size_t NumFiles() const;
 
  private:
   StorageDevice* device_;

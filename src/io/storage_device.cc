@@ -80,11 +80,6 @@ std::unique_ptr<ReadStream> StorageDevice::OpenStream() {
   return std::make_unique<ReadStream>(this);
 }
 
-void StorageDevice::SetBandwidth(double bytes_per_sec) {
-  spec_.max_bandwidth = bytes_per_sec;
-  global_bucket_.SetRate(bytes_per_sec);
-}
-
 void StorageDevice::ResetCounters() {
   total_bytes_.store(0, std::memory_order_relaxed);
   total_reads_.store(0, std::memory_order_relaxed);

@@ -76,9 +76,6 @@ class StorageDevice {
   // is charged here directly.
   void Charge(uint64_t bytes);
 
-  // Changes the aggregate bandwidth cap (token-bucket sweeps).
-  void SetBandwidth(double bytes_per_sec);
-
   uint64_t total_bytes_read() const {
     return total_bytes_.load(std::memory_order_relaxed);
   }

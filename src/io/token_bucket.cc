@@ -39,33 +39,12 @@ void TokenBucket::Acquire(double tokens) {
       }
       wait_s = (grant_threshold - available_) / rate_;
     }
-    // Sleep outside the lock so other threads can make progress; cap
-    // the sleep so rate changes take effect promptly. The wait is
-    // declared blocked so CPU accounting excludes it.
-    wait_s = std::min(wait_s, 0.05);
+    // Sleep outside the lock so other threads can make progress, then
+    // re-check: they may have taken the refilled tokens first. The wait
+    // is declared blocked so CPU accounting excludes it.
     BlockedRegion blocked;
     std::this_thread::sleep_for(std::chrono::duration<double>(wait_s));
   }
-}
-
-bool TokenBucket::TryAcquire(double tokens) {
-  if (unlimited() || tokens <= 0) return true;
-  std::lock_guard<std::mutex> lock(mu_);
-  RefillLocked(WallNanos());
-  if (available_ >= tokens) {
-    available_ -= tokens;
-    return true;
-  }
-  return false;
-}
-
-void TokenBucket::SetRate(double rate_tokens_per_sec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RefillLocked(WallNanos());
-  rate_ = rate_tokens_per_sec;
-  // Keep a short (20ms) burst so sweeps measure sustained rates.
-  burst_ = rate_tokens_per_sec > 0 ? rate_tokens_per_sec * 0.02 : burst_;
-  available_ = std::min(available_, burst_);
 }
 
 }  // namespace plumber

@@ -20,14 +20,8 @@ class TokenBucket {
   // Blocks until `tokens` tokens are consumed. Thread-safe.
   void Acquire(double tokens);
 
-  // Non-blocking variant; returns false if tokens are not available now.
-  bool TryAcquire(double tokens);
-
   bool unlimited() const { return rate_ <= 0; }
   double rate() const { return rate_; }
-
-  // Dynamically adjust the rate (used by bandwidth sweep benchmarks).
-  void SetRate(double rate_tokens_per_sec);
 
  private:
   void RefillLocked(int64_t now_ns);

@@ -25,11 +25,6 @@ void LpProblem::AddConstraint(std::vector<std::pair<int, double>> terms,
       LpConstraint{std::move(terms), sense, rhs, std::move(name)});
 }
 
-void LpProblem::SetObjectiveCoeff(int var, double coeff) {
-  assert(var >= 0 && var < num_variables());
-  objective_[var] = coeff;
-}
-
 bool LpProblem::IsFeasible(const std::vector<double>& x, double tol) const {
   if (static_cast<int>(x.size()) != num_variables()) return false;
   for (int i = 0; i < num_variables(); ++i) {

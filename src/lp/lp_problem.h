@@ -40,10 +40,7 @@ class LpProblem {
                      ConstraintSense sense, double rhs,
                      std::string name = "");
 
-  void SetObjectiveCoeff(int var, double coeff);
-
   int num_variables() const { return static_cast<int>(names_.size()); }
-  int num_constraints() const { return static_cast<int>(constraints_.size()); }
   const std::string& VariableName(int i) const { return names_[i]; }
   const std::vector<LpConstraint>& constraints() const { return constraints_; }
   const std::vector<double>& objective() const { return objective_; }

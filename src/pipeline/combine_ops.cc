@@ -182,21 +182,13 @@ StatusOr<std::unique_ptr<IteratorBase>> ConcatenateDataset::MakeIterator(
 
 StatusOr<DatasetPtr> MakeZipDataset(NodeDef def,
                                     std::vector<DatasetPtr> inputs,
-                                    PipelineContext* ctx) {
-  (void)ctx;
-  if (inputs.size() < 2) {
-    return InvalidArgumentError("zip takes at least two inputs");
-  }
+                                    PipelineContext*) {
   return DatasetPtr(new ZipDataset(std::move(def), std::move(inputs)));
 }
 
 StatusOr<DatasetPtr> MakeConcatenateDataset(NodeDef def,
                                             std::vector<DatasetPtr> inputs,
-                                            PipelineContext* ctx) {
-  (void)ctx;
-  if (inputs.size() < 2) {
-    return InvalidArgumentError("concatenate takes at least two inputs");
-  }
+                                            PipelineContext*) {
   return DatasetPtr(
       new ConcatenateDataset(std::move(def), std::move(inputs)));
 }

@@ -22,14 +22,13 @@
 
 namespace plumber {
 
-// Shared runtime context: filesystem, UDF registry, stats sink, machine
-// speed scaling, cancellation, and tracing control. Owned by Pipeline;
-// outlives all datasets/iterators created with it.
-struct PipelineContext {
+// What a pipeline is instantiated with: its environment (filesystem,
+// UDFs, NIC), the machine it models and its engine settings.
+struct PipelineOptions {
   SimFilesystem* fs = nullptr;
   const UdfRegistry* udfs = nullptr;
-  StatsRegistry* stats = nullptr;
-  // Multiplies every UDF's CPU cost; models slower/faster cores.
+  // Multiplies every UDF's modeled cost; models slower/faster cores
+  // (see ExecuteMapUdf in udf.h for how that cost executes).
   double cpu_scale = 1.0;
   uint64_t seed = 42;
   // When false, CPU accounting scopes are skipped (the paper's
@@ -38,27 +37,11 @@ struct PipelineContext {
   // 0 = unlimited. Cache datasets fail with ResourceExhausted if
   // materialization would exceed this.
   uint64_t memory_budget_bytes = 0;
-  // Disk-tier cache scratch: serve-path reads of a disk-tier cache
-  // (kAttrCacheTier = "disk") are charged against this device's token
-  // bucket at the modeled SSD bandwidth. Null = disk caches run
-  // unmetered (and un-budgeted when scratch_budget_bytes = 0).
-  StorageDevice* scratch_device = nullptr;
-  uint64_t scratch_budget_bytes = 0;
-  // Per-shard source devices: readers under a shard-stamped source
-  // (kAttrShardIndex) open their record streams against
-  // shard_devices->DeviceFor(shard) so every shard gets its own
-  // modeled disk. Null = all reads go through fs->device().
-  ShardDevicePool* shard_devices = nullptr;
-  // This host's NIC (a StorageDevice built from MachineSpec::nic):
-  // remote_read charges every record's bytes through it (the receive
-  // side of the wire), in addition to the remote endpoint's NIC. Null =
-  // the local endpoint is unmetered, matching machines that never set
-  // MachineSpec::nic.
-  StorageDevice* nic = nullptr;
   // The largest claim a worker pool sizes: how many elements one worker
   // takes from its input and hands off per lock acquisition (see
   // src/pipeline/worker_pool.h). 1 is element-at-a-time execution.
-  // Never changes which elements are produced.
+  // Never changes which elements are produced. Only tests and benches
+  // lower it.
   int max_claim = 64;
   // Live parallelism control (multi-tenant execution). When set,
   // worker-pool iterators register resize listeners and honor published
@@ -66,6 +49,41 @@ struct PipelineContext {
   // instantiation from the graph attrs (the classic single-tenant
   // engine, zero overhead).
   GovernorPtr governor;
+  // Local scratch tier for disk-tier caches: when scratch_budget_bytes
+  // > 0 and scratch.max_bandwidth > 0 the pipeline owns a
+  // StorageDevice with this spec (PipelineContext::scratch_device).
+  // Disk caches are bounded by scratch_budget_bytes.
+  DeviceSpec scratch = DeviceSpec::Unlimited();
+  uint64_t scratch_budget_bytes = 0;
+  // This host's NIC (a StorageDevice built from MachineSpec::nic),
+  // borrowed like `fs` so a Session or FleetRuntime can share one
+  // device (and its byte counters) across pipelines: remote_read
+  // charges every record's bytes through it (the receive side of the
+  // wire), in addition to the remote endpoint's NIC. Null = the local
+  // endpoint is unmetered, matching machines that never set
+  // MachineSpec::nic.
+  StorageDevice* nic = nullptr;
+};
+
+// Shared runtime context: the options the pipeline was created with,
+// plus what it owns while it runs (stats registry, scratch and shard
+// devices, cancel token). Owned by Pipeline; outlives all
+// datasets/iterators created with it.
+struct PipelineContext : PipelineOptions {
+  explicit PipelineContext(const PipelineOptions& options)
+      : PipelineOptions(options) {}
+
+  StatsRegistry* stats = nullptr;
+  // Disk-tier cache scratch: serve-path reads of a disk-tier cache
+  // (kAttrCacheTier = "disk") are charged against this device's token
+  // bucket at the modeled SSD bandwidth. Null = disk caches run
+  // unmetered (and un-budgeted when scratch_budget_bytes = 0).
+  StorageDevice* scratch_device = nullptr;
+  // Per-shard source devices: readers under a shard-stamped source
+  // (kAttrShardIndex) open their record streams against
+  // shard_devices->DeviceFor(shard) so every shard gets its own
+  // modeled disk. Null = all reads go through fs->device().
+  ShardDevicePool* shard_devices = nullptr;
   std::shared_ptr<std::atomic<bool>> cancelled =
       std::make_shared<std::atomic<bool>>(false);
 
@@ -127,10 +145,11 @@ class DatasetBase : public std::enable_shared_from_this<DatasetBase> {
       PipelineContext* ctx) const = 0;
 
   // Marks any partially-filled materialization as complete so later
-  // iterators behave as if a full epoch had already run. This is the
-  // paper's §B steady-state simulation: "truncating the cached data"
-  // lets a tracer or pick_best comparison observe warm-cache rates
-  // without paying a whole cold epoch. Default: stateless, no-op.
+  // iterators, and a live iterator still filling it, behave as if a
+  // full epoch had already run. This is the paper's §B steady-state
+  // simulation: "truncating the cached data" lets a tracer or
+  // pick_best comparison observe warm-cache rates without paying a
+  // whole cold epoch. Default: stateless, no-op.
   virtual void SimulateSteadyState() {}
 
  protected:

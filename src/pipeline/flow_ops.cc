@@ -309,53 +309,35 @@ StatusOr<std::unique_ptr<IteratorBase>> SkipDataset::MakeIterator(
       ctx, StatsFor(ctx), std::move(input), def_.GetInt(kAttrCount, 0)));
 }
 
-Status RequireOneInput(const std::vector<DatasetPtr>& inputs,
-                       const char* op) {
-  if (inputs.size() != 1) {
-    return InvalidArgumentError(std::string(op) + " takes one input");
-  }
-  return OkStatus();
-}
-
 }  // namespace
 
 StatusOr<DatasetPtr> MakeShuffleDataset(NodeDef def,
                                         std::vector<DatasetPtr> inputs,
-                                        PipelineContext* ctx) {
-  (void)ctx;
-  RETURN_IF_ERROR(RequireOneInput(inputs, "shuffle"));
+                                        PipelineContext*) {
   return DatasetPtr(new ShuffleDataset(std::move(def), std::move(inputs)));
 }
 
 StatusOr<DatasetPtr> MakeShuffleAndRepeatDataset(
-    NodeDef def, std::vector<DatasetPtr> inputs, PipelineContext* ctx) {
-  (void)ctx;
-  RETURN_IF_ERROR(RequireOneInput(inputs, "shuffle_and_repeat"));
+    NodeDef def, std::vector<DatasetPtr> inputs, PipelineContext*) {
   return DatasetPtr(
       new ShuffleAndRepeatDataset(std::move(def), std::move(inputs)));
 }
 
 StatusOr<DatasetPtr> MakeRepeatDataset(NodeDef def,
                                        std::vector<DatasetPtr> inputs,
-                                       PipelineContext* ctx) {
-  (void)ctx;
-  RETURN_IF_ERROR(RequireOneInput(inputs, "repeat"));
+                                       PipelineContext*) {
   return DatasetPtr(new RepeatDataset(std::move(def), std::move(inputs)));
 }
 
 StatusOr<DatasetPtr> MakeTakeDataset(NodeDef def,
                                      std::vector<DatasetPtr> inputs,
-                                     PipelineContext* ctx) {
-  (void)ctx;
-  RETURN_IF_ERROR(RequireOneInput(inputs, "take"));
+                                     PipelineContext*) {
   return DatasetPtr(new TakeDataset(std::move(def), std::move(inputs)));
 }
 
 StatusOr<DatasetPtr> MakeSkipDataset(NodeDef def,
                                      std::vector<DatasetPtr> inputs,
-                                     PipelineContext* ctx) {
-  (void)ctx;
-  RETURN_IF_ERROR(RequireOneInput(inputs, "skip"));
+                                     PipelineContext*) {
   return DatasetPtr(new SkipDataset(std::move(def), std::move(inputs)));
 }
 

@@ -1,6 +1,8 @@
 // Fluent construction of GraphDefs (the "one line of code" user API's
 // C++ equivalent). Each method appends a node and returns its name for
-// chaining; Build() validates and returns the program.
+// chaining; Build() validates and returns the program. Flow, Session
+// and the fleet's replay jobs all append through it, so each op's node
+// encoding (op name and attrs) is written in this one place.
 #pragma once
 
 #include <string>
@@ -11,6 +13,10 @@ namespace plumber {
 
 class GraphBuilder {
  public:
+  GraphBuilder() = default;
+  // Continues appending to an existing program.
+  explicit GraphBuilder(GraphDef graph) : graph_(std::move(graph)) {}
+
   std::string Range(const std::string& name, int64_t count);
   std::string FileList(const std::string& name, const std::string& prefix);
   std::string TfRecord(const std::string& name, const std::string& input);
@@ -59,8 +65,14 @@ class GraphBuilder {
   // such error instead of silently dropping the node).
   StatusOr<GraphDef> Build(const std::string& output) const;
 
+  // The nodes appended so far, and the first append error.
+  const GraphDef& graph() const { return graph_; }
+  const Status& status() const { return status_; }
+
  private:
-  std::string Add(NodeDef def);
+  std::string Add(const std::string& name, const char* op,
+                  std::vector<std::string> inputs,
+                  std::map<std::string, AttrValue> attrs);
   GraphDef graph_;
   Status status_;  // first Add error, surfaced by Build
 };

@@ -289,9 +289,6 @@ StatusOr<std::unique_ptr<IteratorBase>> InterleaveDataset::MakeIterator(
 StatusOr<DatasetPtr> MakeReader(NodeDef def, std::vector<DatasetPtr> inputs,
                                 PipelineContext* ctx, ReaderShape shape,
                                 std::unique_ptr<StorageDevice> remote_nic) {
-  if (inputs.size() != 1) {
-    return InvalidArgumentError(def.op + " takes one input");
-  }
   if (ctx->fs == nullptr) {
     return FailedPreconditionError(def.op + " requires a filesystem");
   }

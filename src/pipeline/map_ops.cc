@@ -273,7 +273,6 @@ const UdfSpec* LookupUdf(const NodeDef& def, PipelineContext* ctx,
 StatusOr<DatasetPtr> MakeMapDataset(NodeDef def,
                                     std::vector<DatasetPtr> inputs,
                                     PipelineContext* ctx) {
-  if (inputs.size() != 1) return InvalidArgumentError("map takes one input");
   Status status;
   const UdfSpec* udf = LookupUdf(def, ctx, &status);
   if (udf == nullptr) return status;
@@ -283,9 +282,6 @@ StatusOr<DatasetPtr> MakeMapDataset(NodeDef def,
 StatusOr<DatasetPtr> MakeFilterDataset(NodeDef def,
                                        std::vector<DatasetPtr> inputs,
                                        PipelineContext* ctx) {
-  if (inputs.size() != 1) {
-    return InvalidArgumentError("filter takes one input");
-  }
   Status status;
   const UdfSpec* udf = LookupUdf(def, ctx, &status);
   if (udf == nullptr) return status;

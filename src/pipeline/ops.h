@@ -1,6 +1,9 @@
 // Operator factories. Each creates a DatasetBase for one GraphDef node.
+// The op table in dataset.cc is the one record of every op's facts: its
+// factory, its input count (checked once, by InstantiateGraph, before
+// the factory runs) and the predicates at the end of this header.
 //
-// Supported ops and their attributes:
+// Supported ops, their inputs and their attributes:
 //   range              count:int (-1 = infinite)
 //   file_list          prefix:string (lists SimFilesystem files)
 //   tfrecord           input: file_list; sequential record reader
@@ -31,7 +34,7 @@
 //                      metered through the modeled scratch device.
 //   zip                2+ inputs; pairs one element from each per output
 //   concatenate        2+ inputs; drains them in order
-//   shard_merge        N inputs (one per source shard); merges them
+//   shard_merge        1+ inputs (one per source shard); merges them
 //                      with one worker per shard, order nondeterministic
 //                      (like parallel interleave)
 #pragma once
@@ -138,6 +141,7 @@ inline constexpr char kAttrShardCount[] = "shard_count";
 inline constexpr char kAttrRemoteNicBandwidth[] = "remote_nic_bandwidth";
 inline constexpr char kAttrRemoteNicLatency[] = "remote_nic_latency";
 
+// Facts from the op table; false for unknown ops.
 // True if the op kind supports a tunable `parallelism` attribute.
 bool OpSupportsParallelism(const std::string& op);
 // True if the op kind reads record files: tfrecord, remote_read and

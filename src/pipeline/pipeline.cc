@@ -5,16 +5,8 @@
 namespace plumber {
 
 Pipeline::Pipeline(GraphDef graph, const PipelineOptions& options)
-    : graph_(std::move(graph)) {
-  ctx_.fs = options.fs;
-  ctx_.udfs = options.udfs;
+    : graph_(std::move(graph)), ctx_(options) {
   ctx_.stats = &stats_;
-  ctx_.cpu_scale = options.cpu_scale;
-  ctx_.seed = options.seed;
-  ctx_.tracing_enabled = options.tracing_enabled;
-  ctx_.memory_budget_bytes = options.memory_budget_bytes;
-  ctx_.max_claim = options.max_claim;
-  ctx_.governor = options.governor;
   // Disk-tier scratch: only model the device when the tier is enabled
   // (a capacity and a bandwidth); disk caches degrade to unmetered
   // otherwise.
@@ -22,8 +14,6 @@ Pipeline::Pipeline(GraphDef graph, const PipelineOptions& options)
     scratch_device_ = std::make_unique<StorageDevice>(options.scratch);
     ctx_.scratch_device = scratch_device_.get();
   }
-  ctx_.scratch_budget_bytes = options.scratch_budget_bytes;
-  ctx_.nic = options.nic;
   // Per-shard source disks, cloned from the filesystem's attached
   // device: a shard-split source reads each partition at the full
   // modeled device bandwidth (that is what sharding across disks buys).

@@ -12,33 +12,6 @@
 
 namespace plumber {
 
-struct PipelineOptions {
-  SimFilesystem* fs = nullptr;
-  const UdfRegistry* udfs = nullptr;
-  // Multiplies every UDF's modeled cost (see ExecuteMapUdf in udf.h
-  // for how that cost executes).
-  double cpu_scale = 1.0;
-  uint64_t seed = 42;
-  bool tracing_enabled = true;
-  uint64_t memory_budget_bytes = 0;
-  // Cap on the claims worker pools size for themselves; see
-  // PipelineContext::max_claim. Only tests and benches lower it.
-  int max_claim = 64;
-  // Live parallelism control for multi-tenant execution (see
-  // PipelineContext::governor). Null = fixed worker counts.
-  GovernorPtr governor;
-  // Local scratch tier for disk-tier caches: when scratch_budget_bytes
-  // > 0 and scratch.max_bandwidth > 0 the pipeline owns a
-  // StorageDevice with this spec and disk-tier cache serves are
-  // metered through it (see PipelineContext::scratch_device).
-  DeviceSpec scratch = DeviceSpec::Unlimited();
-  uint64_t scratch_budget_bytes = 0;
-  // This host's NIC, borrowed like `fs` so a Session or FleetRuntime
-  // can share one device (and its byte counters) across pipelines.
-  // Null = local transfers are unmetered (no network model).
-  StorageDevice* nic = nullptr;
-};
-
 class Pipeline {
  public:
   static StatusOr<std::unique_ptr<Pipeline>> Create(

@@ -64,8 +64,8 @@ RunResult RunIterator(IteratorBase* iterator, const RunOptions& options,
       break;
     }
     ++result.batches;
-    result.examples += static_cast<int64_t>(element.components.size());
-    if (hooks.on_batch) hooks.on_batch(result.batches, result.examples);
+    result.elements += static_cast<int64_t>(element.components.size());
+    if (hooks.on_batch) hooks.on_batch(result.batches, result.elements);
     if (options.model_step_seconds > 0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(options.model_step_seconds));
@@ -75,7 +75,7 @@ RunResult RunIterator(IteratorBase* iterator, const RunOptions& options,
   result.process_cpu_seconds = (ProcessCpuNanos() - start_cpu) * 1e-9;
   if (result.wall_seconds > 0) {
     result.batches_per_second = result.batches / result.wall_seconds;
-    result.examples_per_second = result.examples / result.wall_seconds;
+    result.elements_per_second = result.elements / result.wall_seconds;
     result.mean_cores_used =
         result.process_cpu_seconds / result.wall_seconds;
   }

@@ -32,10 +32,10 @@ struct RunOptions {
 struct RunResult {
   Status status;
   int64_t batches = 0;
-  int64_t examples = 0;  // total components across batches
+  int64_t elements = 0;  // total components across batches
   double wall_seconds = 0;
   double batches_per_second = 0;
-  double examples_per_second = 0;
+  double elements_per_second = 0;
   // Mean wall time blocked inside GetNext (fetch latency).
   double mean_next_latency_seconds = 0;
   // Process CPU consumed during the measured window, in core-seconds.

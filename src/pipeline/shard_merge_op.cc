@@ -67,11 +67,7 @@ StatusOr<std::unique_ptr<IteratorBase>> ShardMergeDataset::MakeIterator(
 
 StatusOr<DatasetPtr> MakeShardMergeDataset(NodeDef def,
                                            std::vector<DatasetPtr> inputs,
-                                           PipelineContext* ctx) {
-  (void)ctx;
-  if (inputs.empty()) {
-    return InvalidArgumentError("shard_merge takes at least one input");
-  }
+                                           PipelineContext*) {
   return DatasetPtr(new ShardMergeDataset(std::move(def), std::move(inputs)));
 }
 

@@ -129,7 +129,9 @@ StatusOr<std::unique_ptr<IteratorBase>> PrefetchDataset::MakeIterator(
 // writer left; any other iterator that starts while it is incomplete
 // reads its input uncached. A writer that goes away leaves its partial
 // fill in place, so SimulateSteadyState can still freeze it after a
-// warmup iterator is gone. A disk-tier cache
+// warmup iterator is gone; a writer still live when its fill is frozen
+// stops filling, drops its input and serves the frozen fill from the
+// start, like an iterator created after the freeze. A disk-tier cache
 // (kAttrCacheTier = "disk") differs in two ways: its capacity check is
 // against the scratch budget rather than the DRAM budget, and every
 // serve-path read is charged through the modeled scratch
@@ -145,7 +147,7 @@ class CacheDataset : public DatasetBase {
 
   // Steady-state simulation (paper §B): treat whatever is materialized
   // so far as the whole dataset. Serving a truncated dataset preserves
-  // per-element rates, which is all the tracer compares.
+  // per-element rates, which is all the tracer and PickBest compare.
   void SimulateSteadyState() override {
     std::lock_guard<std::mutex> lock(state_.mu);
     if (!state_.elements.empty()) state_.complete = true;
@@ -155,7 +157,9 @@ class CacheDataset : public DatasetBase {
     std::mutex mu;
     std::vector<Element> elements;
     uint64_t bytes = 0;
-    bool complete = false;
+    // Written under mu; atomic so a live writer can see a freeze
+    // before each pull without taking the lock.
+    std::atomic<bool> complete{false};
     bool has_writer = false;
   };
 
@@ -190,6 +194,15 @@ class CacheIterator : public IteratorBase {
 
  protected:
   Status GetNextInternal(Element* out, bool* end) override {
+    if (writing_ && state_->complete.load(std::memory_order_acquire)) {
+      // The fill was frozen (or finished) under this writer: serve it
+      // from the start instead of pulling more input.
+      input_.reset();
+      std::lock_guard<std::mutex> lock(state_->mu);
+      state_->has_writer = false;
+      writing_ = false;
+      serving_ = true;
+    }
     if (serving_) {
       {
         std::lock_guard<std::mutex> lock(state_->mu);
@@ -270,37 +283,23 @@ StatusOr<std::unique_ptr<IteratorBase>> CacheDataset::MakeIterator(
       ctx, StatsFor(ctx), inputs_[0].get(), state(), disk_tier));
 }
 
-Status RequireOneInput(const std::vector<DatasetPtr>& inputs,
-                       const char* op) {
-  if (inputs.size() != 1) {
-    return InvalidArgumentError(std::string(op) + " takes one input");
-  }
-  return OkStatus();
-}
-
 }  // namespace
 
 StatusOr<DatasetPtr> MakeBatchDataset(NodeDef def,
                                       std::vector<DatasetPtr> inputs,
-                                      PipelineContext* ctx) {
-  (void)ctx;
-  RETURN_IF_ERROR(RequireOneInput(inputs, "batch"));
+                                      PipelineContext*) {
   return DatasetPtr(new BatchDataset(std::move(def), std::move(inputs)));
 }
 
 StatusOr<DatasetPtr> MakePrefetchDataset(NodeDef def,
                                          std::vector<DatasetPtr> inputs,
-                                         PipelineContext* ctx) {
-  (void)ctx;
-  RETURN_IF_ERROR(RequireOneInput(inputs, "prefetch"));
+                                         PipelineContext*) {
   return DatasetPtr(new PrefetchDataset(std::move(def), std::move(inputs)));
 }
 
 StatusOr<DatasetPtr> MakeCacheDataset(NodeDef def,
                                       std::vector<DatasetPtr> inputs,
-                                      PipelineContext* ctx) {
-  (void)ctx;
-  RETURN_IF_ERROR(RequireOneInput(inputs, "cache"));
+                                      PipelineContext*) {
   return DatasetPtr(new CacheDataset(std::move(def), std::move(inputs)));
 }
 

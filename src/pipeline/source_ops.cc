@@ -117,20 +117,14 @@ StatusOr<std::unique_ptr<IteratorBase>> FileListDataset::MakeIterator(
 
 }  // namespace
 
-StatusOr<DatasetPtr> MakeRangeDataset(NodeDef def,
-                                      std::vector<DatasetPtr> inputs,
-                                      PipelineContext* ctx) {
-  (void)ctx;
-  if (!inputs.empty()) return InvalidArgumentError("range takes no inputs");
+StatusOr<DatasetPtr> MakeRangeDataset(NodeDef def, std::vector<DatasetPtr>,
+                                      PipelineContext*) {
   return DatasetPtr(new RangeDataset(std::move(def)));
 }
 
 StatusOr<DatasetPtr> MakeFileListDataset(NodeDef def,
-                                         std::vector<DatasetPtr> inputs,
+                                         std::vector<DatasetPtr>,
                                          PipelineContext* ctx) {
-  if (!inputs.empty()) {
-    return InvalidArgumentError("file_list takes no inputs");
-  }
   if (ctx->fs == nullptr) {
     return FailedPreconditionError("file_list requires a filesystem");
   }

@@ -6,7 +6,6 @@
 
 #include "src/core/multi_job_planner.h"
 #include "src/core/rewriter.h"
-#include "src/pipeline/ops.h"
 #include "src/util/cpu_timer.h"
 #include "src/util/logging.h"
 
@@ -94,22 +93,6 @@ ExecutorLoadSnapshot Executor::LoadSnapshot() const {
   std::lock_guard<std::mutex> lock(signal_->mu);
   snapshot.queued_jobs = static_cast<int>(pending_.size());
   snapshot.running_jobs = static_cast<int>(live_.size());
-  for (const JobPtr& job : pending_) {
-    ++snapshot.queued_by_class[static_cast<size_t>(job->options().slo)];
-  }
-  for (const auto& [id, job] : live_) {
-    (void)id;
-    ++snapshot.running_by_class[static_cast<size_t>(job->options().slo)];
-    // planned_graph_ is the submitted graph until arbitration rewrites
-    // it, so the sum covers both arbitrated grants and configured
-    // knobs. Same lock order as AdmitLocked (executor lock -> job mu_).
-    std::lock_guard<std::mutex> jlock(job->mu_);
-    for (const std::string& node : rewriter::TunableNodes(job->planned_graph_)) {
-      const NodeDef* def = job->planned_graph_.FindNode(node);
-      snapshot.granted_cores +=
-          static_cast<double>(def->GetInt(kAttrParallelism, 1));
-    }
-  }
   return snapshot;
 }
 
@@ -233,16 +216,8 @@ void Executor::ReplanLocked() {
     // knobs if earlier arbitration scaled it down; a job that was never
     // arbitrated is never touched (bit-identical Flow::Run behavior).
     JobPtr& job = live.front();
-    bool restore = false;
-    {
-      std::lock_guard<std::mutex> jlock(job->mu_);
-      if (job->arbitrated_) {
-        job->planned_graph_ = job->graph_;
-        job->arbitrated_ = false;
-        restore = true;
-      }
-    }
-    if (restore) {
+    if (job->arbitrated_) {
+      job->arbitrated_ = false;
       for (const std::string& node : rewriter::TunableNodes(job->graph_)) {
         job->governor_->SetTarget(node, 0);  // back to configured
       }
@@ -274,14 +249,9 @@ void Executor::ReplanLocked() {
     auto it = plan.jobs.find(std::to_string(job->id()));
     if (it == plan.jobs.end() || it->second.parallelism.empty()) continue;
     const LpPlan& job_plan = it->second;
-    {
-      std::lock_guard<std::mutex> jlock(job->mu_);
-      // Re-derive from the submitted graph so consecutive re-plans
-      // never compound (grants are absolute, not deltas).
-      job->planned_graph_ = job->graph_;
-      (void)rewriter::ApplyParallelismPlan(&job->planned_graph_, job_plan);
-      job->arbitrated_ = true;
-    }
+    job->arbitrated_ = true;
+    // Grants are absolute targets, not deltas, so consecutive re-plans
+    // never compound.
     for (const auto& [node, parallelism] : job_plan.parallelism) {
       job->governor_->SetTarget(node, parallelism);
     }

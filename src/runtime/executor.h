@@ -6,10 +6,10 @@
 // spawns one driver thread per job to run the measurement loop. On
 // every arrival and departure the scheduler re-arbitrates the
 // machine's modeled cores across all live jobs with the maximin
-// allocator (src/core/multi_job_planner): each job's grant is recorded
-// in its planned graph via rewriter::ApplyParallelismPlan and pushed
-// into its running pipeline through a ParallelismGovernor, which grows
-// or parks its map and interleave worker pools in place
+// allocator (src/core/multi_job_planner): each job's grant is published
+// as per-node targets on its ParallelismGovernor — the one record of
+// it, read back through ParallelismGovernor::Targets() — which grows
+// or parks its running map and interleave worker pools in place
 // (src/pipeline/worker_pool.h). A job running alone is never
 // arbitrated — its pipeline behaves exactly as the blocking
 // single-tenant Flow::Run always did — and when departures leave a
@@ -29,7 +29,6 @@
 // Executor (and its Session) are gone.
 #pragma once
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -63,18 +62,10 @@ struct ExecutorOptions {
 
 // Point-in-time load view of one Executor: the dispatch signal a
 // fleet-level balancer (src/fleet/fleet_runtime.h) compares across
-// hosts, and a cheap observability hook on its own.
+// hosts.
 struct ExecutorLoadSnapshot {
   int queued_jobs = 0;   // submitted, not yet admitted
   int running_jobs = 0;  // admitted, driver live
-  // Sum of the live jobs' current integer parallelism grants (the
-  // arbitrated plan when re-planned, the configured knobs otherwise):
-  // how many modeled cores the running set is entitled to occupy.
-  double granted_cores = 0;
-  // The same queue/running view broken out by SloClass ordinal — the
-  // per-class signal a fleet dispatcher or dashboard reads.
-  std::array<int, kNumSloClasses> queued_by_class = {};
-  std::array<int, kNumSloClasses> running_by_class = {};
 };
 
 class Executor {
@@ -96,7 +87,7 @@ class Executor {
   // submission after shutdown) surface through the job's phase/result.
   JobPtr Submit(GraphDef graph, JobOptions options);
 
-  // Queue depth, running set, and granted cores in one consistent view.
+  // Queue depth and running set in one consistent view.
   ExecutorLoadSnapshot LoadSnapshot() const;
 
  private:
@@ -111,9 +102,9 @@ class Executor {
   // nanos; int64 max for jobs without a target.
   static int64_t DeadlineNs(const Job& job);
   void AdmitLocked(JobPtr job);
-  // Recomputes the multi-job core split over the live set and applies
-  // it (planned graphs + governor targets). Single survivor gets its
-  // configured knobs back; a job running alone is never touched.
+  // Recomputes the multi-job core split over the live set and publishes
+  // it as governor targets. Single survivor gets its configured knobs
+  // back; a job running alone is never touched.
   void ReplanLocked();
   void DriverLoop(JobPtr job);
   void FinishWithoutRunning(Job* job, JobPhase phase, Status status);

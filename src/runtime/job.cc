@@ -24,8 +24,7 @@ Job::Job(uint64_t id, std::string name, GraphDef graph, JobOptions options,
       output_node_(graph.output()),
       options_(std::move(options)),
       scheduler_(std::move(scheduler)),
-      graph_(graph),
-      planned_graph_(std::move(graph)),
+      graph_(std::move(graph)),
       submit_ns_(WallNanos()) {}
 
 JobPhase Job::phase() const {

@@ -134,12 +134,14 @@ class Job {
   mutable std::mutex mu_;
   std::condition_variable finished_cv_;
   JobPhase phase_ = JobPhase::kQueued;
-  // The submitted program (instantiation source, never mutated) and
-  // the arbitration bookkeeping copy ApplyParallelismPlan rewrites.
+  // The submitted program (instantiation source, never mutated).
   const GraphDef graph_;
-  GraphDef planned_graph_;
-  bool arbitrated_ = false;  // ever re-planned away from the submitted knobs
-  GovernorPtr governor_;     // live worker retargeting channel
+  // Re-planned away from the submitted knobs since the job last ran
+  // alone. Guarded by the executor's lock (SchedulerSignal::mu), which
+  // every re-plan holds; the job's grant itself lives only in
+  // governor_'s targets.
+  bool arbitrated_ = false;
+  GovernorPtr governor_;  // live worker retargeting channel
   std::unique_ptr<Pipeline> pipeline_;
   std::unique_ptr<IteratorBase> iterator_;
 

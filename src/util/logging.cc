@@ -1,19 +1,15 @@
 #include "src/util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace plumber {
 namespace {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
 std::mutex g_log_mutex;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "D";
     case LogLevel::kInfo:
       return "I";
     case LogLevel::kWarning:
@@ -26,31 +22,17 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(static_cast<int>(level) >=
-               g_level.load(std::memory_order_relaxed)),
-      level_(level) {
-  if (enabled_) {
-    const char* base = file;
-    for (const char* p = file; *p; ++p) {
-      if (*p == '/') base = p + 1;
-    }
-    stream_ << "[" << LevelName(level_) << " " << base << ":" << line << "] ";
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
+  const char* base = file;
+  for (const char* p = file; *p; ++p) {
+    if (*p == '/') base = p + 1;
   }
+  stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
 }
 
 LogMessage::~LogMessage() {
-  if (!enabled_) return;
   std::lock_guard<std::mutex> lock(g_log_mutex);
   std::fprintf(stderr, "%s\n", stream_.str().c_str());
 }

@@ -1,4 +1,4 @@
-// Minimal leveled logging to stderr.
+// Minimal leveled logging to stderr. Every message is printed.
 #pragma once
 
 #include <sstream>
@@ -6,11 +6,7 @@
 
 namespace plumber {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-// Global log threshold; messages below it are dropped.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+enum class LogLevel { kInfo, kWarning, kError };
 
 namespace internal {
 
@@ -21,13 +17,11 @@ class LogMessage {
 
   template <typename T>
   LogMessage& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
+    stream_ << v;
     return *this;
   }
 
  private:
-  bool enabled_;
-  LogLevel level_;
   std::ostringstream stream_;
 };
 

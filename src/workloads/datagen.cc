@@ -39,15 +39,6 @@ uint64_t DatasetBytes(const SimFilesystem& fs, const std::string& prefix) {
   return total;
 }
 
-uint64_t DatasetRecords(const SimFilesystem& fs, const std::string& prefix) {
-  uint64_t total = 0;
-  for (const auto& name : fs.List(prefix)) {
-    const SimFileMeta* meta = fs.FindMeta(name);
-    if (meta != nullptr) total += meta->NumRecords();
-  }
-  return total;
-}
-
 Status RegisterStandardDatasets(SimFilesystem* fs, uint64_t seed) {
   RecordDatasetSpec imagenet;
   imagenet.prefix = "imagenet/train-";

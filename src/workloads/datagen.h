@@ -39,9 +39,6 @@ Status GenerateRecordDataset(SimFilesystem* fs, const RecordDatasetSpec& spec);
 // Ground-truth total on-disk bytes for a registered prefix.
 uint64_t DatasetBytes(const SimFilesystem& fs, const std::string& prefix);
 
-// Ground-truth record count for a registered prefix.
-uint64_t DatasetRecords(const SimFilesystem& fs, const std::string& prefix);
-
 // Registers the standard evaluation datasets (paper App. D, scaled):
 //   imagenet/train-   64 files x 120 records x ~1.1KB   (~148GB full)
 //   imagenet/valid-    8 files x  60 records x ~1.1KB   (validation set)

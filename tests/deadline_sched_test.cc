@@ -14,7 +14,8 @@ using testing_util::PollUntil;
 
 Session MakeSession(SessionOptions so = {}) {
   so.machine.num_cores = 4;
-  so.max_concurrent_jobs = 1;  // force a queue so ordering is observable
+  // Force a queue so ordering is observable.
+  so.executor.max_concurrent_jobs = 1;
   Session session(std::move(so));
   UdfSpec work;
   work.name = "work";

@@ -24,7 +24,7 @@ using testing_util::SizeFingerprint;
 Session MakeSession(int num_cores, int max_concurrent = 0) {
   SessionOptions so;
   so.machine.num_cores = num_cores;
-  so.max_concurrent_jobs = max_concurrent;
+  so.executor.max_concurrent_jobs = max_concurrent;
   Session session(std::move(so));
   EXPECT_TRUE(session.CreateRecordFiles("train/part-", 4, 50, 64).ok());
   UdfSpec work;
@@ -76,7 +76,7 @@ TEST(ExecutorTest, SubmitWaitMatchesBlockingRunReport) {
     EXPECT_TRUE(report->status.ok());
     EXPECT_TRUE(report->reached_end);
     EXPECT_EQ(report->batches, low_level.batches);
-    EXPECT_EQ(report->elements, low_level.examples);
+    EXPECT_EQ(report->elements, low_level.elements);
     EXPECT_GT(report->bytes_produced, 0u);
     EXPECT_GE(report->queue_seconds, 0.0);
     const IteratorStatsSnapshot* map = report->FindNode("m");
@@ -373,9 +373,9 @@ TEST(MultiJobPlannerTest, NoJobStarvesUnderOversubscription) {
   }
 }
 
-TEST(ExecutorTest, LoadSnapshotTracksQueueRunningAndGrants) {
-  // The fleet dispatcher's signal: queue depth, running set, and the
-  // live jobs' granted cores in one consistent view.
+TEST(ExecutorTest, LoadSnapshotTracksQueueAndRunning) {
+  // The fleet dispatcher's signal: queue depth and running set in one
+  // consistent view.
   PipelineTestEnv env;
   MachineSpec machine;
   machine.num_cores = 8;
@@ -387,7 +387,6 @@ TEST(ExecutorTest, LoadSnapshotTracksQueueRunningAndGrants) {
   const runtime::ExecutorLoadSnapshot idle = executor.LoadSnapshot();
   EXPECT_EQ(idle.queued_jobs, 0);
   EXPECT_EQ(idle.running_jobs, 0);
-  EXPECT_EQ(idle.granted_cores, 0);
 
   GraphDef graph;
   NodeDef src;
@@ -412,10 +411,6 @@ TEST(ExecutorTest, LoadSnapshotTracksQueueRunningAndGrants) {
     const runtime::ExecutorLoadSnapshot s = executor.LoadSnapshot();
     return s.running_jobs == 1 && s.queued_jobs == 1;
   }));
-  // One live job, never arbitrated (it runs alone): granted cores are
-  // its configured knob.
-  const runtime::ExecutorLoadSnapshot busy = executor.LoadSnapshot();
-  EXPECT_EQ(busy.granted_cores, 3.0);
 
   first->Cancel();
   second->Cancel();
@@ -534,7 +529,7 @@ TEST(MultiJobPlannerTest, OptimizerStampsTracedRatesOnRealSchedule) {
   ASSERT_TRUE(graph_or.ok());
   auto result = optimizer.Optimize(*graph_or);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(rewriter::GetTracedRate(result->graph, mapped), 0.0);
+  EXPECT_GT(result->graph.FindNode(mapped)->GetDouble(kAttrTracedRate), 0.0);
 }
 
 TEST(MultiJobPlannerTest, SequentialStageCapsJobRate) {

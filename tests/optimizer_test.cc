@@ -163,6 +163,34 @@ TEST(OptimizerTest, PickBestPrefersFasterVariant) {
   EXPECT_EQ(result->picked_variant, 1);
 }
 
+TEST(OptimizerTest, PickBestComparesFrozenCachesAtServeRate) {
+  // Variant 0 maps at 150us per element; variant 1 maps at 200us but
+  // caches the result. PickBest warms and freezes each variant on one
+  // iterator, so the cached variant must be measured serving its
+  // frozen fill, not still filling it through the slower map.
+  Session session;
+  UdfSpec fast;
+  fast.name = "map_150us";
+  fast.cost_ns_per_element = 150e3;
+  ASSERT_TRUE(session.RegisterUdf(fast).ok());
+  UdfSpec slow;
+  slow.name = "map_200us";
+  slow.cost_ns_per_element = 200e3;
+  ASSERT_TRUE(session.RegisterUdf(slow).ok());
+  const auto variant = [&](const std::string& udf, bool cache) {
+    Flow flow = session.Range(100000).Map(udf);
+    if (cache) flow = flow.Cache();
+    return std::move(flow.Repeat().Graph()).value();
+  };
+  OptimizeOptions options;
+  options.trace_seconds = 0.1;
+  options.schedule = "";
+  auto result = session.OptimizeBest(
+      {variant("map_150us", false), variant("map_200us", true)}, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->picked_variant, 1);
+}
+
 TEST(OptimizerTest, PickBestLogsFailedVariants) {
   PipelineTestEnv env(4, 100, 64);
   GraphDef good = MisconfiguredGraph();

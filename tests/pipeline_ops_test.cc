@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "src/pipeline/ops.h"
 #include "tests/test_util.h"
 
 namespace plumber {
@@ -421,6 +422,21 @@ TEST(CacheOpTest, FillIsNeitherSharedNorResumed) {
   }
 }
 
+TEST(CacheOpTest, WriterPulledPastItsEndServesItsFill) {
+  // The writer that completed the fill and is pulled again serves the
+  // fill a second time; it must not re-read its input into the cache.
+  PipelineTestEnv env;
+  GraphBuilder b;
+  auto pipeline = MakePipeline(
+      env, std::move(b.Build(b.Cache("c", b.Range("src", 10)))).value());
+  auto writer = std::move(pipeline->MakeIterator()).value();
+  ASSERT_EQ(Sequences(writer.get()), Iota(10));
+  EXPECT_EQ(Sequences(writer.get()), Iota(10));
+  writer.reset();
+  auto reader = std::move(pipeline->MakeIterator()).value();
+  EXPECT_EQ(Sequences(reader.get()), Iota(10));
+}
+
 TEST(CacheOpTest, PartialEpochsFitTheBudget) {
   // take(5) leaves every epoch's fill incomplete. Each epoch restarts
   // the fill, so three epochs fit a budget of eight 8-byte elements.
@@ -473,6 +489,66 @@ TEST(PipelineTest, MissingUdfRejectedAtCreate) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+}
+
+TEST(PipelineTest, OpTableChecksInputCountsAndPinsPredicates) {
+  struct OpRow {
+    const char* op;
+    int min_inputs;
+    bool fixed;  // exactly min_inputs, else at least
+  };
+  const std::vector<OpRow> ops = {
+      {"range", 0, true},       {"file_list", 0, true},
+      {"tfrecord", 1, true},    {"remote_read", 1, true},
+      {"interleave", 1, true},  {"map", 1, true},
+      {"filter", 1, true},      {"shuffle", 1, true},
+      {"repeat", 1, true},      {"shuffle_and_repeat", 1, true},
+      {"take", 1, true},        {"skip", 1, true},
+      {"batch", 1, true},       {"prefetch", 1, true},
+      {"cache", 1, true},       {"zip", 2, false},
+      {"concatenate", 2, false}, {"shard_merge", 1, false},
+  };
+  ASSERT_EQ(ops.size(), 18u);
+  PipelineTestEnv env;
+  // A graph whose output is an `op` node over `num_inputs` ranges.
+  const auto create = [&](const std::string& op, int num_inputs) {
+    GraphDef g;
+    NodeDef node;
+    node.name = "node";
+    node.op = op;
+    for (int i = 0; i < num_inputs; ++i) {
+      NodeDef input;
+      input.name = "in" + std::to_string(i);
+      input.op = "range";
+      EXPECT_TRUE(g.AddNode(input).ok());
+      node.inputs.push_back(input.name);
+    }
+    EXPECT_TRUE(g.AddNode(node).ok());
+    g.SetOutput("node");
+    return Pipeline::Create(std::move(g), env.Options()).status();
+  };
+  for (const OpRow& row : ops) {
+    std::vector<int> wrong_counts;
+    if (row.min_inputs > 0) wrong_counts.push_back(row.min_inputs - 1);
+    if (row.fixed) wrong_counts.push_back(row.min_inputs + 1);
+    for (int count : wrong_counts) {
+      const Status status = create(row.op, count);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << row.op << " with " << count << " inputs: " << status;
+      EXPECT_NE(status.message().find(row.op), std::string::npos)
+          << status;
+    }
+    const std::string op = row.op;
+    EXPECT_EQ(OpSupportsParallelism(op), op == "map" || op == "interleave")
+        << op;
+    EXPECT_EQ(OpReadsRecords(op), op == "tfrecord" || op == "remote_read" ||
+                                      op == "interleave")
+        << op;
+    EXPECT_EQ(OpReadsRemote(op), op == "remote_read") << op;
+  }
+  EXPECT_FALSE(OpSupportsParallelism("frobnicate"));
+  EXPECT_FALSE(OpReadsRecords("frobnicate"));
+  EXPECT_FALSE(OpReadsRemote("frobnicate"));
 }
 
 }  // namespace

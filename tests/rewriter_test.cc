@@ -97,9 +97,9 @@ TEST(RewriterTest, BufferSizeAccessors) {
   GraphDef g = TestGraph();
   ASSERT_TRUE(rewriter::EnsureRootPrefetch(&g, 3).ok());
   const std::string root = g.output();
-  EXPECT_EQ(*rewriter::GetBufferSize(g, root), 3);
+  EXPECT_EQ(g.FindNode(root)->GetInt(kAttrBufferSize), 3);
   ASSERT_TRUE(rewriter::SetBufferSize(&g, root, 12).ok());
-  EXPECT_EQ(*rewriter::GetBufferSize(g, root), 12);
+  EXPECT_EQ(g.FindNode(root)->GetInt(kAttrBufferSize), 12);
   EXPECT_FALSE(rewriter::SetBufferSize(&g, root, 0).ok());
 }
 

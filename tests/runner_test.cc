@@ -31,7 +31,7 @@ TEST(RunnerTest, MaxBatchesStopsExactly) {
   const RunResult result = RunPipeline(*pipeline, options);
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.batches, 7);
-  EXPECT_EQ(result.examples, 35);
+  EXPECT_EQ(result.elements, 35);
   EXPECT_FALSE(result.reached_end);
   EXPECT_GT(result.batches_per_second, 0);
 }

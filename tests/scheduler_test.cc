@@ -234,7 +234,7 @@ TEST(SloSchedulerTest, InteractiveArrivalParksBatchAndDepartureRestores) {
 
 TEST(SloSchedulerTest, PreemptionOffKeepsFlatFairShare) {
   SessionOptions so;
-  so.slo_preemption = false;
+  so.executor.slo_preemption = false;
   Session session = MakeSession(8, std::move(so));
   RunOptions window;
   window.max_seconds = 60;
@@ -280,7 +280,7 @@ TEST(SloSchedulerTest, PriorityWeightsSharesWithinClass) {
 
 TEST(SloSchedulerTest, InteractiveJumpsTheAdmissionQueue) {
   SessionOptions so;
-  so.max_concurrent_jobs = 1;
+  so.executor.max_concurrent_jobs = 1;
   Session session = MakeSession(8, std::move(so));
   RunOptions window;
   window.max_seconds = 60;

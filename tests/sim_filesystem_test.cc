@@ -15,9 +15,9 @@ TEST(SimFilesystemTest, CreateAndList) {
   EXPECT_EQ(fs.List("data/").size(), 2u);
   EXPECT_EQ(fs.List("other/").size(), 1u);
   EXPECT_EQ(fs.List("nope/").size(), 0u);
-  EXPECT_TRUE(fs.Exists("data/a-0"));
-  EXPECT_FALSE(fs.Exists("data/a-2"));
-  EXPECT_EQ(fs.NumFiles(), 3u);
+  EXPECT_NE(fs.FindMeta("data/a-0"), nullptr);
+  EXPECT_EQ(fs.FindMeta("data/a-2"), nullptr);
+  EXPECT_EQ(fs.List("").size(), 3u);
 }
 
 TEST(SimFilesystemTest, DuplicateCreateFails) {
@@ -32,10 +32,10 @@ TEST(SimFilesystemTest, DuplicateCreateFails) {
 TEST(SimFilesystemTest, FileSizeIncludesFraming) {
   SimFilesystem fs;
   ASSERT_TRUE(fs.CreateRecordFile("x", 1, {100, 200}).ok());
-  auto size = fs.FileSize("x");
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, 300 + 2 * kRecordFramingBytes);
-  EXPECT_FALSE(fs.FileSize("missing").ok());
+  const SimFileMeta* meta = fs.FindMeta("x");
+  ASSERT_NE(meta, nullptr);
+  EXPECT_EQ(meta->TotalBytes(), 300 + 2 * kRecordFramingBytes);
+  EXPECT_EQ(fs.FindMeta("missing"), nullptr);
 }
 
 TEST(RecordReaderTest, ReadsAllRecordsWithCorrectSizes) {

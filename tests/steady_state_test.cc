@@ -84,6 +84,38 @@ TEST(SteadyStateTest, FreezeWithoutCacheIsNoOp) {
   EXPECT_EQ(Drain(*pipeline).size(), before);
 }
 
+TEST(SteadyStateTest, FreezeStopsALiveWriter) {
+  // PickBest's sequence: warm a cache on one iterator, freeze it, and
+  // keep measuring on that same iterator. The writer must stop
+  // filling and serve the frozen fill (across repeat epochs) instead
+  // of pulling on through the map below the cache.
+  PipelineTestEnv env;
+  GraphBuilder b;
+  auto n = b.Map("work", b.Range("src", 100000), "slow");
+  n = b.Cache("cache", n);
+  n = b.Repeat("repeat", n);
+  auto pipeline = std::move(Pipeline::Create(std::move(b.Build(n)).value(),
+                                             env.Options()))
+                      .value();
+  auto iterator = std::move(pipeline->MakeIterator()).value();
+  RunOptions fill;
+  fill.max_seconds = 0.1;
+  ASSERT_TRUE(RunIterator(iterator.get(), fill).status.ok());
+  pipeline->SimulateSteadyState();
+
+  const IteratorStats* work = pipeline->stats().Find("work");
+  ASSERT_NE(work, nullptr);
+  const uint64_t mapped = work->elements_produced();
+  ASSERT_GT(mapped, 0u);
+  Element e;
+  bool end = false;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(iterator->GetNext(&e, &end).ok());
+    ASSERT_FALSE(end);
+  }
+  EXPECT_LE(work->elements_produced(), mapped + 1);
+}
+
 TEST(SteadyStateTest, TracerWarmupAndFreezeYieldSteadyRates) {
   PipelineTestEnv env(4, 50, 64);
   auto pipeline =

@@ -1,7 +1,7 @@
 // StorageDevice tests. One metered-device type serves disks and NICs:
 // the presets, byte-exact counters (also under concurrency), token-bucket
 // pacing through Charge and through a filesystem read stream, the fixed
-// per-charge latency, the per-stream cap, and SetBandwidth.
+// per-charge latency, and the per-stream cap.
 #include "src/io/storage_device.h"
 
 #include <gtest/gtest.h>
@@ -93,7 +93,6 @@ TEST(StorageDeviceTest, ChargePacesToBandwidth) {
 
 TEST(StorageDeviceTest, TokenBucketLimitsReadBandwidth) {
   StorageDevice device(DeviceSpec::TokenBucketLimit(1e6));  // 1MB/s
-  device.SetBandwidth(1e6);
   SimFilesystem fs(&device);
   ASSERT_TRUE(fs.CreateRawFile("x", 7, 10 << 20).ok());
   auto reader = std::move(fs.OpenRaw("x")).value();
@@ -133,14 +132,6 @@ TEST(StorageDeviceTest, PerStreamCapScalesWithParallelism) {
   s1->Charge(1'000'000);
   s2->Charge(1'000'000);
   EXPECT_LT((WallNanos() - t0) * 1e-9, 0.2);
-}
-
-TEST(StorageDeviceTest, SetBandwidthRetargetsTheBucket) {
-  StorageDevice device(DeviceSpec::TokenBucketLimit(1e6));
-  device.SetBandwidth(0);  // unlimited now
-  const int64_t t0 = WallNanos();
-  device.Charge(100 << 20);  // would take >100s at 1 MB/s
-  EXPECT_LT((WallNanos() - t0) * 1e-9, 5.0);
 }
 
 }  // namespace

@@ -39,20 +39,6 @@ TEST(TokenBucketTest, RateLimitsSustainedThroughput) {
   EXPECT_LT(elapsed, 0.6);
 }
 
-TEST(TokenBucketTest, TryAcquireDoesNotBlock) {
-  TokenBucket bucket(/*rate=*/10, /*burst=*/10);
-  EXPECT_TRUE(bucket.TryAcquire(10));
-  EXPECT_FALSE(bucket.TryAcquire(10));  // drained
-}
-
-TEST(TokenBucketTest, SetRateTakesEffect) {
-  TokenBucket bucket(/*rate=*/100, /*burst=*/1);
-  bucket.SetRate(1e9);
-  const int64_t t0 = WallNanos();
-  bucket.Acquire(1e6);
-  EXPECT_LT((WallNanos() - t0) * 1e-9, 0.5);
-}
-
 TEST(TokenBucketTest, ConcurrentAcquiresConserveRate) {
   TokenBucket bucket(/*rate=*/200000, /*burst=*/2000);
   std::vector<std::thread> threads;

@@ -8,6 +8,15 @@
 namespace plumber {
 namespace {
 
+// Ground-truth record count for a registered prefix.
+uint64_t RecordsUnder(const SimFilesystem& fs, const std::string& prefix) {
+  uint64_t total = 0;
+  for (const auto& name : fs.List(prefix)) {
+    total += fs.FindMeta(name)->NumRecords();
+  }
+  return total;
+}
+
 TEST(DatagenTest, GeneratesRequestedShape) {
   SimFilesystem fs;
   RecordDatasetSpec spec;
@@ -17,7 +26,7 @@ TEST(DatagenTest, GeneratesRequestedShape) {
   spec.mean_record_bytes = 100;
   ASSERT_TRUE(GenerateRecordDataset(&fs, spec).ok());
   EXPECT_EQ(fs.List("t/").size(), 5u);
-  EXPECT_EQ(DatasetRecords(fs, "t/"), 50u);
+  EXPECT_EQ(RecordsUnder(fs, "t/"), 50u);
   const double bytes = DatasetBytes(fs, "t/");
   // ~50 x (100 +/- 15%) payload + framing.
   EXPECT_NEAR(bytes, 50 * (100 + kRecordFramingBytes), 0.3 * bytes);
@@ -41,7 +50,7 @@ TEST(DatagenTest, StandardDatasetsSizesScale) {
   EXPECT_NEAR(imagenet, 8.4e6, 1.5e6);
   EXPECT_GT(imagenet, coco);
   EXPECT_GT(coco, wmt17);
-  EXPECT_EQ(DatasetRecords(fs, "imagenet/train-"), 64u * 120u);
+  EXPECT_EQ(RecordsUnder(fs, "imagenet/train-"), 64u * 120u);
 }
 
 TEST(WorkloadsTest, AllNamesBuild) {
@@ -88,7 +97,7 @@ TEST_P(WorkloadRunTest, ProducesBatchesEndToEnd) {
   const RunResult result = RunPipeline(*pipeline, options);
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_EQ(result.batches, 3);
-  EXPECT_EQ(result.examples, 3 * w.batch_size);
+  EXPECT_EQ(result.elements, 3 * w.batch_size);
   pipeline->Cancel();
 }
 
@@ -110,7 +119,7 @@ TEST(WorkloadsTest, ResNetVariantsShareSignature) {
     options.max_seconds = 20;
     const RunResult result = RunPipeline(*pipeline, options);
     ASSERT_TRUE(result.status.ok());
-    EXPECT_EQ(result.examples, w.batch_size);
+    EXPECT_EQ(result.elements, w.batch_size);
     pipeline->Cancel();
   }
 }
