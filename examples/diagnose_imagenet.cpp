@@ -97,7 +97,7 @@ int main() {
                    report.changed ? "yes" : "no", report.summary});
   }
   passes.Print();
-  std::printf("final traced rate: %.2f minibatches/s\n",
+  std::printf("traced rate of the input: %.2f minibatches/s\n",
               optimized->traced_rate);
   return 0;
 }

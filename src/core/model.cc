@@ -95,7 +95,7 @@ StatusOr<PipelineModel> PipelineModel::Build(const TraceSnapshot& trace,
   }
 
   // Pass 3 (source-up, i.e. reverse of root-first order): cardinality,
-  // materialization size, random taint, below-cache marking.
+  // materialization size, random taint.
   const auto source_sizes = model.EstimateSourceSizes();
   for (auto it = model.nodes_.rbegin(); it != model.nodes_.rend(); ++it) {
     NodeModel& node = *it;
@@ -105,12 +105,10 @@ StatusOr<PipelineModel> PipelineModel::Build(const TraceSnapshot& trace,
     // aggregate by summing cardinalities).
     double child_cardinality = kModelUnknown;
     bool child_taint = false;
-    bool child_below_cache = false;
     for (const std::string& input : node.inputs) {
       const NodeModel* child = model.Find(input);
       if (child == nullptr) continue;
       child_taint = child_taint || child->random_tainted;
-      child_below_cache = child_below_cache || child->below_cache;
       if (child->cardinality == kModelInfinite ||
           child_cardinality == kModelInfinite) {
         child_cardinality = kModelInfinite;
@@ -126,17 +124,6 @@ StatusOr<PipelineModel> PipelineModel::Build(const TraceSnapshot& trace,
     if (!node.udf_name.empty() && udfs != nullptr &&
         udfs->IsTransitivelyRandom(node.udf_name)) {
       node.random_tainted = true;
-    }
-
-    // Below-cache: children of a cache node have no steady-state cost.
-    // (Transitive propagation to the whole upstream subtree happens in
-    // the fixed-point loop after this pass.)
-    node.below_cache = child_below_cache;
-    if (node.op == "cache") {
-      for (const std::string& input : node.inputs) {
-        NodeModel* child = const_cast<NodeModel*>(model.Find(input));
-        if (child != nullptr) child->below_cache = true;
-      }
     }
 
     // Cardinality ni (App. A): sources get total-bytes x records/byte;
@@ -180,24 +167,14 @@ StatusOr<PipelineModel> PipelineModel::Build(const TraceSnapshot& trace,
 
     node.cacheable = !node.random_tainted && node.cardinality >= 0 &&
                      node.op != "cache" && node.op != "prefetch" &&
-                     node.op != "file_list" && !node.below_cache;
+                     node.op != "file_list";
   }
 
-  // Propagate below_cache transitively source-ward (a cache's whole
-  // upstream subtree is free in steady state).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (auto& node : model.nodes_) {
-      if (!node.below_cache) continue;
-      for (const std::string& input : node.inputs) {
-        NodeModel* child = const_cast<NodeModel*>(model.Find(input));
-        if (child != nullptr && !child->below_cache) {
-          child->below_cache = true;
-          child->cacheable = false;
-          changed = true;
-        }
-      }
+  // A traced cache frees its whole upstream subtree in steady state.
+  for (const NodeModel& node : model.nodes_) {
+    if (node.op != "cache") continue;
+    for (const std::string& input : node.inputs) {
+      RETURN_IF_ERROR(model.MarkCached(input));
     }
   }
 
@@ -207,6 +184,26 @@ StatusOr<PipelineModel> PipelineModel::Build(const TraceSnapshot& trace,
 const NodeModel* PipelineModel::Find(const std::string& name) const {
   auto it = index_.find(name);
   return it == index_.end() ? nullptr : &nodes_[it->second];
+}
+
+Status PipelineModel::MarkCached(const std::string& node) {
+  auto it = index_.find(node);
+  if (it == index_.end()) return NotFoundError("no such node: " + node);
+  // A marked node's subtree is already marked, so the walk stops there.
+  std::vector<size_t> pending = {it->second};
+  while (!pending.empty()) {
+    NodeModel& marked = nodes_[pending.back()];
+    pending.pop_back();
+    marked.below_cache = true;
+    marked.cacheable = false;
+    for (const std::string& input : marked.inputs) {
+      auto child = index_.find(input);
+      if (child != index_.end() && !nodes_[child->second].below_cache) {
+        pending.push_back(child->second);
+      }
+    }
+  }
+  return OkStatus();
 }
 
 std::vector<std::string> PipelineModel::RankBottlenecks() const {

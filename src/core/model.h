@@ -50,7 +50,7 @@ struct NodeModel {
   bool is_source = false;
   bool negligible_cost = false;  // too little CPU to constrain the LP
   bool random_tainted = false;   // at/after a transitively random UDF
-  bool below_cache = false;      // upstream of an existing cache node
+  bool below_cache = false;      // upstream of a cache (see MarkCached)
   bool cacheable = false;
 };
 
@@ -77,6 +77,13 @@ class PipelineModel {
   // CPU LP stages (paper §4.3); excludes negligible-cost and
   // below-cache nodes. Order matches nodes().
   std::vector<MaxMinStage> LpStages() const;
+
+  // Marks `node` and its whole upstream subtree below_cache and not
+  // cacheable: the model of the same graph with a cache placed after
+  // `node`, whose warm steady state frees that subtree (App. A). Build
+  // derives this from every traced cache op; the cache pass calls it
+  // so the model predicts the cache without a re-trace.
+  Status MarkCached(const std::string& node);
 
   // Aggregate disk demand: bytes per minibatch across sources.
   double DiskBytesPerMinibatch() const;

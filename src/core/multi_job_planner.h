@@ -107,8 +107,8 @@ MultiJobPlan PlanMultiJobAllocation(const std::vector<JobDemand>& demands,
 // traced graph has an unstamped tunable node at parallelism > 1, it is
 // filled with a one-line description (callers log it; the optimizer
 // warns at stamping time through its result log). Unstamped nodes at
-// parallelism 1 — e.g. stages behind a cache, which the final trace
-// never rates — already sit at the arbiter's min-1 floor and escape
+// parallelism 1 — e.g. stages behind a cache, which the model keeps
+// out of the LP — already sit at the arbiter's min-1 floor and escape
 // nothing, so they do not warn. Full coverage, or the untraced
 // fallback, leave `warning` untouched.
 JobDemand DemandFromGraph(std::string job_id, const GraphDef& graph,

@@ -39,7 +39,12 @@ StatusOr<OptimizeResult> PlumberOptimizer::Optimize(
   OptimizeResult result;
   result.pass_reports.reserve(schedule.size());
   for (const OptimizerPass* pass : schedule) {
+    const int traces_before = ctx.traces();
     ASSIGN_OR_RETURN(PassReport report, pass->run(ctx));
+    // Only the pass whose model access took a trace reports its rate.
+    if (ctx.traces() > traces_before) {
+      report.traced_rate = ctx.last_model()->observed_rate();
+    }
     const std::string name = pass->name;
     // Fold the typed decisions into the flat result fields (last pass
     // of each kind wins, matching the pre-framework optimizer where the
@@ -56,18 +61,20 @@ StatusOr<OptimizeResult> PlumberOptimizer::Optimize(
     result.log.push_back(report.pass + ": " + report.summary);
     result.pass_reports.push_back(std::move(report));
   }
-  if (!ctx.has_model()) {
+  const PipelineModel* model = ctx.last_model();
+  if (model == nullptr) {
     // Nothing in the schedule consulted a model (e.g. the empty
     // schedule): still trace once so traced_rate reports the input's
     // observed rate.
-    RETURN_IF_ERROR(ctx.LatestModel().status());
+    ASSIGN_OR_RETURN(model, ctx.Model());
   } else {
     // Record the measured per-core stage rates in the graph so the
     // multi-job arbiter can water-fill from real demand instead of its
     // uniform fallback when this program is later Submit()ed alongside
     // others. Only after a real schedule: the empty schedule contracts
-    // to return the input byte-for-byte unchanged.
-    ASSIGN_OR_RETURN(const PipelineModel* model, ctx.LatestModel());
+    // to return the input byte-for-byte unchanged. Reads the model the
+    // schedule left, even one a trailing shard_sources invalidated:
+    // stamping never adds a trace.
     for (const MaxMinStage& stage : model->LpStages()) {
       if (ctx.graph().FindNode(stage.name) != nullptr &&
           stage.rate_per_core > 0) {
@@ -89,7 +96,7 @@ StatusOr<OptimizeResult> PlumberOptimizer::Optimize(
     }
   }
   result.graph = std::move(ctx.graph());
-  result.traced_rate = ctx.last_traced_rate();
+  result.traced_rate = model->observed_rate();
   return result;
 }
 

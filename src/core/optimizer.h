@@ -4,8 +4,8 @@
 // the pipeline-optimizer tool of §B. The rewrites themselves are the
 // rows of the pass table in src/core/passes/ (OptimizerPasses());
 // Optimize parses a schedule string into rows — by default
-// "parallelism,prefetch,cache,parallelism", which reproduces the
-// original 2x-iterated three-pass loop — and runs them against an
+// "parallelism,prefetch,cache,parallelism", the original 2x-iterated
+// three-pass loop, planned from one trace — and runs them against an
 // OptimizationContext. PickBest implements the pick_best annotation
 // (§B, Fig. 11): trace several signature-equivalent pipelines, optimize
 // each, return the fastest.
@@ -40,7 +40,9 @@ struct OptimizeResult {
   CacheDecision cache;         // last cache pass's decision
   PrefetchDecision prefetch;   // last prefetch pass's decision
   int shard_count = 0;         // shard_sources pass (0 = unsharded)
-  double traced_rate = 0;      // observed rate in the final trace
+  // Observed rate of the last trace Optimize took: the input's, unless
+  // shard_sources forced a re-trace of the sharded graph.
+  double traced_rate = 0;
   // One report per scheduled pass, in execution order: what each pass
   // decided and whether it rewrote the graph.
   std::vector<PassReport> pass_reports;

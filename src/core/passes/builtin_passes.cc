@@ -17,17 +17,17 @@ namespace {
 // Upper bound on the shard count shard_sources solves for.
 constexpr int kMaxShards = 8;
 
-// "parallelism": re-traces the current graph (at cache steady state if
-// one is present), solves the CPU/disk LP, and applies the integer
-// parallelism suggestions (paper §4.3).
+// "parallelism": solves the CPU/disk LP on the context's model and
+// applies the integer parallelism suggestions (paper §4.3). Per-core
+// stage rates and visit ratios do not depend on a stage's parallelism
+// (§4.3-4.4), so the model stays valid; after a cache pass this
+// re-solves on the model the cache edited.
 StatusOr<PassReport> RunParallelism(OptimizationContext& ctx) {
   PassReport report;
   report.pass = "parallelism";
-  ASSIGN_OR_RETURN(const PipelineModel* model, ctx.FreshModel());
-  report.traced_rate = model->observed_rate();
+  ASSIGN_OR_RETURN(const PipelineModel* model, ctx.Model());
   report.plan = PlanAllocation(*model, ctx.options().lp_options);
   RETURN_IF_ERROR(rewriter::ApplyParallelismPlan(&ctx.graph(), report.plan));
-  ctx.MarkGraphChanged();
   report.changed = true;
   std::ostringstream os;
   os << "lp rate=" << report.plan.predicted_rate
@@ -44,17 +44,15 @@ StatusOr<PassReport> RunParallelism(OptimizationContext& ctx) {
 }
 
 // "prefetch": injects (or resizes) a root prefetch proportional to
-// pipeline idleness (paper §4.1). Plans from the latest model;
-// idempotent.
+// pipeline idleness (paper §4.1); idempotent. A root prefetch changes
+// no stage rate the LP reads, so the model stays valid.
 StatusOr<PassReport> RunPrefetch(OptimizationContext& ctx) {
   PassReport report;
   report.pass = "prefetch";
-  ASSIGN_OR_RETURN(const PipelineModel* model, ctx.LatestModel());
-  report.traced_rate = model->observed_rate();
+  ASSIGN_OR_RETURN(const PipelineModel* model, ctx.Model());
   report.prefetch = PlanPrefetch(*model);
   RETURN_IF_ERROR(rewriter::EnsureRootPrefetch(&ctx.graph(),
                                                report.prefetch.root_buffer));
-  ctx.MarkGraphChanged();
   report.changed = true;
   report.summary =
       "prefetch buffer=" + std::to_string(report.prefetch.root_buffer);
@@ -67,7 +65,8 @@ StatusOr<PassReport> RunPrefetch(OptimizationContext& ctx) {
 // one is configured (MachineSpec::scratch_bytes > 0 and
 // scratch.max_bandwidth > 0) and can serve the cache at least as fast
 // as the uncached pipeline runs. Skips graphs that already contain a
-// cache of either tier.
+// cache of either tier. Marks the cached node's subtree in the model
+// (App. A), so a follow-up parallelism pass re-plans without a trace.
 StatusOr<PassReport> RunCache(OptimizationContext& ctx) {
   PassReport report;
   report.pass = "cache";
@@ -75,8 +74,7 @@ StatusOr<PassReport> RunCache(OptimizationContext& ctx) {
     report.summary = "cache already present; skipped";
     return report;
   }
-  ASSIGN_OR_RETURN(const PipelineModel* model, ctx.LatestModel());
-  report.traced_rate = model->observed_rate();
+  ASSIGN_OR_RETURN(PipelineModel* model, ctx.Model());
   const MachineSpec& machine = ctx.machine();
   CachePlanOptions copts;
   copts.memory_bytes = machine.memory_bytes;
@@ -90,7 +88,7 @@ StatusOr<PassReport> RunCache(OptimizationContext& ctx) {
   RETURN_IF_ERROR(rewriter::InjectCache(&ctx.graph(), report.cache.node,
                                         report.cache.tier)
                       .status());
-  ctx.MarkGraphChanged();
+  RETURN_IF_ERROR(model->MarkCached(report.cache.node));
   report.changed = true;
   std::ostringstream os;
   os << "cache after " << report.cache.node << " ("
@@ -111,7 +109,8 @@ StatusOr<PassReport> RunCache(OptimizationContext& ctx) {
 // ceil(cpu_bound_rate / disk_bound_rate), clamped to [2, min(kMaxShards,
 // num source files)]. No-op unless the LP says the pipeline is
 // disk-limited. Not in the default schedule; opt in via
-// "...,shard_sources".
+// "...,shard_sources". The shard readers and shard_merge are nodes no
+// trace has seen, so it invalidates the model: the next pass re-traces.
 StatusOr<PassReport> RunShardSources(OptimizationContext& ctx) {
   PassReport report;
   report.pass = "shard_sources";
@@ -123,8 +122,7 @@ StatusOr<PassReport> RunShardSources(OptimizationContext& ctx) {
     report.summary = "no modeled disk bandwidth; skipped";
     return report;
   }
-  ASSIGN_OR_RETURN(const PipelineModel* model, ctx.LatestModel());
-  report.traced_rate = model->observed_rate();
+  ASSIGN_OR_RETURN(const PipelineModel* model, ctx.Model());
   const LpPlan plan = PlanAllocation(*model, ctx.options().lp_options);
   report.plan = plan;
   // A NIC-capped pipeline gains nothing from sharding: every shard's
@@ -188,7 +186,7 @@ StatusOr<PassReport> RunShardSources(OptimizationContext& ctx) {
 
   ASSIGN_OR_RETURN(const std::string merge,
                    rewriter::ShardSource(&ctx.graph(), reader, shards));
-  ctx.MarkGraphChanged();
+  ctx.InvalidateModel();
   report.changed = true;
   report.shard_count = shards;
   std::ostringstream os;
@@ -205,7 +203,8 @@ const std::vector<OptimizerPass>& OptimizerPasses() {
   // cache and shard_sources name parallelism as their follow-up:
   // caching frees the cores of the cached-away subtree, and sharding
   // shifts the bottleneck from the disk back to the CPU stages, so a
-  // re-trace + re-solve redistributes the cores.
+  // re-solve redistributes the cores (on the model the cache edited,
+  // or on a re-trace of the sharded graph).
   static const std::vector<OptimizerPass> kPasses = {
       {"parallelism", nullptr, &RunParallelism},
       {"prefetch", nullptr, &RunPrefetch},

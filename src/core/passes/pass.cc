@@ -7,8 +7,8 @@ namespace plumber {
 
 namespace {
 
-// Cache-fill window before a steady-state re-trace of a pipeline with
-// an injected cache (§B truncation trick).
+// Cache-fill window before tracing a pipeline that holds a cache (§B
+// truncation trick).
 constexpr double kCacheWarmupSeconds = 0.4;
 
 }  // namespace
@@ -24,10 +24,10 @@ OptimizationContext::OptimizationContext(
     topts.trace_seconds = options_->trace_seconds;
     topts.machine = *machine_;
     if (rewriter::HasOp(g, "cache")) {
-      // Re-tracing a pipeline that now contains a cache: fill briefly,
-      // then freeze the cache so the trace reflects steady state and
-      // the LP can redistribute the cores the cached subtree frees
-      // (paper §4.1 "Optimizer" / §B truncation trick).
+      // Tracing a pipeline that holds a cache: fill briefly, then
+      // freeze the cache so the trace reflects steady state and the LP
+      // can redistribute the cores the cached subtree frees (paper
+      // §4.1 "Optimizer" / §B truncation trick).
       topts.warmup_seconds = kCacheWarmupSeconds;
       topts.simulate_cache_steady_state = true;
     }
@@ -37,23 +37,15 @@ OptimizationContext::OptimizationContext(
   };
 }
 
-Status OptimizationContext::Retrace() {
-  ASSIGN_OR_RETURN(trace_, hook_(graph_));
-  ASSIGN_OR_RETURN(PipelineModel model,
-                   PipelineModel::Build(trace_, pipeline_options_->udfs));
-  model_.emplace(std::move(model));
-  last_traced_rate_ = model_->observed_rate();
-  graph_changed_ = false;
-  return OkStatus();
-}
-
-StatusOr<const PipelineModel*> OptimizationContext::LatestModel() {
-  if (!model_.has_value()) RETURN_IF_ERROR(Retrace());
-  return &*model_;
-}
-
-StatusOr<const PipelineModel*> OptimizationContext::FreshModel() {
-  if (!model_.has_value() || graph_changed_) RETURN_IF_ERROR(Retrace());
+StatusOr<PipelineModel*> OptimizationContext::Model() {
+  if (!model_valid_) {
+    ASSIGN_OR_RETURN(const TraceSnapshot trace, hook_(graph_));
+    ASSIGN_OR_RETURN(PipelineModel model,
+                     PipelineModel::Build(trace, pipeline_options_->udfs));
+    model_.emplace(std::move(model));
+    model_valid_ = true;
+    ++traces_;
+  }
   return &*model_;
 }
 

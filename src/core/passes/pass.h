@@ -29,8 +29,9 @@ struct OptimizeOptions;
 struct PassReport {
   std::string pass;        // name of the pass that ran
   bool changed = false;    // true if the pass rewrote the graph
-  // Observed rate (minibatches/sec) of the trace the pass consumed;
-  // 0 if the pass did not consult a model.
+  // Observed rate (minibatches/sec) of the trace this pass's model
+  // access took; 0 if the pass took no trace (it planned from the
+  // model an earlier pass traced, or consulted none). Set by Optimize.
   double traced_rate = 0;
   std::string summary;     // one line: the decision, or why none
 
@@ -42,22 +43,26 @@ struct PassReport {
 };
 
 // The state a pass schedule threads through its passes: the current
-// graph, the latest trace/model of it, the tuning knobs, the
-// environment its pipelines are created in, the machine (the budget),
-// and the re-trace hook passes use to refresh the model after rewrites.
-// Passes mutate graph() and must call MarkGraphChanged() so later
-// passes know the model is stale.
+// graph, a model of it, the tuning knobs, the environment its pipelines
+// are created in, the machine (the budget), and the trace hook. The
+// model is traced once, then kept in step with the graph by the passes
+// that rewrite it (paper §4: the model predicts a rewrite instead of
+// re-running it). A new parallelism or root prefetch changes no rate
+// the LP reads, so it leaves the model as is; a cache edits it with
+// PipelineModel::MarkCached; a rewrite that adds nodes no trace has
+// seen (shard_sources) calls InvalidateModel, and the next Model()
+// re-traces.
 class OptimizationContext {
  public:
   using RetraceHook = std::function<StatusOr<TraceSnapshot>(const GraphDef&)>;
 
   // `options`, `pipeline_options` and `machine` must outlive the
-  // context (PlumberOptimizer owns all four). The default re-trace hook
+  // context (PlumberOptimizer owns all four). The default trace hook
   // instantiates the graph with `pipeline_options` and captures a
-  // bounded trace, reproducing the cache-steady-state semantics of the
-  // pre-framework optimizer: once the graph contains a cache, re-traces
-  // warm it for 0.4 s and freeze it (§B truncation trick) so the LP can
-  // redistribute the cores the cached subtree frees.
+  // bounded trace. A graph that already holds a cache (an input that
+  // carries one, or a re-trace after sharding) is warmed for 0.4 s and
+  // its cache frozen first (§B truncation trick), so the trace shows
+  // the cache's steady state.
   OptimizationContext(GraphDef graph, const OptimizeOptions& options,
                       const PipelineOptions& pipeline_options,
                       const MachineSpec& machine);
@@ -73,40 +78,34 @@ class OptimizationContext {
   }
   const MachineSpec& machine() const { return *machine_; }
 
-  // Model of the most recent trace, tracing the current graph first if
-  // none has been taken yet. The model may be stale with respect to
-  // graph() — passes that plan from already-observed behavior (prefetch
-  // sizing, cache placement) use this, mirroring the pre-framework
-  // optimizer where one trace per iteration fed all three passes.
-  StatusOr<const PipelineModel*> LatestModel();
+  // The model of graph(). Traces graph() only when there is no model
+  // yet or the model was invalidated; otherwise returns the model the
+  // passes kept in step with their rewrites.
+  StatusOr<PipelineModel*> Model();
 
-  // Like LatestModel, but re-traces whenever the graph changed since
-  // the last trace. Passes whose decisions depend on the rewritten
-  // pipeline's empirical rates (the LP parallelism pass) use this.
-  StatusOr<const PipelineModel*> FreshModel();
+  // Declares that graph() gained nodes the model cannot describe; the
+  // next Model() traces again.
+  void InvalidateModel() { model_valid_ = false; }
 
-  // Declares that graph() was mutated; the next FreshModel re-traces.
-  void MarkGraphChanged() { graph_changed_ = true; }
-
-  const TraceSnapshot& trace() const { return trace_; }
-  bool has_model() const { return model_.has_value(); }
-  // Observed rate of the last trace taken (0 before any trace).
-  double last_traced_rate() const { return last_traced_rate_; }
+  // The last model built, without tracing: nullptr before the first
+  // trace, and after InvalidateModel still the model from before.
+  const PipelineModel* last_model() const {
+    return model_.has_value() ? &*model_ : nullptr;
+  }
+  // Traces taken so far.
+  int traces() const { return traces_; }
 
   // Test seam: replaces pipeline instantiation + tracing.
   void set_retrace_hook(RetraceHook hook) { hook_ = std::move(hook); }
 
  private:
-  Status Retrace();
-
   const OptimizeOptions* options_;
   const PipelineOptions* pipeline_options_;
   const MachineSpec* machine_;
   GraphDef graph_;
-  TraceSnapshot trace_;
   std::optional<PipelineModel> model_;
-  bool graph_changed_ = false;
-  double last_traced_rate_ = 0;
+  bool model_valid_ = false;
+  int traces_ = 0;
   RetraceHook hook_;
 };
 
@@ -132,11 +131,11 @@ struct OptimizerPass {
 // sweep) follow this order.
 const std::vector<OptimizerPass>& OptimizerPasses();
 
-// The schedule PlumberOptimizer runs when none is specified. It
-// reproduces the pre-framework optimizer exactly: one trace feeds LP
-// parallelism, prefetch injection, and cache insertion; a second
-// parallelism pass re-traces (at cache steady state, if one was
-// injected) and redistributes the freed cores.
+// The schedule PlumberOptimizer runs when none is specified. One trace
+// feeds all four passes: LP parallelism, prefetch injection and cache
+// insertion plan from it, and the second parallelism pass re-solves
+// the LP on the model the cache pass edited, redistributing the cores
+// the cache freed.
 inline constexpr char kDefaultPassSchedule[] =
     "parallelism,prefetch,cache,parallelism";
 

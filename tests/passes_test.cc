@@ -1,5 +1,5 @@
 // Pass framework tests: the pass table, schedule parsing, the default
-// schedule, and the cache pass's tier dispatch.
+// schedule and the traces it takes, and the cache pass's tier dispatch.
 #include "src/core/passes/pass.h"
 
 #include <gtest/gtest.h>
@@ -179,12 +179,13 @@ TEST(PassFrameworkTest, DefaultScheduleProducesOneReportPerPass) {
   // The folded plan is the final parallelism pass's plan.
   EXPECT_EQ(result->plan.predicted_rate,
             result->pass_reports[3].plan.predicted_rate);
-  // First trace feeds passes 0-2 (one trace per iteration, as in the
-  // pre-framework optimizer); the final parallelism pass re-traces.
-  EXPECT_EQ(result->pass_reports[0].traced_rate,
-            result->pass_reports[1].traced_rate);
-  EXPECT_EQ(result->pass_reports[1].traced_rate,
-            result->pass_reports[2].traced_rate);
+  // One trace feeds the whole schedule: only the first pass took it,
+  // and the final parallelism pass re-solves on the model the cache
+  // pass edited.
+  EXPECT_GT(result->pass_reports[0].traced_rate, 0);
+  for (size_t i = 1; i < result->pass_reports.size(); ++i) {
+    EXPECT_EQ(result->pass_reports[i].traced_rate, 0) << i;
+  }
 }
 
 const NodeDef* FindCacheNode(const GraphDef& graph) {
@@ -348,43 +349,71 @@ TEST(PassFrameworkTest, DefaultScheduleNeverShards) {
   EXPECT_FALSE(cache->HasAttr(kAttrCacheTier));
 }
 
-TEST(PassFrameworkTest, RetraceHookSeesRewrittenGraph) {
-  // The context's re-trace hook is the seam between passes and the
-  // runtime: the second parallelism pass of the default schedule must
-  // trace the graph the earlier passes rewrote, not the input.
+// A trace hook that keeps every graph it traces, in order.
+OptimizationContext::RetraceHook RecordingHook(
+    const OptimizeOptions& options, const PipelineOptions& popts,
+    const MachineSpec& machine, std::vector<GraphDef>* traced) {
+  return [&options, &popts, &machine,
+          traced](const GraphDef& g) -> StatusOr<TraceSnapshot> {
+    traced->push_back(g);
+    ASSIGN_OR_RETURN(auto pipeline, Pipeline::Create(g, popts));
+    TraceOptions topts;
+    topts.trace_seconds = options.trace_seconds;
+    topts.machine = machine;
+    TraceSnapshot trace = CaptureTrace(*pipeline, topts);
+    pipeline->Cancel();
+    return trace;
+  };
+}
+
+// Runs `spec`'s rows against `ctx` in order.
+void RunSchedule(const std::string& spec, OptimizationContext& ctx) {
+  auto schedule = ParsePassSchedule(spec);
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
+  for (const OptimizerPass* pass : *schedule) {
+    auto report = pass->run(ctx);
+    ASSERT_TRUE(report.ok()) << pass->name << ": " << report.status();
+  }
+}
+
+TEST(PassFrameworkTest, DefaultScheduleTracesOnce) {
+  // The context's trace hook is the seam between passes and the
+  // runtime. The default schedule traces its input once: parallelism
+  // and prefetch leave the model valid, and the cache pass edits it,
+  // so the trailing parallelism pass re-solves without a trace.
   PipelineTestEnv env(4, 50, 64);
   const OptimizeOptions options = MakeOptions();
+  MachineSpec machine = TestMachine();
+  machine.memory_bytes = 10 << 20;
+  const PipelineOptions popts = env.OptionsFor(machine);
+  const GraphDef input = MisconfiguredGraph();
+  OptimizationContext ctx(input, options, popts, machine);
+  std::vector<GraphDef> traced;
+  ctx.set_retrace_hook(RecordingHook(options, popts, machine, &traced));
+  RunSchedule(kDefaultPassSchedule, ctx);
+  ASSERT_EQ(traced.size(), 1u);
+  EXPECT_EQ(traced[0].Serialize(), input.Serialize());
+  const GraphDef& graph = ctx.graph();
+  EXPECT_EQ(graph.FindNode(graph.output())->op, "prefetch");
+  EXPECT_NE(FindCacheNode(graph), nullptr);
+}
+
+TEST(PassFrameworkTest, ShardSourcesReTracesTheShardedGraph) {
+  // shard_sources adds shard readers and a shard_merge that no trace
+  // has seen, so it invalidates the model: the follow-up parallelism
+  // pass traces the rewritten graph, not the input.
+  PipelineTestEnv env(4, 50, 64);
+  OptimizeOptions options = MakeOptions();
+  options.lp_options.disk_bandwidth = 500;
   const MachineSpec machine = TestMachine();
   const PipelineOptions popts = env.OptionsFor(machine);
   OptimizationContext ctx(MisconfiguredGraph(), options, popts, machine);
-  int traces = 0;
-  bool saw_prefetch_root = false;
-  ctx.set_retrace_hook(
-      [&](const GraphDef& g) -> StatusOr<TraceSnapshot> {
-        ++traces;
-        saw_prefetch_root =
-            g.FindNode(g.output()) != nullptr &&
-            g.FindNode(g.output())->op == "prefetch";
-        ASSIGN_OR_RETURN(auto pipeline, Pipeline::Create(g, popts));
-        TraceOptions topts;
-        topts.trace_seconds = 0.1;
-        topts.machine = machine;
-        TraceSnapshot trace = CaptureTrace(*pipeline, topts);
-        pipeline->Cancel();
-        return trace;
-      });
-  auto schedule = ParsePassSchedule("parallelism,prefetch");
-  ASSERT_TRUE(schedule.ok()) << schedule.status();
-  const OptimizerPass& parallelism = *(*schedule)[0];
-  const OptimizerPass& prefetch = *(*schedule)[1];
-  ASSERT_TRUE(parallelism.run(ctx).ok());
-  EXPECT_EQ(traces, 1);
-  EXPECT_FALSE(saw_prefetch_root);
-  ASSERT_TRUE(prefetch.run(ctx).ok());
-  EXPECT_EQ(traces, 1);  // prefetch plans from the latest model
-  ASSERT_TRUE(parallelism.run(ctx).ok());
-  EXPECT_EQ(traces, 2);  // graph changed -> fresh trace
-  EXPECT_TRUE(saw_prefetch_root);
+  std::vector<GraphDef> traced;
+  ctx.set_retrace_hook(RecordingHook(options, popts, machine, &traced));
+  RunSchedule("shard_sources,parallelism", ctx);
+  ASSERT_EQ(traced.size(), 2u);
+  EXPECT_FALSE(rewriter::HasOp(traced[0], "shard_merge"));
+  EXPECT_TRUE(rewriter::HasOp(traced[1], "shard_merge"));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the §B steady-state cache simulation ("truncating the
 // cached data"): freezing a partially-filled cache must make later
-// iterators serve immediately, and the optimizer's steady-state
-// re-trace must release the cores of the cached-away subtree.
+// iterators serve immediately, and a model of a cache must release the
+// cores of the cached-away subtree, whether it comes from a frozen
+// trace or from the cache pass marking an uncached trace's model.
 #include <gtest/gtest.h>
 
 #include "src/core/optimizer.h"
@@ -14,13 +15,17 @@ namespace {
 using testing_util::Drain;
 using testing_util::PipelineTestEnv;
 
-GraphDef CachedGraph() {
+GraphDef UncachedGraph() {
   GraphBuilder b;
   auto n = b.Interleave("interleave", b.FileList("files", "data/"), 2, 1);
   n = b.Map("work", n, "slow", 2);
   n = b.ShuffleAndRepeat("sr", n, 16);
   n = b.Batch("batch", n, 5);
-  GraphDef graph = std::move(b.Build(n)).value();
+  return std::move(b.Build(n)).value();
+}
+
+GraphDef CachedGraph() {
+  GraphDef graph = UncachedGraph();
   EXPECT_TRUE(rewriter::InjectCache(&graph, "work").ok());
   return graph;
 }
@@ -137,34 +142,54 @@ TEST(SteadyStateTest, TracerWarmupAndFreezeYieldSteadyRates) {
   EXPECT_GT(cache->elements_produced, 0u);
 }
 
-TEST(SteadyStateTest, ModelMarksCachedSubtreeFree) {
-  PipelineTestEnv env(4, 50, 64);
-  auto pipeline =
-      std::move(Pipeline::Create(CachedGraph(), env.Options())).value();
+// The model of a 0.2 s trace of `graph`; with `freeze`, the trace
+// first warms the graph's cache for 0.3 s and freezes it.
+PipelineModel TracedModel(PipelineTestEnv& env, const GraphDef& graph,
+                          bool freeze) {
+  auto pipeline = std::move(Pipeline::Create(graph, env.Options())).value();
   TraceOptions topts;
   topts.trace_seconds = 0.2;
-  topts.warmup_seconds = 0.3;
-  topts.simulate_cache_steady_state = true;
+  if (freeze) {
+    topts.warmup_seconds = 0.3;
+    topts.simulate_cache_steady_state = true;
+  }
   topts.machine = MachineSpec::SetupA();
   const TraceSnapshot trace = CaptureTrace(*pipeline, topts);
   pipeline->Cancel();
-  auto model = std::move(PipelineModel::Build(trace, &env.udfs)).value();
-  // The LP must not see the cached-away stages...
-  for (const auto& stage : model.LpStages()) {
-    EXPECT_NE(stage.name, "work");
-    EXPECT_NE(stage.name, "interleave");
+  return std::move(PipelineModel::Build(trace, &env.udfs)).value();
+}
+
+TEST(SteadyStateTest, ModelMarksCachedSubtreeFree) {
+  // Two models of a cache after "work" must agree: the frozen trace of
+  // the cached graph, and the uncached graph's trace marked the way
+  // the cache pass marks it.
+  PipelineTestEnv env(4, 50, 64);
+  const PipelineModel frozen =
+      TracedModel(env, CachedGraph(), /*freeze=*/true);
+  const PipelineModel marked = [&] {
+    PipelineModel model = TracedModel(env, UncachedGraph(), /*freeze=*/false);
+    EXPECT_TRUE(model.MarkCached("work").ok());
+    return model;
+  }();
+  for (const PipelineModel* model : {&frozen, &marked}) {
+    SCOPED_TRACE(model == &frozen ? "frozen trace" : "MarkCached");
+    // The LP must not see the cached-away stages...
+    for (const auto& stage : model->LpStages()) {
+      EXPECT_NE(stage.name, "work");
+      EXPECT_NE(stage.name, "interleave");
+    }
+    // ...and the plan must explicitly release their parallelism.
+    const LpPlan plan = PlanAllocation(*model);
+    auto it = plan.parallelism.find("work");
+    ASSERT_NE(it, plan.parallelism.end());
+    EXPECT_EQ(it->second, 1);
+    // A cached pipeline reads nothing from disk at steady state.
+    EXPECT_EQ(model->DiskBytesPerMinibatch(), 0);
   }
-  // ...and the plan must explicitly release their parallelism.
-  const LpPlan plan = PlanAllocation(model);
-  auto it = plan.parallelism.find("work");
-  ASSERT_NE(it, plan.parallelism.end());
-  EXPECT_EQ(it->second, 1);
-  // A cached pipeline reads nothing from disk at steady state.
-  EXPECT_EQ(model.DiskBytesPerMinibatch(), 0);
 }
 
 TEST(SteadyStateTest, OptimizerReleasesCoresBehindCache) {
-  // End-to-end: after the cache pass, the second optimizer pass must
+  // End-to-end: after the cache pass, the second parallelism pass must
   // not leave large parallelism on stages behind the cache.
   PipelineTestEnv env(2, 40, 64);
   GraphBuilder b;
